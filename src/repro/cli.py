@@ -91,12 +91,6 @@ def _common_options() -> argparse.ArgumentParser:
         help="random seed (default: the library seed)",
     )
     common.add_argument(
-        "--no-columnar", action="store_true",
-        help="pin the engine to the legacy tuple/Counter path instead "
-        "of the columnar fast paths (results are identical either way; "
-        "A/B escape hatch)",
-    )
-    common.add_argument(
         "--store", choices=("memory", "file", "mmap"), default=None,
         help="columnar snapshot store backend (default memory; file/"
         "mmap persist the encoded snapshot next to saved artifacts so "
@@ -436,15 +430,13 @@ def _health_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _engine_config(args):
-    """An :class:`AuricConfig` reflecting --seed / --no-columnar /
-    --store, or ``None`` when every engine option is at its default."""
+    """An :class:`AuricConfig` reflecting --seed / --store, or
+    ``None`` when every engine option is at its default."""
     from repro.core.auric import AuricConfig
 
     kwargs = {}
     if args.seed is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "no_columnar", False):
-        kwargs["columnar"] = False
     if getattr(args, "store", None) is not None:
         kwargs["store"] = args.store
     return AuricConfig(**kwargs) if kwargs else None

@@ -59,12 +59,10 @@ def _alternatives(
     exclude: Optional[CarrierId],
     top: int,
 ) -> List[str]:
-    model = engine._model(parameter)
-    counter = engine._vote_counter(model, model.cell_key(row), exclude)
-    total = sum(counter.values())
-    if total == 0:
+    vote = engine.exact_cell_vote(parameter, row, exclude)
+    if vote is None or vote.matched == 0:
         return []
     return [
-        f"{value!r} ({count / total:.0%})"
-        for value, count in counter.most_common(top + 1)[1:]
+        f"{value!r} ({count / vote.matched:.0%})"
+        for value, count in vote.votes[1:top + 1]
     ]

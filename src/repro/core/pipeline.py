@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, NoReturn, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.config.rulebook import RuleBook
 from repro.core.auric import AuricEngine
@@ -22,7 +22,6 @@ from repro.core.recommendation import (
     ParameterRecommendation,
     RecommendRequest,
     RecommendResult,
-    reject_retired_signature,
 )
 from repro.exceptions import RecommendationError
 from repro.netmodel.attributes import CarrierAttributes
@@ -84,12 +83,7 @@ class RecommendationPipeline:
         return resolve_neighborhood(self.engine, request)
 
     def handle(self, request: RecommendRequest) -> RecommendResult:
-        """Serve one unified request: engine vote with rule-book fallback.
-
-        This is the canonical entry point; the retired positional
-        :meth:`recommend` signature raises
-        :class:`~repro.core.recommendation.RetiredSignatureError`.
-        """
+        """Serve one unified request: engine vote with rule-book fallback."""
         started = time.perf_counter()
         with tracing.span("pipeline.handle", target=request.label()) as sp:
             catalog = self.engine.catalog
@@ -171,17 +165,3 @@ class RecommendationPipeline:
                 exclude=exclude,
                 explain=explanation,
             )
-
-    def recommend(self, *args, **kwargs) -> NoReturn:
-        """Retired legacy entry point — use :meth:`handle`.
-
-        The positional ``recommend(NewCarrierRequest, ...)`` signature
-        spent a deprecation cycle as a warning shim and is now removed;
-        build a :class:`~repro.core.recommendation.RecommendRequest`
-        (``RecommendRequest.from_new_carrier`` adapts the old request
-        type) and call :meth:`handle`.
-        """
-        reject_retired_signature(
-            "RecommendationPipeline.recommend(NewCarrierRequest, ...)",
-            "RecommendationPipeline.handle",
-        )

@@ -5,39 +5,19 @@ speaks: the engine (:meth:`repro.core.auric.AuricEngine.handle`), the
 launch pipeline (:meth:`repro.core.pipeline.RecommendationPipeline.handle`)
 and the long-lived service
 (:meth:`repro.serve.service.RecommendationService.handle`) all accept a
-:class:`RecommendRequest` and return a :class:`RecommendResult`.  The
-older per-layer positional signatures are **retired**: calling one
-raises :class:`RetiredSignatureError` naming the unified replacement
-(they spent a deprecation cycle as warning shims first; see
-``docs/serving.md`` for the migration table).
+:class:`RecommendRequest` and return a :class:`RecommendResult`
+(``docs/serving.md`` maps the removed per-layer signatures onto it).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Mapping, NoReturn, Optional, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.netmodel.attributes import CarrierAttributes
 from repro.netmodel.identifiers import CarrierId, ENodeBId
 from repro.obs.provenance import ResultExplanation
 from repro.types import ParameterValue
-
-
-class RetiredSignatureError(TypeError):
-    """A retired legacy entry point was called.
-
-    The per-layer positional recommendation signatures went through a
-    deprecation-warning cycle and are now removed; the error message
-    names the unified replacement.
-    """
-
-
-def reject_retired_signature(old: str, new: str) -> NoReturn:
-    """Raise the standard error for a retired legacy entry point."""
-    raise RetiredSignatureError(
-        f"{old} was retired; use {new} with a RecommendRequest "
-        f"(see docs/serving.md for the migration table)"
-    )
 
 
 @dataclass(frozen=True)

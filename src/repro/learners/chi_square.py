@@ -242,9 +242,8 @@ def test_conditional_independence(
         # Pre-encoded strata (the columnar fit path packs the selected
         # columns into one integer key per sample) take the fully
         # vectorized builder — pre-encoded x/y columns skip their
-        # factorize pass entirely; the object path below is the
-        # historical implementation, kept as the ``columnar=False``
-        # A/B reference.
+        # factorize pass entirely; the object path below serves raw
+        # (unencoded) strata.
         x_codes, n_x = _encoded_column(xs)
         y_codes, n_y = _encoded_column(ys)
         return _conditional_from_encoded(

@@ -80,7 +80,7 @@ DROPPED_SERIES_METRIC = "repro_metrics_dropped_series_total"
 
 #: Request-latency buckets (seconds) — tuned for an in-process service
 #: where a cache hit is microseconds and a cold vote is milliseconds.
-#: Shared by the serving facade (`repro.serve.metrics`) and the health
+#: Shared by the serving facade (:class:`ServiceMetrics`) and the health
 #: layer's latency SLO rules, so quantiles are computed over one bucket
 #: layout.
 DEFAULT_LATENCY_BUCKETS = (
@@ -776,9 +776,8 @@ def histogram(
 
 # -- service-facing facade -----------------------------------------------------
 #
-# ServiceMetrics/LatencyHistogram started life in ``repro.serve.metrics``
-# and moved here once the registry became the single source of truth;
-# the old module is retired and raises ImportError pointing here.
+# ServiceMetrics/LatencyHistogram: the serving layer's view of the
+# registry, the single source of truth for service metrics.
 
 #: Default refresh-duration buckets (seconds) — refits are much slower.
 DEFAULT_REFRESH_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)

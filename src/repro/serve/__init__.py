@@ -16,9 +16,7 @@ to the rule-book, and incremental refresh as the network grows.
 * :mod:`repro.serve.refresh` — incremental electorate updates and
   full refits with stale-but-available swapping.
 * Service metrics live in :mod:`repro.obs.metrics`
-  (:class:`ServiceMetrics`, re-exported here for convenience);
-  the old ``repro.serve.metrics`` module is retired and raises on
-  import.
+  (:class:`ServiceMetrics`, re-exported here for convenience).
 * :mod:`repro.serve.validation` — structured payload validation
   (:class:`RequestValidationError` names the field and reason; the
   front end's 400 body).

@@ -11,7 +11,7 @@ recommendations *identical* to the engine that was fitted live.
 Identity is guaranteed by serializing the raw per-target samples in
 their original (sorted-key) order and rebuilding every derived index —
 cell index, global counts, by-carrier index — by replaying that order,
-exactly as ``AuricEngine._fit_parameter`` accumulated them.  Weighted
+exactly as the fit accumulated them.  Weighted
 (float) vote counts therefore sum in the same order and land on the
 same values bit-for-bit.
 
@@ -46,9 +46,10 @@ from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
 
 #: Version of the artifact document schema (bump on layout changes).
-#: v2 adds the optional ``columnar`` snapshot section and the
-#: ``config.columnar`` flag; v3 adds the optional ``drift_baseline``
-#: section (fit-time value distributions for
+#: v2 adds the optional ``columnar`` snapshot section (and a
+#: ``columnar`` config flag, since removed and ignored on load); v3
+#: adds the optional ``drift_baseline`` section (fit-time value
+#: distributions for
 #: :class:`repro.obs.health.DriftDetector`); v4 adds the
 #: ``config.store`` field and the optional ``columnar_store`` reference
 #: — the encoded snapshot lives in an external
@@ -172,7 +173,6 @@ def engine_to_dict(
             "min_local_votes": config.min_local_votes,
             "max_fit_samples": config.max_fit_samples,
             "seed": config.seed,
-            "columnar": config.columnar,
             "store": config.store,
         },
         "models": [
@@ -243,7 +243,9 @@ def engine_from_dict(
                 f"(artifact {str(expected)[:12]}…, snapshot {actual[:12]}…); "
                 "pass verify_fingerprint=False to serve it anyway"
             )
-    config = AuricConfig(**payload["config"])
+    config_fields = dict(payload["config"])
+    config_fields.pop("columnar", None)  # v2-v4 engine option, removed
+    config = AuricConfig(**config_fields)
     engine = AuricEngine(network, store, config)
     if "columnar_store" in payload:
         from repro.store import SnapshotStoreError

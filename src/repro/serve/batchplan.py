@@ -340,9 +340,10 @@ def execute_batch(
         vector_groups: Dict[str, List[_Group]] = {}
         scalar_pending: List[Tuple[_Group, bool]] = []
         for group, with_votes in pending:
-            # Vectorizable: fitted, global scope, no vote capture (the
-            # plurality table cannot carry distributions).  key[1] is
-            # the dependent-attribute cell for fitted keys.
+            # Vectorizable: fitted, global scope, no vote capture
+            # (capturing votes take the scalar core, which records the
+            # distribution).  key[1] is the dependent-attribute cell
+            # for fitted keys.
             if group.fitted and not with_votes and not group.neighborhood:
                 vector_groups.setdefault(group.name, []).append(group)
             else:
@@ -360,9 +361,8 @@ def execute_batch(
                     rep.vectorized += 1
                     rep.computed += 1
                 else:
-                    # Unknown/emptied cell or a model off the table
-                    # path: the scalar core walks the same relaxation
-                    # chain the serial loop would.
+                    # Unknown or emptied cell: the scalar core walks
+                    # the same relaxation chain the serial loop would.
                     scalar_pending.append((group, False))
         for group, with_votes in scalar_pending:
             outcome = service._compute_parameter(

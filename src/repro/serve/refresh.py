@@ -440,8 +440,6 @@ class EngineRefresher:
         ``changed`` counts changed sample positions (-1 when the
         topology itself changed); ``reused`` flags a reused selection.
         """
-        if not engine.config.columnar:
-            return engine._fit_parameter(spec), -1, False
         snapshot = engine.columnar_snapshot()
         old_columns = (
             snapshot.parameters.get(spec.name)

@@ -44,9 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from typing import (
-    Dict, Hashable, List, NoReturn, Optional, Sequence, Set, Tuple
-)
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.config.rulebook import RuleBook
 from repro.core.auric import AuricEngine
@@ -60,7 +58,6 @@ from repro.core.recommendation import (
     ParameterRecommendation,
     RecommendRequest,
     RecommendResult,
-    reject_retired_signature,
 )
 from repro.exceptions import RecommendationError, UnknownParameterError
 from repro.netmodel.identifiers import CarrierId
@@ -325,10 +322,7 @@ class RecommendationService:
         """Serve one unified request from the persistent engine.
 
         The canonical entry point (shared request/result vocabulary with
-        the pipeline and the raw engine); the retired positional
-        :meth:`recommend` signature raises
-        :class:`~repro.core.recommendation.RetiredSignatureError`.
-        Existing-carrier targets resolve their attributes and X2
+        the pipeline and the raw engine).  Existing-carrier targets resolve their attributes and X2
         neighborhood from the serving snapshot, and leave-one-out
         queries exclude the target's own configured values from the
         vote — cache keys incorporate the exclusion, so evaluation
@@ -429,27 +423,6 @@ class RecommendationService:
             with tracing.span_from_context(trace, "shard.handle", shard=shard):
                 results.append(self.handle(request))
         return results
-
-    def recommend(self, *args, **kwargs) -> NoReturn:
-        """Retired legacy entry point — use :meth:`handle`.
-
-        The positional ``recommend(NewCarrierRequest, ...)`` signature
-        spent a deprecation cycle as a warning shim and is now removed;
-        build a :class:`~repro.core.recommendation.RecommendRequest`
-        (``RecommendRequest.from_new_carrier`` adapts the old request
-        type) and call :meth:`handle`.
-        """
-        reject_retired_signature(
-            "RecommendationService.recommend(NewCarrierRequest, ...)",
-            "RecommendationService.handle",
-        )
-
-    def recommend_batch(self, *args, **kwargs) -> NoReturn:
-        """Retired legacy entry point — use :meth:`handle_batch`."""
-        reject_retired_signature(
-            "RecommendationService.recommend_batch(...)",
-            "RecommendationService.handle_batch",
-        )
 
     def _parameter_names(
         self,

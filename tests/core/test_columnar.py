@@ -23,6 +23,7 @@ from repro.core.columnar import (
     pack_capacity,
     pack_columns,
     plurality,
+    tally,
     unpack_key,
 )
 from repro.datagen.generator import generate_dataset
@@ -171,7 +172,60 @@ def _reference_vote(counter: Counter, exclude_label):
     return value, top, total
 
 
+#: (label, weight) streams with the weights vote weighting uses,
+#: zero included.
+weighted_stream = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=3),
+        st.sampled_from([0.0, 0.1, 0.25, 1.7, 1.0]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _reference_weighted(counter: Counter, label, weight, drop_zero):
+    """Counter arithmetic for a weighted exclusion (None = emptied)."""
+    counter = Counter(counter)
+    if counter.get(label, 0) > 0 or drop_zero:
+        counter[label] -= weight
+        if counter[label] <= 1e-12:
+            del counter[label]
+    if not counter:
+        return None
+    return counter
+
+
 class TestCellVoteTable:
+    @given(weighted_stream, st.booleans())
+    @settings(max_examples=100)
+    def test_weighted_exclusion_is_counter_arithmetic(self, stream, drop_zero):
+        counter = Counter()
+        for label, weight in stream:
+            counter[label] += weight
+        table = CellVoteTable({("c",): counter})
+        assert table.vote(("c",)) == (
+            counter.most_common(1)[0] + (sum(counter.values()),)
+        )
+        assert table.distribution(("c",)) == counter.most_common()
+        for label, weight in stream:
+            expected = _reference_weighted(counter, label, weight, drop_zero)
+            got = table.vote(("c",), label, weight, drop_zero)
+            votes = table.distribution(("c",), label, weight, drop_zero)
+            if expected is None:
+                assert got is None and votes is None
+            else:
+                value, top = expected.most_common(1)[0]
+                assert got == (value, top, sum(expected.values()))
+                assert votes == expected.most_common()
+
+    def test_zero_count_label_survives_its_own_exclusion(self):
+        # The only voter weighs 0: Counter keeps the 0.0 entry unless
+        # drop_zero asks for it to go.
+        table = CellVoteTable({("c",): Counter({"x": 0.0})})
+        assert table.vote(("c",), "x", 0.0) == ("x", 0.0, 0.0)
+        assert table.vote(("c",), "x", 0.0, drop_zero=True) is None
+
     @given(vote_streams)
     @settings(max_examples=100)
     def test_vote_matches_counter_including_tie_breaks(self, stream):
@@ -213,7 +267,17 @@ class TestPlurality:
     @given(st.lists(st.integers(min_value=0, max_value=4), min_size=1))
     @settings(max_examples=50)
     def test_matches_counter_most_common(self, codes):
-        assert plurality(codes) == Counter(codes).most_common(1)[0]
+        assert plurality(tally(codes)) == Counter(codes).most_common(1)[0]
+
+    @given(weighted_stream)
+    @settings(max_examples=50)
+    def test_weighted_tally_is_counter_arithmetic(self, stream):
+        reference = Counter()
+        for label, weight in stream:
+            reference[label] += weight
+        votes = tally([l for l, _ in stream], [w for _, w in stream])
+        assert list(votes.items()) == list(reference.items())
+        assert plurality(votes) == reference.most_common(1)[0]
 
 
 # -- LocalVoteIndex ---------------------------------------------------------

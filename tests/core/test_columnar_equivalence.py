@@ -1,19 +1,23 @@
-"""Legacy-vs-columnar equivalence: the byte-identity contract.
+"""Encoded-vs-rebuilt equivalence: the byte-identity contract.
 
-``AuricConfig(columnar=False)`` pins the engine to the historical
-tuple/Counter implementation end to end (fitting *and* every voting
-fast path).  These tests fit both engines over several generation
-seeds and assert the fitted state and the LOO evaluation are
-*identical* — not approximately equal — down to Counter insertion
-order, float vote sums and mismatch lists.
+A fitted model builds its vote tables and local vote index from the
+fit-time encoded columns; a model loaded from an artifact (or edited
+sample by sample) builds them from its dict/Counter indexes instead.
+These tests fit a vote-weighted engine over several generation seeds,
+rebuild it through an artifact round trip, and assert the fitted state
+and the LOO evaluation are *identical* — not approximately equal — down
+to Counter insertion order, float vote sums and mismatch lists.
 """
+
+import json
 
 import pytest
 
-from repro.core.auric import AuricConfig, AuricEngine
+from repro.core.auric import AuricEngine
 from repro.datagen.generator import generate_dataset
 from repro.datagen.profiles import GenerationProfile, four_market_profile
 from repro.eval.runner import EvaluationRunner
+from repro.serve.artifacts import engine_from_dict, engine_to_dict
 
 SEEDS = (7, 11, 23)
 PARAMETERS_PER_SEED = 4
@@ -43,32 +47,46 @@ def _fittable_parameters(dataset, count):
     return names
 
 
+def _vote_weights(dataset, parameters):
+    """Cycle weights (zero and fractional included) over every target."""
+    cycle = (0.0, 0.1, 0.25, 1.7, 1.0)
+    weights = {}
+    for name in parameters:
+        values = dataset.store.pairwise_values(name)
+        for i, key in enumerate(sorted(values)):
+            weights[key] = cycle[i % len(cycle)]
+    return weights
+
+
 @pytest.fixture(scope="module", params=SEEDS)
 def engine_pair(request):
     dataset = _dataset(request.param)
     parameters = _fittable_parameters(dataset, PARAMETERS_PER_SEED)
-    legacy = AuricEngine(
-        dataset.network, dataset.store, AuricConfig(columnar=False)
-    ).fit(parameters)
-    columnar = AuricEngine(
-        dataset.network, dataset.store, AuricConfig(columnar=True)
-    ).fit(parameters)
-    return dataset, parameters, legacy, columnar
+    encoded = AuricEngine(dataset.network, dataset.store).fit(
+        parameters, vote_weights=_vote_weights(dataset, parameters)
+    )
+    rebuilt = engine_from_dict(
+        json.loads(json.dumps(engine_to_dict(encoded))),
+        dataset.network,
+        dataset.store,
+    )
+    assert all(m._encoded is None for m in rebuilt._models.values())
+    return dataset, parameters, rebuilt, encoded
 
 
 class TestFittedStateIdentical:
     def test_dependent_attributes(self, engine_pair):
-        _, parameters, legacy, columnar = engine_pair
+        _, parameters, rebuilt, encoded = engine_pair
         for name in parameters:
-            a, b = legacy._models[name], columnar._models[name]
+            a, b = rebuilt._models[name], encoded._models[name]
             assert a.dependent_columns == b.dependent_columns
             assert a.dependent_names == b.dependent_names
             assert a.dependent_stats == b.dependent_stats
 
     def test_vote_indexes_including_insertion_order(self, engine_pair):
-        _, parameters, legacy, columnar = engine_pair
+        _, parameters, rebuilt, encoded = engine_pair
         for name in parameters:
-            a, b = legacy._models[name], columnar._models[name]
+            a, b = rebuilt._models[name], encoded._models[name]
             assert a.cell_index == b.cell_index
             assert list(a.cell_index) == list(b.cell_index)
             for cell in a.cell_index:
@@ -81,9 +99,9 @@ class TestFittedStateIdentical:
             )
 
     def test_samples_and_topology(self, engine_pair):
-        _, parameters, legacy, columnar = engine_pair
+        _, parameters, rebuilt, encoded = engine_pair
         for name in parameters:
-            a, b = legacy._models[name], columnar._models[name]
+            a, b = rebuilt._models[name], encoded._models[name]
             assert a.samples == b.samples
             assert list(a.samples) == list(b.samples)
             assert a.by_carrier == b.by_carrier
@@ -92,37 +110,37 @@ class TestFittedStateIdentical:
 
 class TestEvaluationIdentical:
     def test_loo_accuracy_and_mismatches(self, engine_pair):
-        dataset, parameters, legacy, columnar = engine_pair
-        legacy_result = EvaluationRunner(dataset, seed=11).loo_accuracy(
-            legacy, parameters, max_targets_per_parameter=MAX_TARGETS
+        dataset, parameters, rebuilt, encoded = engine_pair
+        rebuilt_result = EvaluationRunner(dataset, seed=11).loo_accuracy(
+            rebuilt, parameters, max_targets_per_parameter=MAX_TARGETS
         )
-        columnar_result = EvaluationRunner(dataset, seed=11).loo_accuracy(
-            columnar, parameters, max_targets_per_parameter=MAX_TARGETS
-        )
-        assert (
-            legacy_result.parameter_accuracy_local
-            == columnar_result.parameter_accuracy_local
+        encoded_result = EvaluationRunner(dataset, seed=11).loo_accuracy(
+            encoded, parameters, max_targets_per_parameter=MAX_TARGETS
         )
         assert (
-            legacy_result.parameter_accuracy_global
-            == columnar_result.parameter_accuracy_global
+            rebuilt_result.parameter_accuracy_local
+            == encoded_result.parameter_accuracy_local
         )
-        assert legacy_result.mismatches_local == columnar_result.mismatches_local
         assert (
-            legacy_result.mismatches_global == columnar_result.mismatches_global
+            rebuilt_result.parameter_accuracy_global
+            == encoded_result.parameter_accuracy_global
         )
-        assert legacy_result.evaluated == columnar_result.evaluated
+        assert rebuilt_result.mismatches_local == encoded_result.mismatches_local
+        assert (
+            rebuilt_result.mismatches_global == encoded_result.mismatches_global
+        )
+        assert rebuilt_result.evaluated == encoded_result.evaluated
 
     def test_single_recommendations_identical(self, engine_pair):
-        _, parameters, legacy, columnar = engine_pair
+        _, parameters, rebuilt, encoded = engine_pair
         for name in parameters:
-            model = legacy._models[name]
+            model = rebuilt._models[name]
             keys = list(model.samples)[:40]
             for local in (False, True):
-                a = legacy.recommend_for_targets(
+                a = rebuilt.recommend_for_targets(
                     name, keys, local=local, leave_one_out=True
                 )
-                b = columnar.recommend_for_targets(
+                b = encoded.recommend_for_targets(
                     name, keys, local=local, leave_one_out=True
                 )
                 assert [

@@ -2,19 +2,14 @@
 
 One request vocabulary, three entry points: the raw engine, the launch
 pipeline and the serving layer all answer ``handle(RecommendRequest)``
-with a ``RecommendResult``; the legacy per-layer signatures are
-deprecated shims that must produce identical recommendations.
+with a ``RecommendResult``; the old per-layer signatures are gone.
 """
 
 import pytest
 
 from repro.config.rulebook import RuleBook
 from repro.core.pipeline import NewCarrierRequest, RecommendationPipeline
-from repro.core.recommendation import (
-    RecommendRequest,
-    RecommendResult,
-    RetiredSignatureError,
-)
+from repro.core.recommendation import RecommendRequest, RecommendResult
 from repro.serve.service import RecommendationService
 
 
@@ -103,7 +98,7 @@ class TestPipelineHandle:
         assert len(result) > 0
 
     def test_retired_shim_raises(self, pipeline, new_request):
-        with pytest.raises(RetiredSignatureError, match="handle"):
+        with pytest.raises(AttributeError, match="recommend"):
             pipeline.recommend(new_request, parameters=["pMax"])
 
 
@@ -114,11 +109,11 @@ class TestServiceHandle:
         assert result.scope_counts()
 
     def test_retired_shim_raises(self, service, new_request):
-        with pytest.raises(RetiredSignatureError, match="handle"):
+        with pytest.raises(AttributeError, match="recommend"):
             service.recommend(new_request, parameters=["pMax"])
 
     def test_retired_batch_shim_raises(self, service, new_request):
-        with pytest.raises(RetiredSignatureError, match="handle_batch"):
+        with pytest.raises(AttributeError, match="recommend_batch"):
             service.recommend_batch([new_request])
 
     def test_leave_one_out_matches_engine(

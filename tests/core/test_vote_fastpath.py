@@ -1,66 +1,22 @@
 """Regression tests for the voting fast paths.
 
-Covers the two small optimizations that ride along with the columnar
-work:
-
-* :meth:`AuricEngine._vote_counter` returns the *stored* counter
-  uncopied when no leave-one-out exclusion applies (the hot path of a
-  plain recommendation), and copies only when an exclusion actually
-  modifies the counts.
+* The engine's vote table agrees with the stored Counter indexes, is
+  built for every model (weighted ones and vote capture included) and
+  is invalidated when the electorate changes; batched votes match the
+  scalar entry point.
 * :meth:`CollaborativeFilteringRecommender.vote` computes each probed
   level's total once and derives ``exact_match_exists`` from the
   level-0 probe — same outcomes, one pass.
 """
 
-from collections import Counter
-
 import pytest
 
-from repro.core import AuricConfig, AuricEngine
+from repro.core import AuricEngine
 from repro.core.columnar import CellVoteTable
 from repro.exceptions import ColdStartError
 from repro.learners.collaborative_filtering import (
     CollaborativeFilteringRecommender,
 )
-
-
-class TestVoteCounterNoCopy:
-    def test_no_exclusion_returns_stored_counter_uncopied(self, engine):
-        model = engine._model("pMax")
-        cell = next(iter(model.cell_index))
-        counter = engine._vote_counter(model, cell, exclude=None)
-        assert counter is model.cell_index[cell]
-
-    def test_irrelevant_exclusion_returns_stored_counter_uncopied(
-        self, engine
-    ):
-        model = engine._model("pMax")
-        cells = iter(model.cell_index)
-        cell = next(cells)
-        # An exclusion key living in a *different* cell does not modify
-        # this cell's counts, so no copy is needed.
-        other_key = next(
-            key
-            for key, (sample_cell, _) in model.samples.items()
-            if sample_cell != cell
-        )
-        counter = engine._vote_counter(model, cell, exclude=other_key)
-        assert counter is model.cell_index[cell]
-
-    def test_applicable_exclusion_copies(self, engine):
-        model = engine._model("pMax")
-        key, (cell, label) = next(iter(model.samples.items()))
-        counter = engine._vote_counter(model, cell, exclude=key)
-        stored = model.cell_index[cell]
-        assert counter is not stored
-        # The stored counter is untouched; the copy lost one vote.
-        assert sum(counter.values()) == sum(stored.values()) - 1.0
-
-    def test_unknown_cell_returns_empty(self, engine):
-        model = engine._model("pMax")
-        assert engine._vote_counter(
-            model, ("no-such-cell",), exclude=None
-        ) == Counter()
 
 
 class TestVoteTableConsistentWithCounters(object):
@@ -129,12 +85,20 @@ class TestCollaborativeFilteringVote:
 
 
 class TestFastPathGating:
-    def test_columnar_false_disables_vote_table(self, dataset):
-        engine = AuricEngine(
-            dataset.network, dataset.store, AuricConfig(columnar=False)
-        ).fit(["pMax"])
+    def test_weighted_and_capture_models_use_vote_table(self, dataset):
+        weights = {cid: 0.5 for cid in dataset.store.singular_values("pMax")}
+        engine = AuricEngine(dataset.network, dataset.store).fit(
+            ["pMax"], vote_weights=weights
+        )
         model = engine._model("pMax")
-        assert engine._cell_vote_table(model) is None
+        assert model._encoded is not None
+        table = engine._cell_vote_table(model)
+        assert isinstance(table, CellVoteTable)
+        engine._capture_votes = True
+        try:
+            assert engine._cell_vote_table(model) is table
+        finally:
+            engine._capture_votes = False
 
     def test_columnar_true_builds_and_caches_vote_table(self, engine):
         model = engine._model("pMax")
@@ -232,16 +196,25 @@ class TestRecommendGlobalCells:
         assert batched[0] == engine.recommend_global("pMax", row)
         assert batched[1].scope in ("global-relaxed", "global-fallback")
 
-    def test_legacy_path_matches_when_table_disabled(self, dataset):
-        engine = AuricEngine(
-            dataset.network, dataset.store, AuricConfig(columnar=False)
-        ).fit(["pMax"])
-        rows = self._rows(dataset.network, count=10)
+    def test_weighted_batch_matches_scalar(self, dataset):
+        cycle = (0.0, 0.1, 0.25, 1.7, 1.0)
+        weights = {
+            cid: cycle[i % len(cycle)]
+            for i, cid in enumerate(sorted(dataset.store.singular_values("pMax")))
+        }
+        engine = AuricEngine(dataset.network, dataset.store).fit(
+            ["pMax"], vote_weights=weights
+        )
+        carriers = list(dataset.network.carriers())[:20]
         model = engine._model("pMax")
-        cells = [model.cell_key(row) for row in rows]
-        batched = engine.recommend_global_cells("pMax", cells)
-        for row, rec in zip(rows, batched):
-            assert rec == engine.recommend_global("pMax", row)
+        cells = [model.cell_key(c.attributes.as_tuple()) for c in carriers]
+        excludes = [c.carrier_id if i % 2 else None for i, c in enumerate(carriers)]
+        batched = engine.recommend_global_cells("pMax", cells, excludes)
+        for carrier, exclude, rec in zip(carriers, excludes, batched):
+            scalar = engine.recommend_global(
+                "pMax", carrier.attributes.as_tuple(), exclude=exclude
+            )
+            assert rec == scalar
 
     def test_table_global_votes_never_raises_on_unknown(self, engine):
         answers = engine.table_global_votes(

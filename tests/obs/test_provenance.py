@@ -82,7 +82,10 @@ class TestEngineExplanations:
         for name in PARAMETERS:
             model = engine._models[name]
             spec = engine.catalog.spec(name)
-            _, rows, labels = engine._collect_samples(spec)
+            values = engine.store.singular_values(name)
+            keys = sorted(values)
+            rows = [engine.carrier_row(key) for key in keys]
+            labels = [values[key] for key in keys]
             names = engine.attribute_names(spec)
             results = marginal_tests(
                 list(zip(*rows)), labels, config.p_value

@@ -146,27 +146,6 @@ class TestServeBatch:
 
         assert recommendations(fit_out) == recommendations(load_out)
 
-    def test_no_columnar_serves_identical_values(
-        self, snapshot, requests_file, tmp_path, capsys
-    ):
-        """--no-columnar pins the legacy engine; the recommendations it
-        prints are identical to the columnar default."""
-        fast_out = tmp_path / "fast.txt"
-        slow_out = tmp_path / "slow.txt"
-        base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
-        assert main(["serve-batch", *base, "-o", str(fast_out)]) == 0
-        assert main(["serve-batch", *base, "--no-columnar",
-                     "-o", str(slow_out)]) == 0
-        capsys.readouterr()
-
-        def recommendations(path):
-            return [
-                line for line in path.read_text().splitlines()
-                if not line.startswith("service metrics:")
-            ]
-
-        assert recommendations(fast_out) == recommendations(slow_out)
-
     def test_unknown_parameter_is_a_clean_error(
         self, snapshot, requests_file, capsys
     ):
