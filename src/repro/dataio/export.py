@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
-from repro.config.store import ConfigurationStore
+from repro.config.store import ConfigurationStore, PairKey
 from repro.dataio.keys import carrier_key_to_str, pair_key_to_str
 from repro.datagen.generator import SyntheticDataset
 from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
+from repro.netmodel.identifiers import CarrierId
 from repro.netmodel.network import Network
 
 SCHEMA_VERSION = 1
@@ -50,22 +51,6 @@ def dataset_to_dict(
             }
         )
 
-    singular: Dict[str, Dict[str, object]] = {}
-    pairwise: Dict[str, Dict[str, object]] = {}
-    for spec in store.catalog.range_parameters():
-        if spec.is_pairwise:
-            values = store.pairwise_values(spec.name)
-            if values:
-                pairwise[spec.name] = {
-                    pair_key_to_str(k): v for k, v in sorted(values.items())
-                }
-        else:
-            values = store.singular_values(spec.name)
-            if values:
-                singular[spec.name] = {
-                    carrier_key_to_str(k): v for k, v in sorted(values.items())
-                }
-
     return {
         "schema_version": SCHEMA_VERSION,
         "markets": markets,
@@ -77,8 +62,43 @@ def dataset_to_dict(
             sorted([f"{a.market.index}.{a.index}", f"{b.market.index}.{b.index}"])
             for a, b in network.x2.enodeb_graph.edges()
         ),
-        "config": {"singular": singular, "pairwise": pairwise},
+        "config": _config_section(store),
     }
+
+
+def _carrier_order(carrier: CarrierId) -> Tuple[int, int, int, int]:
+    """``CarrierId``'s dataclass order as a flat tuple, which sorts in C."""
+    enodeb = carrier.enodeb
+    return (enodeb.market.index, enodeb.index, carrier.face, carrier.slot)
+
+
+def _pair_order(pair: PairKey) -> Tuple[int, ...]:
+    return _carrier_order(pair.carrier) + _carrier_order(pair.neighbor)
+
+
+def _config_section(store: ConfigurationStore) -> Dict[str, Dict]:
+    """Every range parameter's values keyed by carrier (pair) string.
+
+    Parameters come in catalog order, empty ones dropped; each
+    parameter's keys come in key order.  One sorted pass over the
+    carriers and one over the pairs turn each key into a string once.
+    """
+    by_name: Dict[str, Dict[str, object]] = {}
+    for carrier in sorted(store.carriers(), key=_carrier_order):
+        text = carrier_key_to_str(carrier)
+        for name, value in store.carrier_config(carrier).items():
+            by_name.setdefault(name, {})[text] = value
+    for pair in sorted(store.pairs(), key=_pair_order):
+        text = pair_key_to_str(pair)
+        for name, value in store.pair_config(pair).items():
+            by_name.setdefault(name, {})[text] = value
+    singular: Dict[str, Dict[str, object]] = {}
+    pairwise: Dict[str, Dict[str, object]] = {}
+    for spec in store.catalog.range_parameters():
+        if spec.name in by_name:
+            section = pairwise if spec.is_pairwise else singular
+            section[spec.name] = by_name[spec.name]
+    return {"singular": singular, "pairwise": pairwise}
 
 
 def snapshot_fingerprint(network: Network, store: ConfigurationStore) -> str:

@@ -23,11 +23,12 @@ stale-but-available models on purpose).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
 from collections import Counter
-from typing import Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.config.store import ConfigurationStore, PairKey
 from repro.core.auric import AuricConfig, AuricEngine, _ParameterModel
@@ -72,8 +73,24 @@ def _key_to_str(key: Hashable, pairwise: bool) -> str:
     return pair_key_to_str(key) if pairwise else carrier_key_to_str(key)
 
 
-def _key_from_str(text: str, pairwise: bool) -> Hashable:
-    return pair_key_from_str(text) if pairwise else carrier_key_from_str(text)
+def _key_parsers() -> Dict[bool, Callable[[str], Hashable]]:
+    """Key-string parsers for one artifact load, by ``pairwise``.
+
+    Each remembers the strings it has parsed, so every model of the
+    artifact shares one ``CarrierId`` (or ``PairKey``) per target and
+    each string is parsed once per load, not once per model.
+    """
+    return {
+        False: functools.lru_cache(maxsize=None)(carrier_key_from_str),
+        True: functools.lru_cache(maxsize=None)(pair_key_from_str),
+    }
+
+
+def _required(section: Dict, field: str, where: str) -> Any:
+    try:
+        return section[field]
+    except KeyError:
+        raise ArtifactError(f"{where} has no {field!r} field") from None
 
 
 def _model_to_dict(model: _ParameterModel) -> Dict:
@@ -101,38 +118,53 @@ def _model_to_dict(model: _ParameterModel) -> Dict:
     }
 
 
-def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
-    spec = engine.catalog.spec(payload["parameter"])
-    pairwise = bool(payload["pairwise"])
+def _model_from_dict(
+    payload: Dict,
+    engine: AuricEngine,
+    parsers: Dict[bool, Callable[[str], Hashable]],
+) -> _ParameterModel:
+    name = _required(payload, "parameter", "a model")
+    where = f"model {name}"
+    spec = engine.catalog.spec(name)
+    pairwise = bool(_required(payload, "pairwise", where))
     if spec.is_pairwise != pairwise:
         raise ArtifactError(
             f"artifact says {spec.name} is "
             f"{'pair-wise' if pairwise else 'singular'}, catalog disagrees"
         )
-    weights: Dict[Hashable, float] = {
-        _key_from_str(text, pairwise): float(weight)
-        for text, weight in payload.get("weights", {}).items()
-    }
-    dependent = tuple(int(c) for c in payload["dependent_columns"])
+    parse = parsers[pairwise]
+    try:
+        weights: Dict[Hashable, float] = {
+            parse(text): float(weight)
+            for text, weight in payload.get("weights", {}).items()
+        }
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{where}: malformed weights: {exc}") from None
+    dependent = tuple(
+        int(c) for c in _required(payload, "dependent_columns", where)
+    )
 
     cell_index: Dict[Tuple, Counter] = {}
     global_counts: Counter = Counter()
     samples: Dict[Hashable, Tuple[Tuple, object]] = {}
     by_carrier: Dict = {}
-    for text, cell_list, label in payload["samples"]:
-        key = _key_from_str(text, pairwise)
-        cell = tuple(cell_list)
-        weight = weights.get(key, 1.0)
-        cell_index.setdefault(cell, Counter())[label] += weight
-        global_counts[label] += weight
-        samples[key] = (cell, label)
-        source = key.carrier if isinstance(key, PairKey) else key
-        by_carrier.setdefault(source, []).append(key)
+    try:
+        for text, cell_list, label in _required(payload, "samples", where):
+            key = parse(text)
+            cell = tuple(cell_list)
+            weight = weights.get(key, 1.0)
+            cell_index.setdefault(cell, Counter())[label] += weight
+            global_counts[label] += weight
+            samples[key] = (cell, label)
+            source = key.carrier if isinstance(key, PairKey) else key
+            by_carrier.setdefault(source, []).append(key)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{where}: malformed samples: {exc}") from None
 
     return _ParameterModel(
         spec=spec,
         dependent_columns=dependent,
-        dependent_names=tuple(payload["dependent_names"]),
+        dependent_names=tuple(_required(payload, "dependent_names", where)),
         cell_index=cell_index,
         global_counts=global_counts,
         samples=samples,
@@ -243,7 +275,7 @@ def engine_from_dict(
                 f"(artifact {str(expected)[:12]}…, snapshot {actual[:12]}…); "
                 "pass verify_fingerprint=False to serve it anyway"
             )
-    config_fields = dict(payload["config"])
+    config_fields = dict(_required(payload, "config", "the artifact"))
     config_fields.pop("columnar", None)  # v2-v4 engine option, removed
     config = AuricConfig(**config_fields)
     engine = AuricEngine(network, store, config)
@@ -270,8 +302,9 @@ def engine_from_dict(
         engine.drift_baseline = DriftBaseline.from_dict(
             payload["drift_baseline"]
         )
-    for model_payload in payload["models"]:
-        model = _model_from_dict(model_payload, engine)
+    parsers = _key_parsers()
+    for model_payload in _required(payload, "models", "the artifact"):
+        model = _model_from_dict(model_payload, engine, parsers)
         engine.install_model(model.spec.name, model)
     return engine
 

@@ -184,6 +184,21 @@ class TestServeBatch:
         assert "different snapshot" in err
         assert "--no-verify-artifact" in err
 
+    def test_malformed_artifact_is_a_clean_error(
+        self, snapshot, requests_file, tmp_path, capsys
+    ):
+        artifact = tmp_path / "engine.json"
+        base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
+        assert main(["serve-batch", *base, "--save-artifact", str(artifact)]) == 0
+        payload = json.loads(artifact.read_text())
+        payload["models"][0]["samples"][0][0] = "not-a-key"
+        artifact.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["serve-batch", *base, "--artifact", str(artifact)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error: model pMax: malformed samples" in err
+
 
 class TestObservabilityCommands:
     def test_explain_prints_provenance(self, capsys):
