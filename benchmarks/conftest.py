@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import os
 import pathlib
+import platform
+import subprocess
 
 import pytest
 
@@ -23,13 +25,43 @@ from repro.core import AuricEngine
 from repro.datagen import four_markets_workload, full_network_workload
 from repro.experiments.parameter_selection import evaluation_parameters
 
-RESULTS_DIR = pathlib.Path(__file__).parent / "results"
+ROOT = pathlib.Path(__file__).parent.parent
+RESULTS_DIR = ROOT / "benchmarks" / "results"
 
 
 @pytest.fixture(scope="session")
 def results_dir() -> pathlib.Path:
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
+
+
+def source_commit() -> str:
+    """HEAD's sha, suffixed ``-dirty`` when ``src/`` differs from it;
+    ``unknown`` outside a git checkout."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=ROOT, capture_output=True, text=True, timeout=10,
+        )
+        if head.returncode != 0:
+            return "unknown"
+        dirty = subprocess.run(
+            ["git", "diff", "--quiet", "HEAD", "--", "src"],
+            cwd=ROOT, capture_output=True, timeout=10,
+        ).returncode
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return head.stdout.strip() + ("-dirty" if dirty else "")
+
+
+@pytest.fixture(scope="session")
+def run_environment() -> dict:
+    """Where a BENCH number comes from: host cores, Python and commit."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "commit": source_commit(),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,9 @@ store, and assert the economics the store exists for:
   the double fit stays affordable);
 * **memory** — peak RSS stays under ``REPRO_STORE_MAX_RSS_GB``.
 
-Everything lands in ``benchmarks/results/BENCH_store_scale.json``.
+Everything lands in ``benchmarks/results/BENCH_store_scale.json``,
+with the host's core count, the Python version and the git commit the
+numbers were measured on.
 
 Environment knobs:
 
@@ -49,6 +51,7 @@ from repro.core.columnar import ColumnarSnapshot
 from repro.core.recommendation import RecommendRequest
 from repro.datagen import four_markets_workload
 from repro.ops.history import ChangeLog, ChangeSource
+from repro.rng import DEFAULT_SEED
 from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
 from repro.store import MmapSnapshotStore
@@ -87,9 +90,11 @@ def model_state(model) -> bytes:
 
 
 @pytest.fixture(scope="module")
-def document():
+def document(run_environment):
     return {
+        **run_environment,
         "scale": SCALE,
+        "seed": DEFAULT_SEED,
         "parameters": list(PARAMETERS),
         "gates": {
             "min_cold_speedup": MIN_COLD_SPEEDUP,
