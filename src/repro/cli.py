@@ -194,11 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve an artifact even if it was fitted on another snapshot",
     )
     serve.add_argument("--cache-size", type=int, default=None)
-    serve.add_argument(
-        "--no-batch-planner", action="store_true",
-        help="pin the serial per-request loop instead of the "
-        "one-vote-per-distinct-cell batch planner (A/B escape hatch)",
-    )
 
     front = sub.add_parser(
         "serve",
@@ -247,11 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard batch queue bound (default 256)",
     )
     front.add_argument("--cache-size", type=int, default=None)
-    front.add_argument(
-        "--no-batch-planner", action="store_true",
-        help="pin shard workers to the serial per-request loop instead "
-        "of the one-vote-per-distinct-cell batch planner",
-    )
     front.add_argument(
         "--storm", type=int, default=None, metavar="N",
         help="self-test mode: fire N audited requests at the booted "
@@ -566,7 +556,6 @@ def _run_serve_batch(args) -> int:
         engine,
         rulebook=RuleBook(snapshot.store.catalog),
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
-        batch_planner=not args.no_batch_planner,
     )
     with open(args.requests) as handle:
         requests = requests_from_json(json.load(handle))
@@ -668,7 +657,6 @@ def _run_serve(args) -> int:
         shards=args.shards,
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
         max_queue=args.max_queue,
-        batch_planner=not args.no_batch_planner,
     )
     config = FrontConfig(
         host=args.host,

@@ -908,10 +908,9 @@ class AuricEngine:
         """Exact-cell global votes answered straight from the vote
         table, vectorized over the batch.
 
-        The batch-serving planner's kernel: all no-exclusion cells are
-        resolved with one :meth:`CellVoteTable.vote_many` gather;
-        leave-one-out entries (and every entry under vote capture) take
-        the scalar path.  Entries the table cannot answer — unknown
+        All no-exclusion cells are resolved with one
+        :meth:`CellVoteTable.vote_many` gather; leave-one-out entries
+        (and every entry under vote capture) take the scalar path.  Entries the table cannot answer — unknown
         cells, emptied cells, an unfitted parameter — come back as
         ``None`` and the caller falls through to the per-target vote.
         Never raises: a cell with no voters anywhere is still just
@@ -1265,19 +1264,6 @@ class AuricEngine:
             self.request_neighborhood(request) if request.local else set()
         )
         return attributes, row, neighborhood, None
-
-    def resolve_many(
-        self, requests: Sequence[RecommendRequest]
-    ) -> List[Tuple["CarrierAttributes", Row, Set[CarrierId], Optional[Hashable]]]:
-        """Resolve a micro-batch of requests in one pass (in order).
-
-        Same contract as :meth:`resolve_request` per element.  Burst
-        traffic repeats carriers and eNodeBs, so the row cache and
-        neighborhood lookups are hot here; hoisting the method lookups
-        keeps the per-request cost to the dict probes themselves.
-        """
-        resolve = self.resolve_request
-        return [resolve(request) for request in requests]
 
     def handle(self, request: RecommendRequest) -> RecommendResult:
         """Serve one unified request straight from the engine.

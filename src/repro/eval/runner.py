@@ -99,7 +99,7 @@ class EvaluationRunner:
         self, parameter: str, market_id: Optional[MarketId] = None
     ) -> ParameterSamples:
         """Per-(parameter, market) sample sets, cached for the runner's
-        lifetime — the LOO planner and sweep share one key sort."""
+        lifetime — :meth:`loo_plan` and the sweep share one key sort."""
         cache_key = (parameter, market_id)
         samples = self._samples_cache.get(cache_key)
         if samples is None:

@@ -811,11 +811,15 @@ class ServiceMetrics:
             "repro_service_parameters_served_total",
             "Parameter recommendations served",
         )
-        self._cache = reg.counter(
+        cache = reg.counter(
             "repro_service_cache_lookups_total",
             "Vote-cache lookups by result",
             labelnames=("result",),
         )
+        # Resolved once: a label lookup per vote-cache lookup is a
+        # measurable share of a warm batch.
+        self._cache_hits = cache.labels("hit")
+        self._cache_misses = cache.labels("miss")
         self._fallbacks = reg.counter(
             "repro_service_fallbacks_total",
             "Cold-start rule-book fallbacks served",
@@ -828,14 +832,6 @@ class ServiceMetrics:
         )
         self._votes = reg.counter(
             "repro_service_votes_total", "Matched-carrier votes counted"
-        )
-        self._batches = reg.counter(
-            "repro_service_batches_total",
-            "Micro-batches served through the batch planner",
-        )
-        self._batch_savings = reg.counter(
-            "repro_service_batch_dedup_savings_total",
-            "Parameter votes deduplicated away by the batch planner",
         )
         self.request_latency = reg.histogram(
             "repro_service_request_latency_seconds",
@@ -855,45 +851,14 @@ class ServiceMetrics:
         self._parameters.inc(parameters)
         self.request_latency.observe(latency_s)
 
-    def record_requests_many(
-        self, latencies_s: "Sequence[float]", parameters: int
-    ) -> None:
-        """Fold a batch of requests in one pass (the planner's scatter
-        loop); counter totals and histogram counts/sums are exactly
-        what per-request :meth:`record_request` calls would leave."""
-        self._requests.inc(len(latencies_s))
-        self._parameters.inc(parameters)
-        observe = self.request_latency.observe
-        for value in latencies_s:
-            observe(value)
-
     def record_cache(self, hit: bool) -> None:
-        self._cache.labels("hit" if hit else "miss").inc()
-
-    def record_cache_many(self, hits: int, misses: int) -> None:
-        """Fold a batch's cache dispositions in two increments.
-
-        The batch planner's scatter loop aggregates instead of paying
-        one label resolution per lookup; the final counter values are
-        exactly what per-lookup :meth:`record_cache` calls would leave.
-        """
-        if hits:
-            self._cache.labels("hit").inc(hits)
-        if misses:
-            self._cache.labels("miss").inc(misses)
+        (self._cache_hits if hit else self._cache_misses).inc()
 
     def record_votes(self, matched: float) -> None:
         self._votes.inc(matched)
 
     def record_fallback(self) -> None:
         self._fallbacks.inc()
-
-    def record_batch(self, occurrences: int, distinct: int) -> None:
-        """One planner batch: ``occurrences`` parameter votes asked
-        for, ``distinct`` actually distinct (the difference is work the
-        dedup saved)."""
-        self._batches.inc()
-        self._batch_savings.inc(max(0, occurrences - distinct))
 
     def record_invalidation(self, entries_dropped: int = 0) -> None:
         self._invalidations.inc()
@@ -914,11 +879,11 @@ class ServiceMetrics:
 
     @property
     def cache_hits(self) -> int:
-        return int(self._cache.labels("hit").value)
+        return int(self._cache_hits.value)
 
     @property
     def cache_misses(self) -> int:
-        return int(self._cache.labels("miss").value)
+        return int(self._cache_misses.value)
 
     @property
     def fallbacks(self) -> int:
@@ -935,14 +900,6 @@ class ServiceMetrics:
     @property
     def votes(self) -> float:
         return self._votes.value
-
-    @property
-    def batches(self) -> int:
-        return int(self._batches.value)
-
-    @property
-    def batch_dedup_savings(self) -> int:
-        return int(self._batch_savings.value)
 
     # -- derived rates ------------------------------------------------------
 
@@ -975,8 +932,6 @@ class ServiceMetrics:
             "refreshes": self.refreshes,
             "votes": self.votes,
             "votes_per_request": self.votes_per_request,
-            "batches": self.batches,
-            "batch_dedup_savings": self.batch_dedup_savings,
             "request_latency": self.request_latency.as_dict(),
             "refresh_duration": self.refresh_duration.as_dict(),
         }

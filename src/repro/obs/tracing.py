@@ -398,17 +398,6 @@ def span(name: str, **attributes):
     return tracer.start(name, attributes or None)
 
 
-def null_span():
-    """The shared no-op span handle.
-
-    For call sites that conditionally wrap work in a span — e.g. the
-    batch planner's scatter loop opens a per-request ``shard.handle``
-    span only when the front end propagated a trace context — and want
-    one uniform ``with`` statement either way.
-    """
-    return _NULL_SPAN
-
-
 def current_context() -> Optional[Tuple[str, str]]:
     """``(trace_id, span_id)`` of the current span, for propagation."""
     return _CURRENT.get()

@@ -10,9 +10,6 @@ to the rule-book, and incremental refresh as the network grows.
 * :mod:`repro.serve.service` — the lock-free-read
   :class:`RecommendationService` with generation-stamped, lock-striped
   LRU vote caching and explicit invalidation.
-* :mod:`repro.serve.batchplan` — one-vote-per-distinct-cell batch
-  execution for micro-batches (:class:`BatchReport`,
-  :func:`execute_batch`), byte-identical to the serial loop.
 * :mod:`repro.serve.refresh` — incremental electorate updates and
   full refits with stale-but-available swapping.
 * Service metrics live in :mod:`repro.obs.metrics`
@@ -43,7 +40,6 @@ from repro.obs.metrics import (
     LatencyHistogram,
     ServiceMetrics,
 )
-from repro.serve.batchplan import BatchReport, execute_batch
 from repro.serve.refresh import (
     DriftCheck,
     EngineRefresher,
@@ -88,6 +84,4 @@ __all__ = [
     "store_subset",
     "DEFAULT_CACHE_SIZE",
     "RecommendationService",
-    "BatchReport",
-    "execute_batch",
 ]

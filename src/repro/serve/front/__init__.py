@@ -4,7 +4,7 @@ The network surface in front of the recommendation engine: an asyncio
 HTTP server that routes each request to a per-market
 :class:`~repro.serve.service.RecommendationService` shard via a
 consistent-hash ring, coalesces concurrent single-carrier requests into
-micro-batches that hit the vectorized kernels through ``handle_batch``,
+micro-batches served against one engine state through ``handle_batch``,
 applies admission control and backpressure (bounded queues, structured
 503 load shedding), and hot-swaps refitted engines into the shards with
 zero downtime (FIFO swap sentinels: the old service drains while the

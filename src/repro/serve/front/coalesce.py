@@ -2,9 +2,8 @@
 
 During a launch storm many independent clients ask for one carrier
 each within the same few milliseconds.  Serving them one-by-one pays
-the per-call dispatch overhead N times; the engine's vectorized
-columnar kernels are happiest when handed a batch.  The coalescer
-holds each shard's arrivals for at most ``window_s`` (the
+the per-call dispatch overhead (a shard-queue hand-off and a thread
+wake-up) N times.  The coalescer holds each shard's arrivals for at most ``window_s`` (the
 ``--batch-window-ms`` knob) or until ``max_batch`` accumulate —
 whichever comes first — then flushes the whole run as a single
 ``handle_batch`` call on the shard worker.
@@ -87,15 +86,6 @@ class Coalescer:
             "repro_front_coalesced_total",
             "Requests that shared a flush with at least one other request",
         )
-        # Distinct request targets per flush: the upper bound on how
-        # many votes the downstream batch planner must compute, so
-        # (batch size − distinct targets) is the dedup opportunity the
-        # coalescing window actually created.
-        self._distinct_histogram = obs_metrics.histogram(
-            "repro_front_batch_distinct_targets",
-            "Distinct request labels per coalesced flush",
-            buckets=BATCH_SIZE_BUCKETS,
-        )
 
     @property
     def pending(self) -> int:
@@ -148,12 +138,6 @@ class Coalescer:
         self._batch_histogram.observe(float(len(batch)))
         if len(batch) > 1:
             self._coalesced_counter.inc(len(batch))
-            labels = {
-                label() if (label := getattr(entry.request, "label", None))
-                else id(entry.request)
-                for entry in batch
-            }
-            self._distinct_histogram.observe(float(len(labels)))
         self._flush_fn(batch)
         return len(batch)
 

@@ -186,14 +186,13 @@ class EngineShard:
     def _handle_item(self, item: _BatchItem) -> List[RecommendResult]:
         """Serve one dequeued micro-batch, under its trace contexts.
 
-        Both paths route through ``handle_batch`` — and so through the
-        one-vote-per-distinct-cell planner for multi-request batches.
-        With tracing enabled and propagated contexts present, the batch
-        runs inside a ``front.batch`` span (parented at the first traced
-        request, linking every member trace) and the service wraps each
+        Both paths route through ``handle_batch``.  With tracing
+        enabled and propagated contexts present, the batch runs inside
+        a ``front.batch`` span (parented at the first traced request,
+        linking every member trace) and the service wraps each
         request's serving in its own ``shard.handle`` span re-rooted at
-        that request's ``front.request`` context — so engine/planner
-        spans land in the right trace.
+        that request's ``front.request`` context — so engine spans land
+        in the right trace.
         """
         traces = item.traces
         if not tracing.active() or not traces or not any(traces):
@@ -227,7 +226,6 @@ class ShardSet:
         cache_size: int = DEFAULT_CACHE_SIZE,
         max_queue: int = DEFAULT_MAX_QUEUE,
         warm: bool = True,
-        batch_planner: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be positive")
@@ -235,16 +233,10 @@ class ShardSet:
             rulebook = RuleBook(engine.catalog)
         self.rulebook = rulebook
         self.cache_size = cache_size
-        #: Forwarded to every shard service (including hot-swap
-        #: replacements): False pins the serial per-request loop.
-        self.batch_planner = batch_planner
         if warm:
             engine.warm_votes()
         self._services = [
-            RecommendationService(
-                engine, rulebook, cache_size=cache_size,
-                batch_planner=batch_planner,
-            )
+            RecommendationService(engine, rulebook, cache_size=cache_size)
             for _ in range(shards)
         ]
         self._shards = [
@@ -360,8 +352,7 @@ class ShardSet:
 
                 new_services = [
                     RecommendationService(
-                        engine, self.rulebook, cache_size=self.cache_size,
-                        batch_planner=self.batch_planner,
+                        engine, self.rulebook, cache_size=self.cache_size
                     )
                     for _ in self._shards
                 ]

@@ -28,11 +28,10 @@ Design points:
   contend on the same stripe lock.  Per-parameter invalidation (a
   :class:`~repro.ops.history.ChangeLog` entry) is O(entries dropped)
   via a per-parameter key index.
-* **Batched serving.** ``handle_batch`` routes multi-request
-  micro-batches through :mod:`repro.serve.batchplan`, which computes
-  each *distinct* (parameter, cell, scope, exclusion) vote exactly
-  once per batch — byte-identical to the serial loop, dispositions and
-  provenance included (``planner=False`` pins the serial loop).
+* **Batched serving.** ``handle_batch`` reads the engine state once
+  and serves each request of the micro-batch through the per-request
+  path against it, so one batch is answered by one generation.  The
+  repeated votes of a batch are answered by the vote cache.
 * **Cold-start fallback.** A parameter with no fitted model, or a vote
   that cannot produce a value, falls back to the operational rule-book
   (mirroring :class:`~repro.core.pipeline.RecommendationPipeline`) and
@@ -130,11 +129,6 @@ class _LRUCache:
             self._data.move_to_end(key)
         return value
 
-    def peek(self, key: Hashable) -> Optional[ParameterRecommendation]:
-        """Read without touching the LRU order (batch planning must not
-        perturb the recency the serial replay would produce)."""
-        return self._data.get(key)
-
     def put(self, key: Hashable, value: ParameterRecommendation) -> None:
         if key not in self._data:
             self._by_parameter.setdefault(key[0], set()).add(key)
@@ -209,11 +203,6 @@ class _StripedCache:
         with self._locks[index]:
             return self._stripes[index].get(key)
 
-    def peek(self, key: Hashable) -> Optional[ParameterRecommendation]:
-        index = self._pick(key)
-        with self._locks[index]:
-            return self._stripes[index].peek(key)
-
     def put(self, key: Hashable, value: ParameterRecommendation) -> None:
         index = self._pick(key)
         with self._locks[index]:
@@ -260,7 +249,6 @@ class RecommendationService:
         rulebook: Optional[RuleBook] = None,
         metrics: Optional[ServiceMetrics] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        batch_planner: bool = True,
         cache_stripes: int = DEFAULT_CACHE_STRIPES,
     ) -> None:
         #: Serializes mutators (refresh, invalidation, drift config)
@@ -270,9 +258,6 @@ class RecommendationService:
         self.rulebook = rulebook
         self.metrics = metrics or ServiceMetrics()
         self._cache = _StripedCache(cache_size, cache_stripes)
-        #: When True (default), multi-request ``handle_batch`` calls go
-        #: through the one-vote-per-distinct-cell planner.
-        self.batch_planner = batch_planner
         #: Live request-attribute window for drift scoring; None until
         #: :meth:`enable_drift_tracking` — the hot path pays one ``is
         #: None`` check while disabled.  The window itself is
@@ -333,9 +318,39 @@ class RecommendationService:
         are internally synchronized, so concurrent callers proceed in
         parallel (modulo cache stripe locks).
         """
-        started = time.perf_counter()
+        return self._serve(self._state, request)
+
+    def handle_batch(
+        self,
+        requests: Sequence[RecommendRequest],
+        traces: Optional[Sequence] = None,
+        shard: Optional[int] = None,
+    ) -> List[RecommendResult]:
+        """Serve a batch of unified requests (in order).
+
+        The engine state is read once for the whole batch, so every
+        result carries the same generation even when a refresh lands
+        mid-batch.  ``traces`` optionally carries one propagated trace
+        context per request (the front end's shard worker passes them)
+        and wraps each request's serving in a ``shard.handle`` span
+        parented at its own trace; ``shard`` labels those spans.
+        """
         state = self._state
-        with tracing.span("service.handle", target=request.label()) as sp:
+        if traces is None:
+            return [self._serve(state, request) for request in requests]
+        results = []
+        for request, trace in zip(requests, traces):
+            with tracing.span_from_context(trace, "shard.handle", shard=shard):
+                results.append(self._serve(state, request))
+        return results
+
+    def _serve(
+        self, state: _EngineState, request: RecommendRequest
+    ) -> RecommendResult:
+        """One request against one engine state (see :meth:`handle`)."""
+        started = time.perf_counter()
+        label = request.label()
+        with tracing.span("service.handle", target=label) as sp:
             explanation = None
             engine = state.engine
             names = self._parameter_names(
@@ -348,7 +363,7 @@ class RecommendationService:
             if drift_window is not None:
                 drift_window.observe(attributes.values)
             scope_key = frozenset(neighborhood) if neighborhood else None
-            result = CarrierRecommendation(target=request.label())
+            result = CarrierRecommendation(target=label)
             dispositions: Dict[str, Tuple[str, Optional[str]]] = {}
             for name in names:
                 rec, disposition, fallback_reason = self._recommend_parameter(
@@ -359,7 +374,7 @@ class RecommendationService:
                 dispositions[name] = (disposition, fallback_reason)
             if request.explain:
                 explanation = ResultExplanation(
-                    target=request.label(),
+                    target=label,
                     source="service",
                     lineage=engine.lineage,
                 )
@@ -389,40 +404,6 @@ class RecommendationService:
                 explain=explanation,
                 generation=state.generation,
             )
-
-    def handle_batch(
-        self,
-        requests: Sequence[RecommendRequest],
-        planner: Optional[bool] = None,
-        traces: Optional[Sequence] = None,
-        shard: Optional[int] = None,
-    ) -> List[RecommendResult]:
-        """Serve a batch of unified requests (in order).
-
-        ``planner=None`` (the default) routes multi-request batches
-        through the one-vote-per-distinct-cell planner
-        (:mod:`repro.serve.batchplan`) whenever :attr:`batch_planner`
-        is on; ``planner=False`` pins the serial per-request loop
-        (byte-identical results — the equivalence suite holds the two
-        paths to that).  ``traces`` optionally carries one propagated
-        trace context per request (the front end's shard worker passes
-        them) and wraps each request's serving in a ``shard.handle``
-        span parented at its own trace; ``shard`` labels those spans.
-        """
-        use_planner = planner
-        if use_planner is None:
-            use_planner = self.batch_planner and len(requests) > 1
-        if use_planner:
-            from repro.serve.batchplan import execute_batch
-
-            return execute_batch(self, requests, traces=traces, shard=shard)
-        if traces is None:
-            return [self.handle(request) for request in requests]
-        results = []
-        for request, trace in zip(requests, traces):
-            with tracing.span_from_context(trace, "shard.handle", shard=shard):
-                results.append(self.handle(request))
-        return results
 
     def _parameter_names(
         self,
@@ -487,27 +468,6 @@ class RecommendationService:
         self.metrics.record_request(time.perf_counter() - started, served)
         return results
 
-    @staticmethod
-    def _vote_key(
-        engine: AuricEngine,
-        generation: int,
-        name: str,
-        fitted: bool,
-        row: Tuple,
-        scope_key: Optional[frozenset],
-        exclude: Optional[Hashable],
-    ) -> Tuple:
-        """The cache key for one parameter's vote (shared with the
-        batch planner, whose grouping key it is)."""
-        if fitted:
-            # The vote depends only on the dependent-attribute cell, the
-            # neighborhood scope and the leave-one-out exclusion — the
-            # cache key.
-            cell = engine._models[name].cell_key(row)
-            return (name, cell, scope_key, exclude, generation)
-        # Rule-book lookups depend on the full attribute vector.
-        return (name, row, None, None, generation)
-
     def _recommend_parameter(
         self,
         engine: AuricEngine,
@@ -527,10 +487,16 @@ class RecommendationService:
         ``fallback_reason`` is non-None when the rule-book answered.
         """
         spec = engine.catalog.spec(name)
-        fitted = spec.is_range and name in engine._models
-        key = self._vote_key(
-            engine, generation, name, fitted, row, scope_key, exclude
-        )
+        model = engine._models.get(name) if spec.is_range else None
+        fitted = model is not None
+        if fitted:
+            # The vote depends only on the dependent-attribute cell, the
+            # neighborhood scope and the leave-one-out exclusion — the
+            # cache key.
+            key = (name, model.cell_key(row), scope_key, exclude, generation)
+        else:
+            # Rule-book lookups depend on the full attribute vector.
+            key = (name, row, None, None, generation)
         cached = self._cache.get(key)
         cache_state = "hit" if cached is not None else "miss"
         self.metrics.record_cache(hit=cached is not None)
@@ -563,8 +529,7 @@ class RecommendationService:
         exclude: Optional[Hashable],
         capture: bool,
     ) -> Tuple[ParameterRecommendation, Optional[str]]:
-        """One parameter's vote, uncached: the compute core shared by
-        the serial path and the batch planner.
+        """One parameter's vote, uncached.
 
         Returns ``(recommendation, fallback_reason)``; ``capture``
         turns vote-distribution capture on for this computation (it is

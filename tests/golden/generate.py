@@ -245,7 +245,7 @@ def _serving_queries(engine: AuricEngine, dataset) -> List:
     pipeline = RecommendationPipeline(engine, rulebook)
     record("pipeline", [pipeline.handle(r) for r in requests])
     service = RecommendationService(engine, rulebook=rulebook)
-    # Duplicates make the planner dedup and serve cache hits.
+    # Duplicates serve cache hits.
     record("service-batch", service.handle_batch(requests + requests[:4]))
     return out
 

@@ -1,12 +1,12 @@
-"""The batch planner's contract: byte-identical to the serial loop.
+"""Batch serving's contract: a batch answers like its requests one by one.
 
 Two services share an engine but keep independent caches and metrics;
-one serves every batch through the one-vote-per-distinct-cell planner,
-the other through the pinned serial loop.  Everything observable —
-values, scopes, supports, provenance (cache dispositions, fallback
+one serves every batch through ``handle_batch``, the other answers the
+same requests one at a time through ``handle``.  Everything observable
+— values, scopes, supports, provenance (cache dispositions, fallback
 reasons, vote distributions), leave-one-out exclusions, generations,
-and the cache/fallback/vote metric counters — must come out equal.
-Only ``duration_s`` (wall-clock) is exempt.
+the cache/fallback/vote metric counters and the cache size — must come
+out equal.  Only ``duration_s`` (wall-clock) is exempt.
 
 The concurrency half hammers batch serving against mid-batch snapshot
 refreshes and shard-set hot swaps: every response must carry the
@@ -22,7 +22,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.recommendation import RecommendRequest
 from repro.serve import RecommendationService
-from repro.serve.batchplan import BatchReport, execute_batch
 from repro.serve.service import _LRUCache, _StripedCache
 
 from .conftest import SERVE_PARAMETERS
@@ -30,7 +29,7 @@ from .conftest import SERVE_PARAMETERS
 SINGULAR = tuple(n for n in SERVE_PARAMETERS if n != "hysA3Offset")
 
 #: Metric counters that must match between the two paths (latency
-#: histograms and the planner's own batch counters are exempt).
+#: histograms are exempt).
 COMPARED_METRICS = (
     "requests",
     "parameters_served",
@@ -50,9 +49,9 @@ def _carriers(dataset, count):
     return out
 
 
-def _assert_results_equal(planned, serial):
-    assert len(planned) == len(serial)
-    for left, right in zip(planned, serial):
+def _assert_results_equal(batched, single):
+    assert len(batched) == len(single)
+    for left, right in zip(batched, single):
         assert left.request == right.request
         assert left.recommendation == right.recommendation
         assert left.source == right.source
@@ -75,18 +74,19 @@ def _assert_results_equal(planned, serial):
 
 
 def _assert_paths_equal(engine, rulebook, batches):
-    """Serve the same batch sequence through both paths and compare."""
-    planned_service = RecommendationService(engine, rulebook)
-    serial_service = RecommendationService(engine, rulebook)
+    """Serve the same batch sequence as batches and one request at a
+    time, and compare."""
+    batch_service = RecommendationService(engine, rulebook)
+    single_service = RecommendationService(engine, rulebook)
     for batch in batches:
-        planned = planned_service.handle_batch(batch, planner=True)
-        serial = serial_service.handle_batch(batch, planner=False)
-        _assert_results_equal(planned, serial)
-    planned_metrics = planned_service.metrics.as_dict()
-    serial_metrics = serial_service.metrics.as_dict()
+        batched = batch_service.handle_batch(batch)
+        single = [single_service.handle(request) for request in batch]
+        _assert_results_equal(batched, single)
+    batch_metrics = batch_service.metrics.as_dict()
+    single_metrics = single_service.metrics.as_dict()
     for key in COMPARED_METRICS:
-        assert planned_metrics[key] == serial_metrics[key], key
-    assert planned_service.cache_len() == serial_service.cache_len()
+        assert batch_metrics[key] == single_metrics[key], key
+    assert batch_service.cache_len() == single_service.cache_len()
 
 
 class TestEquivalence:
@@ -135,8 +135,8 @@ class TestEquivalence:
     def test_unfitted_and_enumeration_parameters(
         self, fitted_engine, rulebook, dataset
     ):
-        """Rule-book entries (cold-start + enumerations) group and
-        scatter with the same fallback reasons as the serial loop."""
+        """Rule-book entries (cold-start + enumerations) carry the same
+        fallback reasons in a batch as one at a time."""
         carriers = _carriers(dataset, 6)
         batch = [
             RecommendRequest(
@@ -199,56 +199,6 @@ class TestEquivalence:
         _assert_paths_equal(fitted_engine, rulebook, [batch])
 
 
-class TestPlannerAccounting:
-    def test_duplicate_batch_votes_once(self, fitted_engine, rulebook, dataset):
-        carrier = _carriers(dataset, 1)[0]
-        service = RecommendationService(fitted_engine, rulebook)
-        batch = [
-            RecommendRequest(
-                carrier_id=carrier.carrier_id,
-                parameters=SINGULAR,
-                local=False,
-            )
-        ] * 32
-        report = BatchReport()
-        results = execute_batch(service, batch, report=report)
-        assert len(results) == 32
-        assert report.occurrences == 32 * len(SINGULAR)
-        assert report.distinct == len(SINGULAR)
-        assert report.computed == len(SINGULAR)
-        assert report.vectorized == len(SINGULAR)
-        assert report.dedup_savings == (32 - 1) * len(SINGULAR)
-        assert service.metrics.batches == 1
-        assert service.metrics.batch_dedup_savings == report.dedup_savings
-
-    def test_warm_cache_computes_nothing(self, fitted_engine, rulebook, dataset):
-        carriers = _carriers(dataset, 6)
-        service = RecommendationService(fitted_engine, rulebook)
-        batch = [
-            RecommendRequest(
-                carrier_id=carrier.carrier_id, parameters=SINGULAR
-            )
-            for carrier in carriers
-        ]
-        service.handle_batch(batch)
-        report = BatchReport()
-        execute_batch(service, batch, report=report)
-        assert report.computed == 0
-        assert report.distinct == len(carriers) * len(SINGULAR)
-
-    def test_single_request_batch_uses_serial_loop(
-        self, fitted_engine, rulebook, dataset
-    ):
-        carrier = _carriers(dataset, 1)[0]
-        service = RecommendationService(fitted_engine, rulebook)
-        request = RecommendRequest(
-            carrier_id=carrier.carrier_id, parameters=SINGULAR
-        )
-        results = service.handle_batch([request])
-        assert len(results) == 1
-        assert service.metrics.batches == 0  # planner not engaged
-
-
 class TestStripedCache:
     def _key(self, parameter, index):
         return (parameter, ("cell", index), None, None, 0)
@@ -273,15 +223,6 @@ class TestStripedCache:
         assert cache.drop_parameter("pMax") == 4
         assert len(cache) == 0
         assert cache._by_parameter == {}
-
-    def test_peek_does_not_touch_recency(self):
-        cache = _LRUCache(2)
-        cache.put(("a", 1), 1)
-        cache.put(("b", 2), 2)
-        cache.peek(("a", 1))  # must NOT refresh ("a", 1)
-        cache.put(("c", 3), 3)  # evicts the true LRU: ("a", 1)
-        assert cache.peek(("a", 1)) is None
-        assert cache.peek(("b", 2)) == 2
 
     def test_striped_operations(self):
         # Capacity is partitioned per stripe, so an uneven hash spread
@@ -324,7 +265,7 @@ class TestGenerationConsistency:
         requests = self._requests(dataset)
         baseline = {
             r.request.carrier_id: r.recommendation.value_map()
-            for r in service.handle_batch(requests, planner=False)
+            for r in service.handle_batch(requests)
         }
         stop = threading.Event()
         chaos_errors = []
@@ -375,7 +316,7 @@ class TestGenerationConsistency:
             oracle = RecommendationService(fitted_engine, rulebook)
             baseline = {
                 r.request.carrier_id: r.recommendation.value_map()
-                for r in oracle.handle_batch(requests, planner=False)
+                for r in oracle.handle_batch(requests)
             }
             done = []
             errors = []
@@ -446,7 +387,6 @@ class TestTracedBatch:
             by_name = {}
             for span in spans:
                 by_name.setdefault(span.name, []).append(span)
-            assert len(by_name["front.batchplan"]) == 1
             shard_spans = by_name["shard.handle"]
             assert len(shard_spans) == len(requests)
             # Each shard.handle is rooted in its own request's trace.
