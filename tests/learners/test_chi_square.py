@@ -211,3 +211,27 @@ class TestConditionalIndependence:
         )
         assert doubled.statistic == pytest.approx(2 * single.statistic)
         assert doubled.dof == 2 * single.dof
+
+    def test_raw_and_encoded_strata_agree_exactly(self):
+        # Value-tuple strata and packed integer strata over the same
+        # columns group the samples identically, so every statistic
+        # comes out float-identical (not merely close).
+        rng = np.random.default_rng(7)
+        n = 600
+        a = rng.choice(["u", "s", "r"], size=n).tolist()
+        b = rng.integers(0, 4, size=n).tolist()
+        xs = rng.choice(["p", "q", "w"], size=n).tolist()
+        noise = rng.random(n) < 0.2
+        ys = [
+            "z" if flip else f"{u}{v % 2}"
+            for u, v, flip in zip(a, b, noise)
+        ]
+        raw = test_conditional_independence(xs, ys, list(zip(a, b)))
+        a_codes, _ = factorize(a)
+        b_codes, _ = factorize(b)
+        packed = a_codes.astype(np.int64) * 4 + b_codes
+        x_codes, _ = factorize(xs)
+        y_codes, _ = factorize(ys)
+        encoded = test_conditional_independence(x_codes, y_codes, packed)
+        assert raw.dof > 0
+        assert raw == encoded

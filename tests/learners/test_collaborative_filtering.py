@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ColdStartError, NotFittedError
+from repro.learners.chi_square import factorize
 from repro.learners.collaborative_filtering import (
     CollaborativeFilteringRecommender,
     VoteOutcome,
@@ -225,3 +226,28 @@ class TestSelectionStrategies:
     def test_invalid_selection_rejected(self):
         with pytest.raises(ValueError):
             CollaborativeFilteringRecommender(selection="bogus")
+
+
+class TestEncodedFit:
+    @pytest.mark.parametrize("selection", ["conditional", "marginal"])
+    def test_fit_and_fit_encoded_select_identically(self, selection):
+        """The raw fit (value-tuple strata) and the encoded fit (packed
+        integer strata) select the same attributes, in the same order,
+        with equal statistics."""
+        rows, labels = rule_dataset(noise=0.05, seed=4)
+        rows = [row + (row[0],) for row in rows]  # a redundant copy
+        columns = list(zip(*rows))
+        code_matrix = np.column_stack(
+            [factorize(list(column))[0] for column in columns]
+        )
+        label_codes, _ = factorize(labels)
+        raw = CollaborativeFilteringRecommender(selection=selection).fit(
+            rows, labels
+        )
+        encoded = CollaborativeFilteringRecommender(
+            selection=selection
+        ).fit_encoded(code_matrix, label_codes)
+        assert raw.dependent_attributes
+        assert raw.dependent_attributes == encoded.dependent_attributes
+        for col in range(len(columns)):
+            assert raw.test_result(col) == encoded.test_result(col)
