@@ -91,11 +91,11 @@ def _common_options() -> argparse.ArgumentParser:
         help="random seed (default: the library seed)",
     )
     common.add_argument(
-        "--store", choices=("memory", "file", "mmap"), default=None,
-        help="columnar snapshot store backend (default memory; file/"
-        "mmap persist the encoded snapshot next to saved artifacts so "
-        "cold starts open instead of re-encoding — see "
-        "docs/performance.md)",
+        "--store", choices=("memory", "mmap"), default=None,
+        help="columnar snapshot store backend (default memory; mmap "
+        "persists the encoded snapshot next to saved artifacts so a "
+        "loaded engine's first refit opens it instead of re-encoding — "
+        "see docs/performance.md)",
     )
     common.add_argument(
         "--format", choices=("table", "json"), default="table",

@@ -110,9 +110,9 @@ class AuricConfig:
     max_fit_samples: Optional[int] = 30000
     seed: int = 7
     #: Columnar snapshot persistence backend: "memory" (default, nothing
-    #: leaves the process), "file" (JSON sidecar) or "mmap" (binary
-    #: store opened zero-copy at cold start).  See :mod:`repro.store`;
-    #: serve artifacts reference external stores from schema v4 on.
+    #: leaves the process; artifacts carry no snapshot) or "mmap" (a
+    #: binary store next to saved artifacts, opened zero-copy on load so
+    #: the first refit skips the encoding pass).  See :mod:`repro.store`.
     store: str = "memory"
 
     def __post_init__(self) -> None:
@@ -392,7 +392,7 @@ class AuricEngine:
             "engine.fit", parameters=len(specs), jobs=jobs
         ):
             # One encoding pass shared by every parameter fit (and
-            # shipped to pool workers via shared memory).
+            # handed to pool workers with the payload).
             self.ensure_columnar(specs)
             if jobs != 1 and len(specs) > 1:
                 from repro.parallel.fit import fit_parameter_models

@@ -37,14 +37,12 @@ exactly: codes are bijective with raw values per column, float vote
 weights accumulate in insertion order, and plurality ties go to the
 first-inserted label.
 
-For ``--jobs N`` pools under the *spawn* start method, the snapshot's
-arrays travel to workers through one ``multiprocessing.shared_memory``
-segment instead of the payload pickle (see :mod:`repro.parallel.shm`);
-``__getstate__``/``__setstate__`` handle both directions and fall back
-to plain pickling whenever shared memory is unavailable.  A snapshot
-opened from a persisted mmap store (:mod:`repro.store.mmapfile`) skips
-even that copy: while its arrays are still the file's mapped views, the
-pickle carries only ``(path, layouts)`` and workers re-map the file.
+``--jobs N`` pool workers inherit the snapshot through fork, or under
+the *spawn* start method unpickle it once from the pool payload.  The
+pickle carries the arrays inline, except for a snapshot opened from the
+mmap store (:mod:`repro.store.mmapfile`): while its arrays are still the
+file's mapped views, it carries only ``(path, layouts)`` and the
+receiver re-maps the file.
 """
 
 from __future__ import annotations
@@ -768,36 +766,12 @@ class ParameterColumns:
         vocab = self.label_vocab
         return [vocab[code] for code in self.label_codes.tolist()]
 
-    def to_dict(self) -> Dict:
-        return {
-            "parameter": self.parameter,
-            "pairwise": self.pairwise,
-            "sources": self.sources.tolist(),
-            "neighbors": None if self.neighbors is None else self.neighbors.tolist(),
-            "label_codes": self.label_codes.tolist(),
-            "label_vocab": list(self.label_vocab),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "ParameterColumns":
-        neighbors = payload["neighbors"]
-        return cls(
-            parameter=payload["parameter"],
-            pairwise=bool(payload["pairwise"]),
-            sources=np.asarray(payload["sources"], dtype=np.int32),
-            neighbors=(
-                None if neighbors is None else np.asarray(neighbors, dtype=np.int32)
-            ),
-            label_codes=np.asarray(payload["label_codes"], dtype=np.int32),
-            label_vocab=list(payload["label_vocab"]),
-        )
-
 
 class ColumnarSnapshot:
     """Integer-encoded snapshot: attribute code matrix + label columns.
 
-    Built once per :meth:`AuricEngine.fit` (or loaded from a serve
-    artifact) and shared by every parameter fit, vote-table build and
+    Built once per :meth:`AuricEngine.fit` (or opened from an mmap
+    store) and shared by every parameter fit, vote-table build and
     pool worker.  Treat as immutable once built — pool transport and
     the engine's caches rely on it.
     """
@@ -814,10 +788,8 @@ class ColumnarSnapshot:
         self.vocabs = vocabs
         self.parameters: Dict[str, ParameterColumns] = parameters or {}
         self._carrier_slots: Optional[Dict[CarrierId, int]] = None
-        self._shm_segment = None  # worker-side attachment handle
-        # Store-file mmap bookkeeping (repro.store.mmapfile attaches a
-        # repro.parallel.shm.FileBacking when the arrays are zero-copy
-        # views over a persisted store file).
+        # A repro.store.mmapfile.FileBacking when the arrays are
+        # zero-copy views over a persisted store file.
         self._backing = None
 
     # -- construction -----------------------------------------------------
@@ -961,35 +933,6 @@ class ColumnarSnapshot:
             for col, code in zip(columns, codes)
         )
 
-    # -- persistence ------------------------------------------------------
-
-    def to_dict(self) -> Dict:
-        """JSON-serializable form (serve artifacts)."""
-        from repro.dataio.keys import carrier_key_to_str
-
-        return {
-            "carrier_ids": [carrier_key_to_str(c) for c in self.carrier_ids],
-            "codes": self.codes.tolist(),
-            "vocabs": [list(vocab) for vocab in self.vocabs],
-            "parameters": [
-                columns.to_dict() for _, columns in sorted(self.parameters.items())
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "ColumnarSnapshot":
-        from repro.dataio.keys import carrier_key_from_str
-
-        return cls(
-            carrier_ids=[carrier_key_from_str(t) for t in payload["carrier_ids"]],
-            codes=np.asarray(payload["codes"], dtype=np.int32),
-            vocabs=[list(vocab) for vocab in payload["vocabs"]],
-            parameters={
-                columns["parameter"]: ParameterColumns.from_dict(columns)
-                for columns in payload["parameters"]
-            },
-        )
-
     # -- pool transport ---------------------------------------------------
 
     def _arrays(self) -> List[Tuple[str, Optional[str], np.ndarray]]:
@@ -1005,8 +948,6 @@ class ColumnarSnapshot:
         return arrays
 
     def __getstate__(self) -> Dict:
-        from repro.parallel import shm
-
         state = {
             "carrier_ids": self.carrier_ids,
             "vocabs": self.vocabs,
@@ -1020,7 +961,7 @@ class ColumnarSnapshot:
             },
         }
         arrays = self._arrays()
-        backing = getattr(self, "_backing", None)
+        backing = self._backing
         if backing is not None and all(
             backing.arrays.get((field, name)) is array
             for field, name, array in arrays
@@ -1033,61 +974,33 @@ class ColumnarSnapshot:
                 (field, name, backing.layouts[(field, name)])
                 for field, name, _ in arrays
             ]
-            return state
-        segment = None
-        if shm.exporting():
-            total = 0
-            for _, _, array in arrays:
-                total = shm.aligned(total) + array.nbytes
-            segment = shm.create_segment(total)
-        if segment is None:
-            # Plain pickle: serial paths, fork pools, shm unavailable.
-            state["arrays"] = [
-                (field, name, array) for field, name, array in arrays
-            ]
-            return state
-        offset = 0
-        layouts = []
-        for field, name, array in arrays:
-            offset = shm.aligned(offset)
-            layout = shm.write_array(segment, array, offset)
-            layouts.append((field, name, layout))
-            offset += array.nbytes
-        state["shm_name"] = segment.name
-        state["shm_layouts"] = layouts
+        else:
+            state["arrays"] = arrays
         return state
 
     def __setstate__(self, state: Dict) -> None:
         self.carrier_ids = state["carrier_ids"]
         self.vocabs = state["vocabs"]
         self._carrier_slots = None
-        self._shm_segment = None
         self._backing = None
         meta = state["parameters"]
         buffers: Dict[Tuple[str, Optional[str]], np.ndarray] = {}
         if "mmap_path" in state:
-            from repro.parallel import shm
+            from repro.store.mmapfile import FileBacking, map_file
 
-            mapped = shm.map_file(state["mmap_path"])
-            layouts: Dict[Tuple[str, Optional[str]], shm.SegmentLayout] = {}
+            mapped = map_file(state["mmap_path"])
+            layouts = {}
             for field, name, layout in state["mmap_layouts"]:
                 layouts[(field, name)] = layout
                 buffers[(field, name)] = mapped.read(layout)
             # Re-attach the backing so onward pickles (nested pools)
             # stay (path, layouts) references too.
-            self._backing = shm.FileBacking(
+            self._backing = FileBacking(
                 path=state["mmap_path"],
                 mapped=mapped,
                 layouts=layouts,
                 arrays=dict(buffers),
             )
-        elif "shm_name" in state:
-            from repro.parallel import shm
-
-            segment = shm.attach_segment(state["shm_name"])
-            self._shm_segment = segment  # keep the mapping alive
-            for field, name, layout in state["shm_layouts"]:
-                buffers[(field, name)] = shm.read_array(segment, layout)
         else:
             for field, name, array in state["arrays"]:
                 buffers[(field, name)] = array

@@ -6,9 +6,7 @@ fans contiguous index chunks out across the pool.  The payload is the
 fitted engine; each worker rebuilds its learning view once and caches
 per-parameter sample sets for the pool's lifetime (sample rows stay
 lazy — the LOO sweep votes from the engine's stored cells, so the raw
-attribute tuples are never materialized).  Under a *spawn* pool the
-engine's columnar snapshot travels through shared memory rather than
-the payload pickle (:mod:`repro.parallel.shm`).  Chunks come back in
+attribute tuples are never materialized).  Chunks come back in
 submission order and merge into the same
 :class:`~repro.eval.runner.LocalVsGlobalResult` the serial sweep
 produces: identical accuracies, identical mismatch lists in identical

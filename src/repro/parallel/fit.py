@@ -10,13 +10,11 @@ before.
 
 When the master has already encoded the snapshot into a
 :class:`~repro.core.columnar.ColumnarSnapshot`, it rides along in the
-payload — inherited for free under *fork*, and shipped through one
-shared-memory segment (zero-copy attach, see :mod:`repro.parallel.shm`)
-instead of the payload pickle under *spawn* — so no worker re-encodes.
-A snapshot opened from an mmap :class:`repro.store.SnapshotStore` goes
-one better: its pickle is just the store *path* plus blob layouts, and
-every worker re-maps the same file read-only (page cache shared across
-the pool) without any segment copy at all.
+payload — inherited for free under *fork*, unpickled once per worker
+under *spawn* — so no worker re-encodes.  A snapshot opened from an
+mmap :class:`repro.store.SnapshotStore` pickles to just the store
+*path* plus blob layouts, and every worker re-maps the same file
+read-only (page cache shared across the pool).
 """
 
 from __future__ import annotations

@@ -31,11 +31,10 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.parallel import shm
 
 #: Environment override for the pool start method ("fork", "spawn",
 #: "forkserver").  Unset, the pool prefers fork where available; forcing
-#: "spawn" exercises the pickle + shared-memory payload transport on
+#: "spawn" exercises the one-pickle-per-worker payload transport on
 #: platforms whose default is fork.
 START_METHOD_ENV = "REPRO_POOL_START_METHOD"
 
@@ -242,47 +241,23 @@ def _start_method() -> Optional[str]:
     return None
 
 
-def _make_executor(n_workers: int) -> Tuple[ProcessPoolExecutor, Optional[List]]:
-    """Build the pool; returns ``(executor, shm_manifest)``.
-
-    A non-``None`` manifest lists the shared-memory segments created
-    while pickling the payload (spawn/forkserver only); the caller must
-    :func:`repro.parallel.shm.release` it after the pool shuts down.
-    """
+def _make_executor(n_workers: int) -> ProcessPoolExecutor:
+    """Build the pool for the current payload."""
     method = _start_method()
     if method == "fork":
         # Workers inherit _PAYLOAD from the parent's address space;
         # run_tasks publishes it before this call.
-        return (
-            ProcessPoolExecutor(
-                max_workers=n_workers,
-                mp_context=multiprocessing.get_context("fork"),
-            ),
-            None,
-        )
-    manifest: Optional[List] = None
-    if shm.SHM_AVAILABLE:
-        # Shm-aware payload members (the columnar snapshot) divert
-        # their large arrays into shared segments during this pickle;
-        # workers attach them zero-copy inside _init_worker's loads.
-        with shm.export_session() as session:
-            payload_bytes = pickle.dumps(_PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL)
-        manifest = session or None
-    else:  # pragma: no cover - platform without shared memory
-        payload_bytes = pickle.dumps(_PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL)
-    context = multiprocessing.get_context(method) if method else None
-    try:
-        executor = ProcessPoolExecutor(
+        return ProcessPoolExecutor(
             max_workers=n_workers,
-            mp_context=context,
-            initializer=_init_worker,
-            initargs=(payload_bytes,),
+            mp_context=multiprocessing.get_context("fork"),
         )
-    except BaseException:
-        if manifest is not None:
-            shm.release(manifest)
-        raise
-    return executor, manifest
+    payload_bytes = pickle.dumps(_PAYLOAD, protocol=pickle.HIGHEST_PROTOCOL)
+    return ProcessPoolExecutor(
+        max_workers=n_workers,
+        mp_context=multiprocessing.get_context(method) if method else None,
+        initializer=_init_worker,
+        initargs=(payload_bytes,),
+    )
 
 
 def run_tasks(
@@ -321,9 +296,8 @@ def run_tasks(
         with tracing.span(
             "pool.run", mode="pool", tasks=len(tasks), jobs=jobs
         ):
-            manifest: Optional[List] = None
             try:
-                executor, manifest = _make_executor(min(jobs, len(tasks)))
+                executor = _make_executor(min(jobs, len(tasks)))
             except (OSError, ValueError, PermissionError) as exc:
                 warnings.warn(
                     f"process pool unavailable ({exc}); running serially",
@@ -371,9 +345,5 @@ def run_tasks(
                 return [fn(task) for task in tasks]
             finally:
                 executor.shutdown(wait=True)
-                if manifest is not None:
-                    # Workers have attached (or died); the master can
-                    # drop its segments now.
-                    shm.release(manifest)
     finally:
         _PAYLOAD = previous

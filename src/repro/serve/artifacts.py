@@ -19,6 +19,13 @@ Artifacts embed the :func:`~repro.dataio.export.snapshot_fingerprint`
 of the snapshot the engine was fitted on; loading against a different
 snapshot raises unless explicitly allowed (the refresh layer serves
 stale-but-available models on purpose).
+
+A loaded engine votes from those samples and never reads an encoded
+columnar snapshot.  An artifact saved with ``AuricConfig.store="mmap"``
+references an mmap snapshot store next to it, which the loaded engine
+adopts so its first refit or fit skips the encoding pass; a memory
+artifact carries no snapshot, and the engine encodes one on first
+refit or fit.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.config.store import ConfigurationStore, PairKey
 from repro.core.auric import AuricConfig, AuricEngine, _ParameterModel
-from repro.core.columnar import ColumnarSnapshot
 from repro.dataio.export import snapshot_fingerprint
 from repro.dataio.keys import (
     carrier_key_from_str,
@@ -47,16 +53,16 @@ from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
 
 #: Version of the artifact document schema (bump on layout changes).
-#: v2 adds the optional ``columnar`` snapshot section (and a
-#: ``columnar`` config flag, since removed and ignored on load); v3
-#: adds the optional ``drift_baseline`` section (fit-time value
-#: distributions for
+#: v2 adds an optional inline ``columnar`` snapshot section (and a
+#: ``columnar`` config flag); both are no longer written and are
+#: ignored on load.  v3 adds the optional ``drift_baseline`` section
+#: (fit-time value distributions for
 #: :class:`repro.obs.health.DriftDetector`); v4 adds the
 #: ``config.store`` field and the optional ``columnar_store`` reference
-#: — the encoded snapshot lives in an external
-#: :class:`repro.store.SnapshotStore` file (mmap-openable) next to the
-#: artifact instead of inline JSON.  All additive, so v1–v3 documents
-#: still load (the engine re-encodes / re-captures on demand).
+#: to an mmap snapshot store next to the artifact.  A legacy ``file``
+#: store (a JSON sidecar) loads as ``memory`` and its reference is
+#: ignored.  All additive, so v1–v3 documents still load (the engine
+#: re-encodes / re-captures on demand).
 ARTIFACT_SCHEMA_VERSION = 4
 
 #: Schema versions :func:`engine_from_dict` accepts.
@@ -184,10 +190,10 @@ def engine_to_dict(
 ) -> Dict:
     """The JSON-serializable form of a fitted engine.
 
-    ``columnar_ref`` replaces the inline ``columnar`` section with a
-    reference to an external :class:`repro.store.SnapshotStore` the
-    caller has already persisted the snapshot to (:func:`save_engine`
-    does this for ``config.store != "memory"``).
+    ``columnar_ref`` is written as the ``columnar_store`` reference to
+    the mmap store the caller has already persisted the snapshot to
+    (:func:`save_engine` does this for ``config.store == "mmap"``).
+    Without one the document carries no snapshot.
     """
     if fingerprint is None:
         fingerprint = snapshot_fingerprint(engine.network, engine.store)
@@ -212,17 +218,10 @@ def engine_to_dict(
             for _, model in sorted(engine.fitted_models().items())
         ],
     }
-    # Persist the encoded snapshot when the engine holds one, so a
-    # loaded serving engine skips the one-time encoding pass.  Purely
-    # additive: loaders without the key re-encode on first use.  With an
-    # external store, only the (kind, path) reference is embedded — the
-    # bulk arrays live in the store file, opened zero-copy on load.
-    snapshot = engine.columnar_snapshot()
-    if snapshot is not None:
-        if columnar_ref is not None:
-            payload["columnar_store"] = dict(columnar_ref)
-        else:
-            payload["columnar"] = snapshot.to_dict()
+    # Only the (kind, path) reference is embedded: the arrays live in
+    # the store file, opened zero-copy on load.
+    if columnar_ref is not None:
+        payload["columnar_store"] = dict(columnar_ref)
     # Fit-time distribution baseline for drift detection (v3, additive):
     # a loaded engine can score live snapshots against the population
     # the persisted models were fitted on.
@@ -232,17 +231,31 @@ def engine_to_dict(
 
 
 def resolve_store_ref(
-    ref: Dict, base_dir: Optional[str] = None
-) -> "SnapshotStore":
-    """Open the :class:`repro.store.SnapshotStore` named by an artifact's
-    ``columnar_store`` reference (relative paths resolve against the
-    artifact's directory)."""
-    from repro.store import open_store
+    ref: Any, base_dir: Optional[str] = None
+) -> Optional["SnapshotStore"]:
+    """The mmap store named by an artifact's ``columnar_store``
+    reference (relative paths resolve against the artifact's
+    directory), or ``None`` for a legacy ``file`` reference, which is
+    ignored.  A malformed reference raises :class:`ArtifactError`."""
+    from repro.store import MmapSnapshotStore
 
+    if not isinstance(ref, dict):
+        raise ArtifactError(
+            f"malformed columnar_store reference {ref!r}: not an object"
+        )
+    kind = ref.get("kind", "mmap")
+    if kind == "file":
+        return None
+    if kind != "mmap":
+        raise ArtifactError(
+            f"columnar_store reference names an unknown store kind {kind!r}"
+        )
     path = ref.get("path")
-    if path is not None and not os.path.isabs(path) and base_dir:
+    if not isinstance(path, str) or not path:
+        raise ArtifactError(f"columnar_store reference {ref!r} has no path")
+    if not os.path.isabs(path) and base_dir:
         path = os.path.join(base_dir, path)
-    return open_store(ref.get("kind", "mmap"), path)
+    return MmapSnapshotStore(path)
 
 
 def engine_from_dict(
@@ -259,7 +272,9 @@ def engine_from_dict(
     ``verify_fingerprint`` the snapshot must be the one the engine was
     fitted on; pass ``False`` to serve a stale model deliberately.
     ``base_dir`` anchors relative ``columnar_store`` references (v4);
-    :func:`load_engine` passes the artifact's directory.
+    :func:`load_engine` passes the artifact's directory.  Only an
+    ``mmap`` reference is opened; legacy inline ``columnar`` sections
+    and ``file`` references are ignored.
     """
     if payload.get("kind") != _ARTIFACT_KIND:
         raise ArtifactError(f"not an engine artifact: kind={payload.get('kind')!r}")
@@ -277,12 +292,16 @@ def engine_from_dict(
             )
     config_fields = dict(_required(payload, "config", "the artifact"))
     config_fields.pop("columnar", None)  # v2-v4 engine option, removed
+    if config_fields.get("store") == "file":  # v4 JSON backend, removed
+        config_fields["store"] = "memory"
     config = AuricConfig(**config_fields)
     engine = AuricEngine(network, store, config)
+    snapshot_store = None
     if "columnar_store" in payload:
+        snapshot_store = resolve_store_ref(payload["columnar_store"], base_dir)
+    if snapshot_store is not None:
         from repro.store import SnapshotStoreError
 
-        snapshot_store = resolve_store_ref(payload["columnar_store"], base_dir)
         try:
             snapshot = snapshot_store.load()
         except (OSError, SnapshotStoreError) as exc:
@@ -296,8 +315,6 @@ def engine_from_dict(
                 f"is missing: {payload['columnar_store']}"
             )
         engine.attach_columnar(snapshot)
-    elif "columnar" in payload:
-        engine.attach_columnar(ColumnarSnapshot.from_dict(payload["columnar"]))
     if "drift_baseline" in payload:
         engine.drift_baseline = DriftBaseline.from_dict(
             payload["drift_baseline"]
@@ -322,10 +339,9 @@ def artifact_fingerprint(payload: Dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def default_store_path(artifact_path: str, kind: str) -> str:
-    """Where the external columnar store for an artifact lives."""
-    suffix = ".columnar.json" if kind == "file" else ".columnar"
-    return f"{artifact_path}{suffix}"
+def default_store_path(artifact_path: str) -> str:
+    """Where the mmap columnar store for an artifact lives."""
+    return f"{artifact_path}.columnar"
 
 
 def save_engine(
@@ -335,11 +351,11 @@ def save_engine(
 ) -> Dict:
     """Persist a fitted engine; returns the written payload.
 
-    With ``AuricConfig.store`` set to ``"file"`` or ``"mmap"`` (or an
-    explicit ``snapshot_store``), the encoded columnar snapshot is
-    persisted through that store next to the artifact and referenced by
-    relative path — the artifact JSON stays small and the snapshot opens
-    zero-copy on load.
+    With ``AuricConfig.store`` set to ``"mmap"`` (or an explicit
+    ``snapshot_store``), the encoded columnar snapshot is persisted
+    through that store next to the artifact and referenced by relative
+    path, so it opens zero-copy on load.  A memory artifact carries no
+    snapshot.
     """
     snapshot = engine.columnar_snapshot()
     if (
@@ -350,8 +366,7 @@ def save_engine(
         from repro.store import open_store
 
         snapshot_store = open_store(
-            engine.config.store,
-            default_store_path(path, engine.config.store),
+            engine.config.store, default_store_path(path)
         )
     columnar_ref: Optional[Dict] = None
     if (

@@ -30,8 +30,8 @@ and serve forever.  Two refresh modes are provided:
 A refresher constructed with a :class:`repro.store.SnapshotStore` keeps
 the persisted columnar snapshot in step: incremental adds invalidate
 the touched parameters' columns, refits persist the re-encoded
-snapshot, so a cold-started replica never re-encodes what a warm
-process already wrote out.
+snapshot, so a replica cold-started from it skips the encoding pass of
+its first refit.
 
 :class:`GrowthReplay` drives the incremental path from a
 :class:`~repro.datagen.growth.GrowthTimeline`: it replays the

@@ -1,10 +1,10 @@
-"""``repro.store`` — unified columnar-snapshot persistence.
+"""``repro.store`` — columnar-snapshot persistence.
 
 One :class:`~repro.store.base.SnapshotStore` protocol consumed by serve
-artifacts (save/load), the refresher (persist/invalidate after refits)
-and the pool transport (zero-copy re-map of the store file); see
-:mod:`repro.store.base` for the full rationale and the per-backend
-modules for formats.
+artifacts (save/load) and the refresher (persist/invalidate after
+refits); the mmap store is the only persisted form of a snapshot.  See
+:mod:`repro.store.base` for the rationale and
+:mod:`repro.store.mmapfile` for the file format.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.store.base import STORE_KINDS, SnapshotStore, SnapshotStoreError
-from repro.store.jsonfile import FileSnapshotStore
 from repro.store.memory import MemorySnapshotStore
 from repro.store.mmapfile import MmapSnapshotStore
 
@@ -20,17 +19,15 @@ from repro.store.mmapfile import MmapSnapshotStore
 def open_store(kind: str, path: Optional[str] = None) -> SnapshotStore:
     """Construct the store backend named by ``AuricConfig.store``.
 
-    ``memory`` needs no path; ``file`` and ``mmap`` persist at ``path``.
+    ``memory`` needs no path; ``mmap`` persists at ``path``.
     """
     if kind == "memory":
         return MemorySnapshotStore()
-    if path is None:
-        raise SnapshotStoreError(
-            f"snapshot store kind {kind!r} requires a path"
-        )
-    if kind == "file":
-        return FileSnapshotStore(path)
     if kind == "mmap":
+        if path is None:
+            raise SnapshotStoreError(
+                f"snapshot store kind {kind!r} requires a path"
+            )
         return MmapSnapshotStore(path)
     raise SnapshotStoreError(
         f"unknown snapshot store kind {kind!r}; expected one of {STORE_KINDS}"
@@ -42,7 +39,6 @@ __all__ = [
     "SnapshotStore",
     "SnapshotStoreError",
     "MemorySnapshotStore",
-    "FileSnapshotStore",
     "MmapSnapshotStore",
     "open_store",
 ]

@@ -1,10 +1,11 @@
-"""The unified :class:`SnapshotStore` persistence surface.
+"""The :class:`SnapshotStore` persistence surface.
 
-Before this package, three layers each had an ad-hoc way of moving a
-:class:`~repro.core.columnar.ColumnarSnapshot` around: serve artifacts
-inlined it as JSON, the refresher invalidated it through engine
-internals, and the process pool copied it into shared memory.  A
-``SnapshotStore`` is the one surface they all consume now:
+A ``SnapshotStore`` keeps an encoded
+:class:`~repro.core.columnar.ColumnarSnapshot` outside the engine for
+the two layers that need one: serve artifacts (``save_engine``
+persists it next to the artifact, ``load_engine`` opens it) and the
+refresher (re-persists after refits, invalidates after incremental
+adds):
 
 * :meth:`SnapshotStore.persist` — write the current snapshot out.
 * :meth:`SnapshotStore.load` — open what was persisted (``None`` when
@@ -14,13 +15,14 @@ internals, and the process pool copied it into shared memory.  A
 * :meth:`SnapshotStore.exists` — whether a persisted snapshot is
   available at all.
 
-Three implementations ship: in-memory (:mod:`repro.store.memory`, the
-default — nothing leaves the process), JSON file
-(:mod:`repro.store.jsonfile`, human-inspectable), and the binary mmap
-store (:mod:`repro.store.mmapfile`) whose :meth:`load` maps the file
-read-only and hands out zero-copy array views — service cold start
-becomes an ``open`` + ``mmap`` instead of a full re-encode, and pool
-workers re-map the same file instead of receiving copies.
+Two implementations ship: in-memory (:mod:`repro.store.memory`, the
+default — nothing leaves the process) and the binary mmap store
+(:mod:`repro.store.mmapfile`), the only persisted form of a snapshot.
+Its :meth:`load` maps the file read-only and hands out zero-copy array
+views; a pool worker handed such a snapshot re-maps the same file
+instead of receiving copies.  A loaded engine serves from its
+artifact's samples and never reads the snapshot: the mapped snapshot
+spares only the encoding pass of its first refit or fit.
 
 Backends are selected per engine through ``AuricConfig.store`` /
 ``--store`` and constructed with :func:`repro.store.open_store`.
@@ -28,15 +30,13 @@ Backends are selected per engine through ``AuricConfig.store`` /
 
 from __future__ import annotations
 
-import json
-import os
 from abc import ABC, abstractmethod
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.obs import metrics as obs_metrics
 
 #: Backend names accepted by ``open_store`` / ``AuricConfig.store``.
-STORE_KINDS = ("memory", "file", "mmap")
+STORE_KINDS = ("memory", "mmap")
 
 
 class SnapshotStoreError(Exception):
@@ -113,51 +113,3 @@ def record_invalidate(kind: str) -> None:
         "repro_store_invalidations_total",
         "Snapshot-store invalidations (parameter or full)",
     ).inc(1.0)
-
-
-# -- stale-parameter sidecar (file-backed stores) --------------------------
-#
-# Invalidating one parameter must not rewrite a multi-megabyte store
-# file: the file stays as persisted and a tiny ``<path>.stale`` sidecar
-# lists the parameters to drop on load.  ``persist`` clears it.
-
-
-def stale_path(path: str) -> str:
-    return f"{path}.stale"
-
-
-def read_stale(path: str) -> Set[str]:
-    """The persisted stale-parameter set (empty when no sidecar)."""
-    try:
-        with open(stale_path(path), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return set()
-    except (OSError, ValueError) as exc:
-        raise SnapshotStoreError(
-            f"unreadable stale sidecar {stale_path(path)}: {exc}"
-        ) from exc
-    return set(payload.get("parameters", ()))
-
-
-def mark_stale(path: str, parameter: str) -> None:
-    stale = read_stale(path)
-    stale.add(parameter)
-    with open(stale_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"parameters": sorted(stale)}, fh)
-
-
-def clear_stale(path: str) -> None:
-    try:
-        os.remove(stale_path(path))
-    except FileNotFoundError:
-        pass
-
-
-def remove_file(path: str) -> None:
-    """Best-effort removal (full invalidation of file-backed stores)."""
-    for target in (path, stale_path(path)):
-        try:
-            os.remove(target)
-        except FileNotFoundError:
-            pass

@@ -18,11 +18,14 @@ the header can be rendered before the blob positions are final.
 
 :meth:`MmapSnapshotStore.load` maps the file with ``mmap.ACCESS_READ``
 and returns a snapshot whose arrays are **read-only zero-copy views**
-over the page cache: cold start is one open + header parse, independent
-of carrier count, and the kernel shares the pages across every process
-that maps the same file.  The snapshot keeps a
-:class:`repro.parallel.shm.FileBacking` record so pool payloads ship as
-``(path, layouts)`` references instead of array copies.
+over the page cache: opening is one header parse plus an ``mmap``, and
+the kernel shares the pages across every process that maps the same
+file.  The snapshot keeps a :class:`FileBacking` record so pool payloads
+ship as ``(path, layouts)`` references instead of array copies.
+
+Invalidating one parameter leaves the file as persisted and lists the
+parameter in a small ``<path>.stale`` JSON sidecar that :meth:`load`
+honours and :meth:`persist` clears.
 
 Writes are deterministic — parameters sorted by name, canonical JSON —
 so persisting an unchanged snapshot reproduces the file byte for byte
@@ -32,30 +35,168 @@ so persisting an unchanged snapshot reproduces the file byte for byte
 from __future__ import annotations
 
 import json
+import mmap as _mmap
 import os
 import struct
 import time
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.core.columnar import ColumnarSnapshot, ParameterColumns
-from repro.parallel import shm
+from repro.obs import metrics as obs_metrics
 from repro.store.base import (
     SnapshotStore,
     SnapshotStoreError,
-    clear_stale,
-    mark_stale,
-    read_stale,
     record_invalidate,
     record_open,
     record_persist,
-    remove_file,
 )
 
 MAGIC = b"AURSTOR1"
 FORMAT_VERSION = 1
 _PREFIX = len(MAGIC) + 8  # magic + header-length word
+
+
+@dataclass(frozen=True)
+class SegmentLayout:
+    """Where one array lives inside a store file."""
+
+    dtype: str
+    shape: Tuple[int, ...]
+    offset: int
+
+
+def aligned(offset: int, alignment: int = 16) -> int:
+    """Round ``offset`` up to the next ``alignment`` boundary."""
+    return (offset + alignment - 1) // alignment * alignment
+
+
+class MappedFile:
+    """A read-only memory map of a snapshot-store file.
+
+    Arrays read from it are zero-copy views over the page cache; keep
+    the object referenced for as long as any view is alive (the owning
+    snapshot holds it through its backing record).
+    """
+
+    __slots__ = ("path", "_file", "_map")
+
+    def __init__(self, path: str) -> None:
+        self.path = str(path)
+        self._file = open(self.path, "rb")
+        try:
+            self._map = _mmap.mmap(
+                self._file.fileno(), 0, access=_mmap.ACCESS_READ
+            )
+        except (ValueError, OSError):
+            self._file.close()
+            raise
+
+    def size(self) -> int:
+        return self._map.size()
+
+    def read(self, layout: SegmentLayout) -> np.ndarray:
+        """A read-only zero-copy view over the mapped file."""
+        count = 1
+        for dim in layout.shape:
+            count *= int(dim)
+        array = np.frombuffer(
+            self._map,
+            dtype=np.dtype(layout.dtype),
+            count=count,
+            offset=layout.offset,
+        )
+        return array.reshape(layout.shape)
+
+    def close(self) -> None:
+        try:
+            self._map.close()
+        finally:
+            self._file.close()
+
+
+def map_file(path: str) -> MappedFile:
+    """Map a store file read-only (store open, pool worker attach)."""
+    mapped = MappedFile(path)
+    obs_metrics.counter(
+        "repro_store_mmap_attach_total",
+        "Read-only mmap attachments of snapshot-store files",
+    ).inc(1.0)
+    obs_metrics.counter(
+        "repro_store_mmap_bytes_total",
+        "Bytes mapped zero-copy from snapshot-store files",
+    ).inc(float(mapped.size()))
+    return mapped
+
+
+@dataclass
+class FileBacking:
+    """Ties a snapshot's arrays to the store file they are mapped from.
+
+    ``ColumnarSnapshot.__getstate__`` consults this record: while every
+    buffer is still the mapped view created at open time, pickles carry
+    only ``(path, layouts)`` and the receiver re-maps the file instead
+    of copying the arrays.
+    """
+
+    path: str
+    mapped: MappedFile
+    layouts: Dict[Tuple[str, Optional[str]], SegmentLayout] = field(
+        default_factory=dict
+    )
+    arrays: Dict[Tuple[str, Optional[str]], np.ndarray] = field(
+        default_factory=dict
+    )
+
+
+# -- stale-parameter sidecar -----------------------------------------------
+#
+# Invalidating one parameter must not rewrite a multi-megabyte store
+# file: the file stays as persisted and a tiny ``<path>.stale`` sidecar
+# lists the parameters to drop on load.  ``persist`` clears it.
+
+
+def stale_path(path: str) -> str:
+    return f"{path}.stale"
+
+
+def read_stale(path: str) -> Set[str]:
+    """The persisted stale-parameter set (empty when no sidecar)."""
+    try:
+        with open(stale_path(path), "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except FileNotFoundError:
+        return set()
+    except (OSError, ValueError) as exc:
+        raise SnapshotStoreError(
+            f"unreadable stale sidecar {stale_path(path)}: {exc}"
+        ) from exc
+    return set(payload.get("parameters", ()))
+
+
+def mark_stale(path: str, parameter: str) -> None:
+    stale = read_stale(path)
+    stale.add(parameter)
+    with open(stale_path(path), "w", encoding="utf-8") as fh:
+        json.dump({"parameters": sorted(stale)}, fh)
+
+
+def clear_stale(path: str) -> None:
+    try:
+        os.remove(stale_path(path))
+    except FileNotFoundError:
+        pass
+
+
+def remove_file(path: str) -> None:
+    """Best-effort removal of the store and its sidecar."""
+    for target in (path, stale_path(path)):
+        try:
+            os.remove(target)
+        except FileNotFoundError:
+            pass
 
 
 def _snapshot_arrays(
@@ -90,7 +231,7 @@ class MmapSnapshotStore(SnapshotStore):
         layouts = []
         offset = 0
         for field, name, array in arrays:
-            offset = shm.aligned(offset)
+            offset = aligned(offset)
             layouts.append(
                 [field, name, array.dtype.str, list(array.shape), offset]
             )
@@ -115,7 +256,7 @@ class MmapSnapshotStore(SnapshotStore):
         header_bytes = json.dumps(
             header, separators=(",", ":"), sort_keys=True
         ).encode("utf-8")
-        data_start = shm.aligned(_PREFIX + len(header_bytes))
+        data_start = aligned(_PREFIX + len(header_bytes))
         tmp = f"{self.path}.tmp"
         with open(tmp, "wb") as fh:
             fh.write(MAGIC)
@@ -158,7 +299,7 @@ class MmapSnapshotStore(SnapshotStore):
                 f"{self.path} uses store format {header.get('format')}; "
                 f"this build reads up to {FORMAT_VERSION}"
             )
-        return header, shm.aligned(_PREFIX + header_len)
+        return header, aligned(_PREFIX + header_len)
 
     def load(self) -> Optional[ColumnarSnapshot]:
         from repro.dataio.keys import carrier_key_from_str
@@ -168,11 +309,11 @@ class MmapSnapshotStore(SnapshotStore):
         started = time.perf_counter()
         stale = read_stale(self.path)
         header, data_start = self._read_header()
-        mapped = shm.map_file(self.path)
-        layouts: Dict[Tuple[str, Optional[str]], shm.SegmentLayout] = {}
+        mapped = map_file(self.path)
+        layouts: Dict[Tuple[str, Optional[str]], SegmentLayout] = {}
         buffers: Dict[Tuple[str, Optional[str]], np.ndarray] = {}
         for field, name, dtype, shape, rel_offset in header["layouts"]:
-            layout = shm.SegmentLayout(
+            layout = SegmentLayout(
                 dtype=dtype, shape=tuple(shape), offset=data_start + rel_offset
             )
             layouts[(field, name)] = layout
@@ -198,7 +339,7 @@ class MmapSnapshotStore(SnapshotStore):
             vocabs=[list(vocab) for vocab in header["vocabs"]],
             parameters=parameters,
         )
-        snapshot._backing = shm.FileBacking(
+        snapshot._backing = FileBacking(
             path=self.path, mapped=mapped, layouts=layouts, arrays=buffers
         )
         record_open(self.kind, time.perf_counter() - started, mapped.size())

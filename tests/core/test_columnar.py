@@ -371,25 +371,6 @@ class TestColumnarSnapshot:
             assert keys == sorted(values)
             assert columns.labels() == [values[k] for k in keys]
 
-    def test_dict_round_trip(self, small_dataset):
-        dataset = small_dataset
-        specs = _fitted_specs(dataset)
-        snapshot = ColumnarSnapshot.encode(dataset.network, dataset.store, specs)
-        rebuilt = ColumnarSnapshot.from_dict(snapshot.to_dict())
-        assert rebuilt.carrier_ids == snapshot.carrier_ids
-        assert np.array_equal(rebuilt.codes, snapshot.codes)
-        assert rebuilt.vocabs == snapshot.vocabs
-        assert set(rebuilt.parameters) == set(snapshot.parameters)
-        for name, columns in snapshot.parameters.items():
-            other = rebuilt.parameters[name]
-            assert np.array_equal(other.sources, columns.sources)
-            assert np.array_equal(other.label_codes, columns.label_codes)
-            assert other.label_vocab == columns.label_vocab
-            if columns.neighbors is None:
-                assert other.neighbors is None
-            else:
-                assert np.array_equal(other.neighbors, columns.neighbors)
-
     def test_pickle_round_trip_preserves_arrays(self, small_dataset):
         import pickle
 

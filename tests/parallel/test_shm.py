@@ -1,21 +1,19 @@
-"""Shared-memory transport of the columnar snapshot.
+"""Pickle transport of the columnar snapshot to pool workers.
 
-Outside an export session the snapshot pickles its arrays inline (the
-serial path, artifacts, fork pools); inside one it ships descriptors
-into a ``multiprocessing.shared_memory`` segment and workers attach
-zero-copy.  Both directions — and the spawn-pool end-to-end identity —
-are covered here.
+A snapshot built in memory pickles its arrays inline; a spawn-start
+pool unpickles that payload once per worker (fork pools inherit it).
+The pickle round trip and the spawn-pool end-to-end identity are
+covered here; the mmap store's reference pickle is covered in
+``tests/store/test_snapshot_store.py``.
 """
 
 import os
 import pickle
 
 import numpy as np
-import pytest
 
 from repro.core import AuricEngine
 from repro.core.columnar import ColumnarSnapshot
-from repro.parallel import shm
 from repro.parallel.pool import START_METHOD_ENV
 
 
@@ -53,45 +51,6 @@ class TestPickleFallback:
         state = snapshot.__getstate__()
         assert "arrays" in state and "shm_name" not in state
         _assert_same_snapshot(snapshot, pickle.loads(pickle.dumps(snapshot)))
-
-
-@pytest.mark.skipif(not shm.SHM_AVAILABLE, reason="no shared memory")
-class TestSharedMemoryTransport:
-    def test_export_session_ships_descriptors(self, dataset):
-        snapshot = _snapshot(dataset)
-        with shm.export_session() as manifest:
-            blob = pickle.dumps(snapshot)
-            assert manifest, "no segment was created"
-            # The attach side maps the arrays back without copying.
-            rebuilt = pickle.loads(blob)
-            _assert_same_snapshot(snapshot, rebuilt)
-            assert rebuilt._shm_segment is not None
-            assert not rebuilt.codes.flags.writeable
-            del rebuilt
-            shm.release(manifest)
-
-    def test_segment_released_after_session(self, dataset):
-        snapshot = _snapshot(dataset)
-        with shm.export_session() as manifest:
-            pickle.dumps(snapshot)
-            names = [segment.name for segment in manifest]
-            shm.release(manifest)
-        assert manifest == []
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_sessions_do_not_nest(self):
-        with shm.export_session() as manifest:
-            with pytest.raises(RuntimeError):
-                with shm.export_session():
-                    pass
-            shm.release(manifest)
-
-    def test_create_segment_inactive_returns_none(self):
-        assert shm.create_segment(128) is None
 
 
 class TestSpawnPoolIdentity:

@@ -24,7 +24,7 @@ import pytest
 from repro.core import AuricEngine
 from repro.core.auric import AuricConfig
 from repro.ops.history import ChangeLog, ChangeSource
-from repro.serve import RecommendationService
+from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
 from repro.store import MmapSnapshotStore
 
@@ -163,6 +163,53 @@ class TestEquivalence:
         refresher.incremental_refit(log)
         for name, model in untouched.items():
             assert engine.fitted_models()[name] is model
+
+
+def assert_models_equal_by_value(a, b):
+    """Field-by-field equality, insertion order included.  Unlike
+    :func:`model_state` it ignores object identity, which differs
+    between a loaded model (one key object per target) and a fitted
+    one."""
+    assert a.spec == b.spec
+    assert a.dependent_columns == b.dependent_columns
+    assert a.dependent_names == b.dependent_names
+    def cells(model):
+        return [(c, list(v.items())) for c, v in model.cell_index.items()]
+
+    assert cells(a) == cells(b)
+    assert list(a.global_counts.items()) == list(b.global_counts.items())
+    assert list(a.samples.items()) == list(b.samples.items())
+    assert list(a.by_carrier.items()) == list(b.by_carrier.items())
+    assert list(a.weights.items()) == list(b.weights.items())
+    assert a.dependent_stats == b.dependent_stats
+
+
+class TestLoadedEngine:
+    """An engine loaded from a memory artifact holds no encoded
+    snapshot; its first incremental refit encodes one and must still
+    match a full refit."""
+
+    @pytest.mark.parametrize("cap", [None, 40], ids=["uncapped", "capped"])
+    def test_refit_without_snapshot_matches_full(self, dataset, tmp_path, cap):
+        config = AuricConfig(max_fit_samples=cap)
+        store = copy.deepcopy(dataset.store)
+        path = str(tmp_path / "engine.json")
+        save_engine(
+            AuricEngine(dataset.network, store, config).fit(PARAMETERS), path
+        )
+        engine = load_engine(path, dataset.network, store)
+        assert engine.columnar_snapshot() is None
+        refresher = EngineRefresher(RecommendationService(engine))
+        log = ChangeLog()
+        flip_values(store, "pMax", 5, log)
+        result = refresher.incremental_refit(log)
+        assert result.refitted == {"pMax": 5}
+        assert engine.columnar_snapshot() is not None
+        full = full_refit_reference(dataset, store, config)
+        a, b = engine.fitted_models(), full.fitted_models()
+        assert sorted(a) == sorted(b)
+        for name in sorted(a):
+            assert_models_equal_by_value(a[name], b[name])
 
 
 class TestServiceIntegration:

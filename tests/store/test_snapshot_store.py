@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.columnar import ColumnarSnapshot
 from repro.store import (
-    FileSnapshotStore,
+    STORE_KINDS,
     MemorySnapshotStore,
     MmapSnapshotStore,
     SnapshotStoreError,
@@ -34,8 +34,6 @@ def snapshot(dataset):
 def make_store(kind, tmp_path):
     if kind == "memory":
         return MemorySnapshotStore()
-    if kind == "file":
-        return FileSnapshotStore(str(tmp_path / "snap.columnar.json"))
     return MmapSnapshotStore(str(tmp_path / "snap.columnar"))
 
 
@@ -59,7 +57,7 @@ def assert_snapshots_equal(a, b):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", ["memory", "file", "mmap"])
+    @pytest.mark.parametrize("kind", ["memory", "mmap"])
     def test_persist_load_round_trips(self, snapshot, tmp_path, kind):
         store = make_store(kind, tmp_path)
         info = store.persist(snapshot)
@@ -91,12 +89,12 @@ class TestRoundTrip:
             )
 
     def test_load_before_persist_returns_none(self, tmp_path):
-        for kind in ("memory", "file", "mmap"):
+        for kind in ("memory", "mmap"):
             assert make_store(kind, tmp_path).load() is None
 
 
 class TestStaleSidecar:
-    @pytest.mark.parametrize("kind", ["memory", "file", "mmap"])
+    @pytest.mark.parametrize("kind", ["memory", "mmap"])
     def test_invalidate_one_parameter_drops_it_on_load(
         self, snapshot, tmp_path, kind
     ):
@@ -107,7 +105,7 @@ class TestStaleSidecar:
         assert "pMax" not in loaded.parameters
         assert "hysA3Offset" in loaded.parameters
 
-    @pytest.mark.parametrize("kind", ["memory", "file", "mmap"])
+    @pytest.mark.parametrize("kind", ["memory", "mmap"])
     def test_persist_clears_staleness(self, snapshot, tmp_path, kind):
         store = make_store(kind, tmp_path)
         store.persist(snapshot)
@@ -116,7 +114,7 @@ class TestStaleSidecar:
         loaded = store.load()
         assert "pMax" in loaded.parameters
 
-    @pytest.mark.parametrize("kind", ["file", "mmap"])
+    @pytest.mark.parametrize("kind", ["mmap"])
     def test_invalidate_all_removes_the_file(self, snapshot, tmp_path, kind):
         store = make_store(kind, tmp_path)
         store.persist(snapshot)
@@ -168,12 +166,17 @@ class TestFactory:
     def test_memory_needs_no_path(self):
         assert open_store("memory").kind == "memory"
 
-    @pytest.mark.parametrize("kind", ["file", "mmap"])
+    @pytest.mark.parametrize("kind", ["mmap"])
     def test_file_kinds_require_a_path(self, kind, tmp_path):
         with pytest.raises(SnapshotStoreError, match="requires a path"):
             open_store(kind)
         store = open_store(kind, str(tmp_path / "s"))
         assert store.kind == kind
+
+    def test_kinds_are_memory_and_mmap(self):
+        assert STORE_KINDS == ("memory", "mmap")
+        with pytest.raises(SnapshotStoreError, match="unknown"):
+            open_store("file", "snap.columnar.json")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SnapshotStoreError, match="unknown"):

@@ -199,6 +199,31 @@ class TestServeBatch:
         assert code == 2
         assert "error: model pMax: malformed samples" in err
 
+    @pytest.mark.parametrize(
+        "ref, expected",
+        [
+            ("engine.json.columnar", "not an object"),
+            ({"kind": "carrier-pigeon", "path": "x"}, "unknown store kind"),
+            ({"kind": "mmap"}, "has no path"),
+        ],
+        ids=["string", "unknown-kind", "no-path"],
+    )
+    def test_malformed_store_reference_is_a_clean_error(
+        self, snapshot, requests_file, tmp_path, capsys, ref, expected
+    ):
+        artifact = tmp_path / "engine.json"
+        base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
+        assert main(["serve-batch", *base, "--save-artifact", str(artifact)]) == 0
+        payload = json.loads(artifact.read_text())
+        payload["columnar_store"] = ref
+        artifact.write_text(json.dumps(payload))
+        capsys.readouterr()
+        code = main(["serve-batch", *base, "--artifact", str(artifact)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ")
+        assert expected in err
+
 
 class TestObservabilityCommands:
     def test_explain_prints_provenance(self, capsys):
