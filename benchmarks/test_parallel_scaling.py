@@ -25,7 +25,6 @@ Environment knobs:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import time
 
@@ -35,6 +34,7 @@ from repro.core import AuricEngine
 from repro.datagen import four_markets_workload
 from repro.eval.runner import EvaluationRunner
 from repro.experiments.parameter_selection import evaluation_parameters
+from repro.rng import DEFAULT_SEED
 
 SCALE = float(os.environ.get("REPRO_PARALLEL_SCALE", "0.02"))
 JOBS_SWEEP = [
@@ -69,7 +69,7 @@ def _models_equal(a, b) -> bool:
 
 
 def test_parallel_never_loses_to_serial(
-    parallel_dataset, parallel_parameters, results_dir
+    parallel_dataset, parallel_parameters, results_dir, run_environment
 ):
     dataset = parallel_dataset
     parameters = parallel_parameters
@@ -136,10 +136,11 @@ def test_parallel_never_loses_to_serial(
         )
 
     document = {
-        "cpu_count": multiprocessing.cpu_count(),
+        **run_environment,
         "jobs_sweep": JOBS_SWEEP,
         "speedup_floor": SPEEDUP_FLOOR,
         "scale": SCALE,
+        "seed": DEFAULT_SEED,
         "parameters": len(parameters),
         "targets_evaluated": serial.evaluated,
         "fit_serial_s": fit_serial_s,
