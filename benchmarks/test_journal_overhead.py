@@ -26,7 +26,6 @@ Environment knobs:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import statistics
 import time
@@ -39,6 +38,7 @@ from repro.core.recommendation import RecommendRequest
 from repro.dataio.keys import carrier_key_to_str
 from repro.datagen import four_markets_workload
 from repro.obs import journal as obs_journal
+from repro.rng import DEFAULT_SEED
 from repro.serve import RecommendationService
 from repro.serve.front import (
     FrontConfig,
@@ -97,7 +97,6 @@ def _storm_round(engine, rulebook, payloads, expected, churn):
         FrontConfig(
             shards=SHARDS,
             max_inflight=max(CONNECTIONS * 4, 64),
-            batch_window_ms=1.0,
             parameters=PARAMETERS,
         ),
     )
@@ -116,7 +115,9 @@ def _storm_round(engine, rulebook, payloads, expected, churn):
         shard_set.stop()
 
 
-def test_journal_overhead_within_budget(journal_workload, results_dir, tmp_path):
+def test_journal_overhead_within_budget(
+    journal_workload, results_dir, tmp_path, run_environment
+):
     dataset, engine, rulebook, payloads, expected = journal_workload
     journal_path = str(tmp_path / "bench-journal.jsonl")
 
@@ -168,8 +169,9 @@ def test_journal_overhead_within_budget(journal_workload, results_dir, tmp_path)
     serve_budget_ms = serve_base * (SERVE_BUDGET_PCT / 100.0) + SERVE_ABS_MS
 
     document = {
-        "cpu_count": multiprocessing.cpu_count(),
+        **run_environment,
         "scale": SCALE,
+        "seed": DEFAULT_SEED,
         "requests_per_round": REQUESTS,
         "connections": CONNECTIONS,
         "rounds": ROUNDS,

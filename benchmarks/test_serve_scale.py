@@ -20,7 +20,6 @@ Environment knobs:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 
 import pytest
@@ -30,6 +29,7 @@ from repro.core import AuricEngine
 from repro.core.recommendation import RecommendRequest
 from repro.dataio.keys import carrier_key_to_str
 from repro.datagen import four_markets_workload
+from repro.rng import DEFAULT_SEED
 from repro.serve import RecommendationService
 from repro.serve.front import (
     FrontConfig,
@@ -51,7 +51,9 @@ def serve_dataset():
     return four_markets_workload(scale=SCALE)
 
 
-def test_storm_with_midrun_hot_swap(serve_dataset, results_dir):
+def test_storm_with_midrun_hot_swap(
+    serve_dataset, results_dir, run_environment
+):
     dataset = serve_dataset
     engine = AuricEngine(dataset.network, dataset.store).fit(list(PARAMETERS))
     rulebook = RuleBook(dataset.store.catalog)
@@ -78,7 +80,6 @@ def test_storm_with_midrun_hot_swap(serve_dataset, results_dir):
         FrontConfig(
             shards=SHARDS,
             max_inflight=max(CONNECTIONS * 4, 64),
-            batch_window_ms=1.0,
             parameters=PARAMETERS,
         ),
     )
@@ -110,8 +111,9 @@ def test_storm_with_midrun_hot_swap(serve_dataset, results_dir):
     assert report.percentile_ms(0.99) >= report.percentile_ms(0.50) > 0
 
     document = {
-        "cpu_count": multiprocessing.cpu_count(),
+        **run_environment,
         "scale": SCALE,
+        "seed": DEFAULT_SEED,
         "requests": REQUESTS,
         "connections": CONNECTIONS,
         "shards": SHARDS,

@@ -25,7 +25,6 @@ Environment knobs:
 from __future__ import annotations
 
 import json
-import multiprocessing
 import os
 import statistics
 
@@ -38,6 +37,7 @@ from repro.dataio.keys import carrier_key_to_str
 from repro.datagen import four_markets_workload
 from repro.obs import flight, tracing
 from repro.obs import metrics as obs_metrics
+from repro.rng import DEFAULT_SEED
 from repro.serve import RecommendationService
 from repro.serve.front import (
     FrontConfig,
@@ -91,7 +91,6 @@ def _storm_round(engine, rulebook, payloads, expected, traced, dump_dir):
             FrontConfig(
                 shards=SHARDS,
                 max_inflight=max(CONNECTIONS * 4, 64),
-                batch_window_ms=1.0,
                 parameters=PARAMETERS,
             ),
         )
@@ -112,7 +111,7 @@ def _storm_round(engine, rulebook, payloads, expected, traced, dump_dir):
 
 
 def test_trace_overhead_within_budget(
-    overhead_workload, results_dir, tmp_path
+    overhead_workload, results_dir, tmp_path, run_environment
 ):
     engine, rulebook, payloads, expected = overhead_workload
     obs_metrics.enable()
@@ -142,8 +141,9 @@ def test_trace_overhead_within_budget(
     overhead_pct = (overhead_ms / base * 100.0) if base > 0 else 0.0
 
     document = {
-        "cpu_count": multiprocessing.cpu_count(),
+        **run_environment,
         "scale": SCALE,
+        "seed": DEFAULT_SEED,
         "requests_per_round": REQUESTS,
         "connections": CONNECTIONS,
         "rounds": ROUNDS,

@@ -230,12 +230,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="global admission ceiling before 503 shedding (default 512)",
     )
     front.add_argument(
-        "--batch-window-ms", type=float, default=2.0,
-        help="micro-batch coalescing window in milliseconds (default 2.0)",
-    )
-    front.add_argument(
         "--max-batch", type=int, default=32,
-        help="flush a micro-batch at this size regardless of the window",
+        help="cap on the requests coalesced into one shard batch while "
+        "the shard's previous batch is served (default 32)",
     )
     front.add_argument(
         "--max-queue", type=int, default=256,
@@ -663,7 +660,6 @@ def _run_serve(args) -> int:
         port=args.port,
         shards=args.shards,
         max_inflight=args.max_inflight,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         max_queue=args.max_queue,
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,

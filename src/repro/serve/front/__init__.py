@@ -14,7 +14,7 @@ new one warms).
   request → shard-key extraction.
 * :mod:`repro.serve.front.admission` — global in-flight and per-shard
   queue bounds; :class:`OverloadError` is the 503 body.
-* :mod:`repro.serve.front.coalesce` — the micro-batch window.
+* :mod:`repro.serve.front.coalesce` — micro-batching by shard backlog.
 * :mod:`repro.serve.front.shards` — shard worker threads and the
   atomic hot-swap protocol.
 * :mod:`repro.serve.front.server` — the asyncio HTTP surface.

@@ -3,20 +3,19 @@
 During a launch storm many independent clients ask for one carrier
 each within the same few milliseconds.  Serving them one-by-one pays
 the per-call dispatch overhead (a shard-queue hand-off and a thread
-wake-up) N times.  The coalescer holds each shard's arrivals for at most ``window_s`` (the
-``--batch-window-ms`` knob) or until ``max_batch`` accumulate —
-whichever comes first — then flushes the whole run as a single
-``handle_batch`` call on the shard worker.
-
-The window is a latency *budget*, not a fixed delay: the timer arms on
-the first request of a batch, so an isolated request waits the window
-once and a storm flushes early on size.  Batch sizes are observed in
+wake-up) N times.  The coalescer batches by backlog, after Nagle's rule
+(RFC 896): each shard has at most one coalesced batch outstanding.  A
+request for an idle shard is handed to it at once; requests that
+arrive while that batch is being served form the next batch, capped at
+``max_batch`` and flushed as a single ``handle_batch`` call on the
+shard worker when the outstanding batch returns (:meth:`release`).
+No request waits on a timer.  Batch sizes are observed in
 ``repro_front_batch_size`` — the distribution is the direct measure of
 how much coalescing the storm achieved.
 
-The coalescer is confined to the asyncio event loop (submit and flush
-both run there); only the flush *callback* hands work to a shard
-thread.
+The coalescer is confined to the asyncio event loop (submit, flush and
+release all run there); only the flush *callback* hands work to a
+shard thread.
 """
 
 from __future__ import annotations
@@ -58,25 +57,22 @@ class Entry:
 
 
 class Coalescer:
-    """Accumulates one shard's requests into micro-batches."""
+    """Accumulates one shard's requests into micro-batches by backlog."""
 
     def __init__(
         self,
         flush: Callable[[List[Entry]], None],
-        window_s: float,
         max_batch: int,
         loop: Optional[asyncio.AbstractEventLoop] = None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("batch window must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be positive")
         self._flush_fn = flush
-        self.window_s = window_s
         self.max_batch = max_batch
         self._loop = loop
         self._pending: List[Entry] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
+        #: True while a flushed batch has not come back via release().
+        self._outstanding = False
         self._batch_histogram = obs_metrics.histogram(
             "repro_front_batch_size",
             "Coalesced requests per shard batch",
@@ -104,33 +100,34 @@ class Coalescer:
     ) -> "asyncio.Future":
         """Queue one request; returns the future its result resolves.
 
-        ``trace``/``timings`` ride with the entry to the shard worker —
-        the flush timer fires outside the request's coroutine (no
-        :mod:`contextvars` inheritance), so the context must travel
-        explicitly.
+        The request is flushed at once when no batch is outstanding,
+        otherwise it waits for :meth:`release`.  ``trace``/``timings``
+        ride with the entry to the shard worker — a backlog flush runs
+        outside the request's coroutine (no :mod:`contextvars`
+        inheritance), so the context must travel explicitly.
         """
-        loop = self._get_loop()
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = self._get_loop().create_future()
         if timings is not None:
             timings.submitted = time.perf_counter()
         self._pending.append(Entry(request, future, trace, timings))
-        if len(self._pending) >= self.max_batch:
-            self.flush_now()
-        elif self._timer is None:
-            if self.window_s == 0:
-                self.flush_now()
-            else:
-                self._timer = loop.call_later(self.window_s, self.flush_now)
+        if not self._outstanding:
+            self._flush()
         return future
 
-    def flush_now(self) -> int:
-        """Flush the pending batch immediately; returns its size."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def release(self) -> int:
+        """The outstanding batch came back (answered, failed or shed):
+        free the slot and flush the backlog; returns the new batch's size."""
+        self._outstanding = False
+        return self._flush()
+
+    def _flush(self) -> int:
+        """Hand up to ``max_batch`` pending entries to the shard as the
+        outstanding batch; returns its size."""
         if not self._pending:
             return 0
-        batch, self._pending = self._pending, []
+        batch = self._pending[: self.max_batch]
+        del self._pending[: self.max_batch]
+        self._outstanding = True
         flushed = time.perf_counter()
         for entry in batch:
             if entry.timings is not None:
@@ -142,10 +139,7 @@ class Coalescer:
         return len(batch)
 
     def close(self) -> None:
-        """Cancel the timer and fail any stranded entries."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+        """Fail any stranded entries."""
         batch, self._pending = self._pending, []
         for entry in batch:
             if not entry.future.done():

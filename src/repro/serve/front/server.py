@@ -6,10 +6,10 @@ serving discipline behind it is:
 
 * ``POST /recommend`` — one unified request.  Parsed with structured
   validation (400s name the field), routed by consistent hash, gated
-  by admission control (503s carry ``retry_after_ms``), coalesced into
-  the shard's micro-batch window.
+  by admission control (503s carry ``retry_after_ms``), coalesced by
+  shard backlog (an idle shard gets it at once).
 * ``POST /batch`` — a request batch; split per shard and submitted
-  directly (the client already batched — no window).
+  directly (the client already batched — no coalescing).
 * ``POST /admin/swap`` — refit (or reuse the snapshot) and hot-swap
   every shard with zero downtime; returns the swap report.
 * ``POST /admin/invalidate`` — drop cached votes (all or one
@@ -75,17 +75,12 @@ class FrontConfig:
     port: int = 0  # 0 = ephemeral; the bound port is on the handle
     shards: int = 2
     max_inflight: int = 512
-    batch_window_ms: float = 2.0
     max_batch: int = 32
     max_queue: int = 256
     cache_size: int = 4096
     #: Default parameter restriction applied to requests that do not
     #: name their own (None = the service's default set).
     parameters: Optional[Tuple[str, ...]] = None
-
-    def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError("batch window must be >= 0")
 
 
 @dataclass
@@ -132,7 +127,6 @@ class FrontServer:
         for shard in self.shard_set.shards:
             self._coalescers[shard.shard_id] = Coalescer(
                 self._make_flush(shard),
-                window_s=self.config.batch_window_ms / 1000.0,
                 max_batch=self.config.max_batch,
                 loop=self._loop,
             )
@@ -168,7 +162,11 @@ class FrontServer:
     # -- shard dispatch ------------------------------------------------------
 
     def _make_flush(self, shard: EngineShard):
-        """The coalescer flush: hand one micro-batch to the shard."""
+        """The coalescer flush: hand one micro-batch to the shard.
+
+        A shed releases the shard's coalescer slot on the next loop turn,
+        not by recursion, so a full queue sheds a long backlog one batch
+        at a time; ``_resolve_batch`` releases it otherwise."""
 
         def flush(batch):
             requests = [entry.request for entry in batch]
@@ -196,10 +194,12 @@ class FrontServer:
                                 shed.retry_after_ms, shed.shard,
                             )
                         )
+                self._loop.call_soon(self._coalescers[shard.shard_id].release)
 
         return flush
 
     def _resolve_batch(self, shard, futures, results, error) -> None:
+        self._coalescers[shard.shard_id].release()
         if error is not None:
             for future in futures:
                 if not future.done():
@@ -324,7 +324,7 @@ class FrontServer:
         if not requests:
             return 200, {"results": []}
         # The client already batched: admit the whole batch, split it
-        # per shard and submit directly — no coalescing window.  One
+        # per shard and submit directly — no coalescing.  One
         # trace and one (aggregate) timings object cover the batch.
         with tracing.span("front.admission", batch=len(requests)):
             self._admission.admit(weight=len(requests))
@@ -449,7 +449,16 @@ class FrontServer:
                 if headers.get("connection", "").lower() == "close":
                     state.keep_alive = False
                 body = b""
-                length = int(headers.get("content-length", "0") or "0")
+                raw_length = headers.get("content-length", "0") or "0"
+                if not (raw_length.isascii() and raw_length.isdigit()):
+                    # The body's extent is unknown, so the framing is
+                    # lost: answer, then close the connection.
+                    error = RequestValidationError(
+                        "content-length", "expected a non-negative integer"
+                    )
+                    await self._respond(writer, 400, error.to_dict())
+                    break
+                length = int(raw_length)
                 if length:
                     if length > _MAX_BODY_BYTES:
                         await self._respond(

@@ -5,17 +5,17 @@ response write, collecting monotonic stamps at every hand-off:
 
 * ``accepted`` — request parsed and routed (the front door),
 * ``submitted`` — admitted and handed to the shard's coalescer,
-* ``flushed`` — the coalescer window closed and the micro-batch was
-  enqueued on the shard,
+* ``flushed`` — the coalescer put the micro-batch on the shard queue
+  (at once for an idle shard, else when its previous batch returned),
 * ``dequeued`` — the shard worker picked the batch up,
 
 plus two measured durations: ``engine_s`` (the service/engine call,
 straight from ``RecommendResult.duration_s``) and ``serialize_s``
 (building the response body).  The derived phases — ``queue`` (shard
-queue wait), ``coalesce`` (window wait), ``engine``, ``serialize`` —
-are what the ``Server-Timing`` response header and the body's
-``timings`` field expose, and what the retroactive ``front.coalesce`` /
-``front.queue`` spans are cut from.
+queue wait), ``coalesce`` (wait behind the shard's outstanding batch),
+``engine``, ``serialize`` — are what the ``Server-Timing`` header and
+the body's ``timings`` field expose, and what the retroactive
+``front.coalesce`` / ``front.queue`` spans are cut from.
 
 Stamps are :func:`time.perf_counter` values — comparable across the
 event loop and the shard worker threads of one process — with a
@@ -69,7 +69,7 @@ class RequestTimings:
 
     @property
     def coalesce_s(self) -> float:
-        """Time parked in the coalescer window (submit → flush)."""
+        """Time parked behind the shard's outstanding batch (submit → flush)."""
         return self._delta(self.submitted, self.flushed)
 
     @property

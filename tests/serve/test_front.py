@@ -130,75 +130,116 @@ class TestAdmission:
 
 
 class TestCoalescer:
-    def _run(self, coro):
+    """The backlog rule, driven by a fake flush: no timers, no sleeps.
+
+    A flushed batch stays outstanding until the test calls ``release``
+    (the server does so when the shard answers, fails or sheds it)."""
+
+    def _run(self, scenario):
         loop = asyncio.new_event_loop()
         try:
-            return loop.run_until_complete(coro)
+            return loop.run_until_complete(
+                asyncio.wait_for(scenario(), timeout=10)
+            )
         finally:
             loop.close()
+
+    @staticmethod
+    def _requests(flushed):
+        return [[entry.request for entry in batch] for batch in flushed]
+
+    def test_idle_shard_flushes_on_submit(self):
+        flushed = []
+
+        async def scenario():
+            coalescer = Coalescer(flush=flushed.append, max_batch=8)
+            coalescer.submit("a")
+            assert self._requests(flushed) == [["a"]]
+            assert coalescer.pending == 0
+
+        self._run(scenario)
+
+    def test_submits_stay_pending_while_a_batch_is_outstanding(self):
+        flushed = []
+
+        async def scenario():
+            coalescer = Coalescer(flush=flushed.append, max_batch=8)
+            coalescer.submit("a")
+            coalescer.submit("b")
+            coalescer.submit("c")
+            assert self._requests(flushed) == [["a"]]
+            assert coalescer.pending == 2
+
+        self._run(scenario)
+
+    def test_release_flushes_the_backlog_as_one_batch(self):
+        flushed = []
+
+        async def scenario():
+            coalescer = Coalescer(flush=flushed.append, max_batch=8)
+            for request in "abc":
+                coalescer.submit(request)
+            assert coalescer.release() == 2
+            assert self._requests(flushed) == [["a"], ["b", "c"]]
+            assert coalescer.pending == 0
+            # Nothing waits behind the second batch: its release leaves
+            # the shard idle, and the next submit flushes at once.
+            assert coalescer.release() == 0
+            coalescer.submit("d")
+            assert self._requests(flushed)[-1] == ["d"]
+
+        self._run(scenario)
 
     def test_flushes_on_max_batch(self):
         flushed = []
 
         async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=10.0, max_batch=3
-            )
-            futures = [coalescer.submit(object()) for _ in range(3)]
-            # max_batch reached: the flush happened synchronously.
-            assert len(flushed) == 1
-            assert len(flushed[0]) == 3
-            assert coalescer.pending == 0
-            for entry in flushed[0]:
-                entry.future.cancel()
-            await asyncio.sleep(0)
-            return futures
+            coalescer = Coalescer(flush=flushed.append, max_batch=3)
+            for request in range(8):
+                coalescer.submit(request)
+            assert coalescer.pending == 7
+            while coalescer.release():
+                pass
+            assert self._requests(flushed) == [[0], [1, 2, 3], [4, 5, 6], [7]]
 
-        self._run(scenario())
+        self._run(scenario)
 
-    def test_flushes_on_window_expiry(self):
-        flushed = []
-
+    def test_shed_flush_frees_the_slot(self):
         async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=0.01, max_batch=100
-            )
-            coalescer.submit(object())
-            coalescer.submit(object())
-            assert flushed == []  # window still open
-            await asyncio.sleep(0.05)
-            assert len(flushed) == 1
-            assert len(flushed[0]) == 2
-            for entry in flushed[0]:
-                entry.future.cancel()
+            loop = asyncio.get_running_loop()
+            shed = []
 
-        self._run(scenario())
+            def flush(batch):
+                # The first flush is refused the way a full shard queue
+                # refuses it: fail the batch, release on the next turn.
+                if not shed:
+                    shed.append(batch)
+                    for entry in batch:
+                        entry.future.set_exception(RuntimeError("shed"))
+                    loop.call_soon(coalescer.release)
+                    return
+                for entry in batch:
+                    entry.future.set_result(entry.request)
 
-    def test_zero_window_flushes_immediately(self):
-        flushed = []
+            coalescer = Coalescer(flush=flush, max_batch=8)
+            refused = coalescer.submit("a")
+            with pytest.raises(RuntimeError, match="shed"):
+                await asyncio.wait_for(refused, timeout=5)
+            served = coalescer.submit("b")
+            assert await asyncio.wait_for(served, timeout=5) == "b"
 
-        async def scenario():
-            coalescer = Coalescer(
-                flush=flushed.append, window_s=0.0, max_batch=100
-            )
-            coalescer.submit(object())
-            assert len(flushed) == 1
-            for entry in flushed[0]:
-                entry.future.cancel()
-
-        self._run(scenario())
+        self._run(scenario)
 
     def test_close_fails_stranded_futures(self):
         async def scenario():
-            coalescer = Coalescer(
-                flush=lambda batch: None, window_s=10.0, max_batch=100
-            )
+            coalescer = Coalescer(flush=lambda batch: None, max_batch=100)
+            coalescer.submit(object())  # outstanding, never released
             future = coalescer.submit(object())
             coalescer.close()
             with pytest.raises(RuntimeError, match="coalescer closed"):
-                await future
+                await asyncio.wait_for(future, timeout=5)
 
-        self._run(scenario())
+        self._run(scenario)
 
 
 @pytest.fixture(scope="module")

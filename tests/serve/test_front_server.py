@@ -7,12 +7,17 @@ hints, batch ordering, admin hot-swap and the observability endpoints.
 
 import http.client
 import json
+import socket
+import sys
 import threading
 
 import pytest
 
+from repro.core.recommendation import RecommendRequest
 from repro.dataio.keys import carrier_key_to_str
+from repro.obs import metrics as obs_metrics
 from repro.serve.front import FrontConfig, ShardSet, serve_in_thread
+from repro.serve.service import RecommendationService
 
 from .conftest import SERVE_PARAMETERS
 
@@ -27,7 +32,6 @@ def front(fitted_engine, rulebook):
         FrontConfig(
             shards=2,
             max_inflight=64,
-            batch_window_ms=1.0,
             parameters=SINGULAR,
         ),
     )
@@ -169,6 +173,30 @@ class TestStructured400s:
         assert status == 400
         assert body["field"] == "requests[1].carrier"
 
+    @pytest.mark.parametrize("length", ["abc", "1.5", "-5"])
+    def test_malformed_content_length_is_a_400(self, front, length):
+        """The body's extent is unknown, so the server answers 400 and
+        closes the connection instead of dropping it unanswered."""
+        _, handle = front
+        with socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=10
+        ) as sock:
+            sock.sendall(
+                b"POST /recommend HTTP/1.1\r\nHost: localhost\r\n"
+                b"Content-Length: " + length.encode() + b"\r\n\r\n{}"
+            )
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        payload = json.loads(body)
+        assert payload["error"] == "invalid_request"
+        assert payload["field"] == "content-length"
+
     def test_unknown_parameter_is_a_500_not_a_hang(self, client, carrier_keys):
         status, body, _ = call(
             client, "POST", "/recommend",
@@ -228,7 +256,6 @@ class TestLoadShedding:
             FrontConfig(
                 shards=1,
                 max_inflight=1,
-                batch_window_ms=0.0,
                 parameters=SINGULAR,
             ),
         )
@@ -269,3 +296,114 @@ class TestLoadShedding:
         finally:
             handle.stop()
             shard_set.stop()
+
+    def test_shard_queue_shed_frees_the_coalescer_slot(
+        self, fitted_engine, rulebook, carrier_keys
+    ):
+        """A /recommend shed by a full shard queue answers 503 and frees
+        the shard's coalescer slot, so the next request is served
+        instead of waiting behind a batch that never ran."""
+        shard_set = ShardSet(
+            fitted_engine, rulebook, shards=1, max_queue=1, warm=False
+        )
+        handle = serve_in_thread(
+            shard_set,
+            FrontConfig(
+                shards=1, max_inflight=8, max_queue=1, parameters=SINGULAR
+            ),
+        )
+        shard = shard_set.shards[0]
+        gate, stalled, drained = (threading.Event() for _ in range(3))
+
+        class _Stall:
+            def __iter__(self):
+                stalled.set()
+                gate.wait(10.0)
+                return iter(())
+
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            shard.submit_batch(_Stall(), lambda *_: None)
+            assert stalled.wait(10.0)
+            shard.submit_batch((), lambda *_: drained.set())  # queue full
+            payload = {"carrier": carrier_keys[0]}
+            status, body, _ = call(conn, "POST", "/recommend", payload)
+            assert status == 503
+            assert body["reason"] == "shard_queue"
+            gate.set()
+            assert drained.wait(10.0)
+            status, body, _ = call(conn, "POST", "/recommend", payload)
+            assert status == 200
+            assert set(body["values"]) == set(SINGULAR)
+        finally:
+            gate.set()
+            conn.close()
+            handle.stop()
+            shard_set.stop()
+
+
+class TestBacklogCoalescing:
+    def test_concurrent_clients_coalesce_without_a_window(
+        self, fitted_engine, rulebook, dataset
+    ):
+        """12 clients on one shard: while a batch is served, the
+        requests behind it form the next one, and every answer equals
+        the engine's answer served directly."""
+        carriers = sorted(dataset.store.carriers())[:24]
+        oracle = RecommendationService(fitted_engine, rulebook)
+        expected = {
+            carrier_key_to_str(carrier_id): oracle.handle(
+                RecommendRequest(carrier_id=carrier_id, parameters=SINGULAR)
+            ).value_map()
+            for carrier_id in carriers
+        }
+        keys = sorted(expected)
+        answers = []
+        lock = threading.Lock()
+        previous_registry = obs_metrics.get_registry()
+        registry = obs_metrics.MetricsRegistry()
+        obs_metrics.set_registry(registry)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        shard_set = ShardSet(fitted_engine, rulebook, shards=1, max_queue=64)
+        handle = serve_in_thread(
+            shard_set,
+            FrontConfig(shards=1, max_inflight=64, parameters=SINGULAR),
+        )
+
+        def client(offset):
+            conn = http.client.HTTPConnection(
+                "127.0.0.1", handle.port, timeout=30
+            )
+            try:
+                for i in range(6):
+                    key = keys[(offset + i) % len(keys)]
+                    status, body, _ = call(
+                        conn, "POST", "/recommend", {"carrier": key}
+                    )
+                    with lock:
+                        answers.append((key, status, body))
+            finally:
+                conn.close()
+
+        try:
+            threads = [
+                threading.Thread(target=client, args=(2 * i,))
+                for i in range(12)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            handle.stop()
+            shard_set.stop()
+            obs_metrics.set_registry(previous_registry)
+        assert len(answers) == 72
+        for key, status, body in answers:
+            assert status == 200, body
+            assert body["values"] == expected[key]
+        coalesced = registry.get("repro_front_coalesced_total").labels()
+        assert coalesced.value > 0

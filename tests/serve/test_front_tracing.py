@@ -45,7 +45,6 @@ def traced_front(fitted_engine, rulebook, tmp_path_factory):
         FrontConfig(
             shards=2,
             max_inflight=64,
-            batch_window_ms=1.0,
             parameters=SINGULAR,
         ),
     )
@@ -265,7 +264,6 @@ class TestShedDigests:
             FrontConfig(
                 shards=1,
                 max_inflight=1,
-                batch_window_ms=0.0,
                 parameters=SINGULAR,
             ),
         )
