@@ -846,6 +846,17 @@ class ColumnarSnapshot:
             self.parameters[spec.name] = columns
         return columns
 
+    def shallow_copy(self) -> "ColumnarSnapshot":
+        """A snapshot sharing every array and column with this one but
+        owning its parameter-column dict, so a refit can re-encode one
+        parameter's columns without touching the snapshot it forked."""
+        copy = ColumnarSnapshot(
+            self.carrier_ids, self.codes, self.vocabs, dict(self.parameters)
+        )
+        copy._carrier_slots = self._carrier_slots
+        copy._backing = self._backing
+        return copy
+
     def fingerprint(self) -> str:
         """A content hash of the encoded snapshot (hex, 16 chars).
 

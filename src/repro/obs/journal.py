@@ -81,7 +81,7 @@ DEFAULT_TAIL = 4096
 #: Events that move a generation counter (everything else annotates the
 #: generation it happened under).
 TRANSITION_EVENTS = frozenset(
-    {"refresh", "full-refit", "hot-swap", "front-start"}
+    {"refresh", "full-refit", "incremental-refit", "hot-swap", "front-start"}
 )
 
 _STREAM_COUNTER = itertools.count(1)
@@ -454,7 +454,7 @@ def _describe(entry: Dict[str, Any]) -> str:
             bits.append(f"refit={kind}")
         refitted = refit.get("refitted") or {}
         if refitted:
-            bits.append(f"full={len(refitted)}")
+            bits.append(f"refitted={len(refitted)}")
         if refit.get("reused_selection"):
             bits.append(f"reused={len(refit['reused_selection'])}")
         if refit.get("skipped"):
@@ -477,12 +477,14 @@ def assemble_timeline(records: Iterable[Dict[str, Any]]) -> Timeline:
     """Reconstruct the generation DAG from journal records.
 
     Transition records (``refresh``, ``hot-swap``, ...) create nodes
-    and parent edges; in-place records (``incremental-refit``,
-    ``push``, ...) attach to the generation they ran under.  A
-    transition whose parent generation has no record of its own is a
-    **gap** — except generation 0, the construction-time state, which
-    is synthesized as an implicit root (services journal nothing at
-    construction; their first refresh references parent 0).
+    and parent edges; in-place records (``incremental-add``,
+    ``push``, ...) attach to the generation they ran under, and so does
+    a transition whose parent is its own generation (a changelog refit
+    that swapped nothing).  A transition whose parent generation has
+    no record of its own is a **gap** — except generation 0, the
+    construction-time state, which is synthesized as an implicit root
+    (services journal nothing at construction; their first refresh
+    references parent 0).
     """
     timeline = Timeline()
     for entry in records:
@@ -505,7 +507,7 @@ def assemble_timeline(records: Iterable[Dict[str, Any]]) -> Timeline:
         if (
             parent is not None
             and int(parent) != node.generation
-            and entry.get("event") in TRANSITION_EVENTS | {"incremental-refit"}
+            and entry.get("event") in TRANSITION_EVENTS
         ):
             node.parent_generation = int(parent)
     # Resolve parent links after every node exists.

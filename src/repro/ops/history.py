@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional
 
 from repro.netmodel.identifiers import CarrierId
 from repro.types import ParameterValue
@@ -115,6 +115,9 @@ class ChangeLog:
 
     def __len__(self) -> int:
         return len(self._records)
+
+    def __iter__(self) -> Iterator[ChangeRecord]:
+        return iter(list(self._records))
 
     def all_records(self) -> List[ChangeRecord]:
         return list(self._records)

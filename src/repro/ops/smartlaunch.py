@@ -43,6 +43,7 @@ from repro.ops.controller import ConfigPushController, PushOutcome, PushResult
 from repro.ops.monitoring import KPIMonitor
 from repro.ops.prechecks import run_prechecks
 from repro.rng import derive
+from repro.serve.refresh import EngineRefresher
 from repro.types import ParameterValue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -353,11 +354,22 @@ class SmartLaunch:
         The third element may be a pre-computed
         :class:`CarrierRecommendation` or, when a service is attached, a
         :class:`NewCarrierRequest` the service resolves at launch time.
+
+        When a service is attached and the controller keeps a
+        changelog, the campaign ends with one refit over the changes it
+        recorded, so the pushed values join the votes once per launch
+        wave (a campaign that changed no model swaps nothing).
         """
+        changelog = self.controller.changelog
+        first = len(changelog) if changelog is not None else 0
         stats = LaunchStats()
         for carrier_id, vendor_config, recommendation in launches:
             resolved, explanation = self._resolve(recommendation)
             stats.add(
                 self.launch(carrier_id, vendor_config, resolved, explanation)
+            )
+        if self.service is not None and changelog is not None:
+            EngineRefresher(self.service).refit(
+                changelog.all_records()[first:], trigger="campaign"
             )
         return stats

@@ -389,7 +389,7 @@ class FrontServer:
     async def _post_swap(self, payload) -> Tuple[int, Dict]:
         payload = payload or {}
         jobs = payload.get("jobs", 1)
-        if not isinstance(jobs, int) or jobs < 0:
+        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 0:
             raise RequestValidationError(
                 "jobs", "expected a non-negative integer"
             )

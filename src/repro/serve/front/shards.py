@@ -12,10 +12,10 @@ lock never contends across shards.
 **Hot swap.**  A refreshed engine enters the tier through a *swap
 sentinel* enqueued on every shard's FIFO queue:
 
-1. the replacement engine is fitted (or loaded) and **warmed** outside
-   every queue — the old services keep serving the whole time
-   (stale-but-available, exactly :meth:`EngineRefresher.full_refit`'s
-   posture);
+1. the replacement engine is refit (:func:`repro.serve.refresh.refit_engine`,
+   or handed in) and **warmed** outside every queue — the old services
+   keep serving the whole time (stale-but-available, exactly
+   :meth:`EngineRefresher.refit`'s posture);
 2. fresh services wrap the new engine, one per shard;
 3. a sentinel lands at the tail of each shard queue.  FIFO order is the
    atomicity argument: every batch enqueued before the sentinel drains
@@ -46,7 +46,7 @@ from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.serve.front.routing import HashRing, shard_key
-from repro.serve.refresh import EngineRefresher, RefreshResult
+from repro.serve.refresh import EngineRefresher, RefreshResult, refit_engine
 from repro.serve.service import DEFAULT_CACHE_SIZE, RecommendationService
 
 __all__ = ["EngineShard", "ShardSet", "SwapReport"]
@@ -285,11 +285,6 @@ class ShardSet:
 
     # -- cache coherence across shards ---------------------------------------
 
-    def notify_change(self, carrier_id: CarrierId, parameter: str) -> None:
-        """Fan a configuration change to every shard's cache."""
-        for service in self._services:
-            service.notify_change(carrier_id, parameter)
-
     def invalidate(self, parameter: Optional[str] = None) -> int:
         """Drop cached votes on every shard; returns entries dropped."""
         return sum(
@@ -322,7 +317,6 @@ class ShardSet:
     def hot_swap(
         self,
         engine: Optional[AuricEngine] = None,
-        parameters: Optional[Sequence[str]] = None,
         jobs: int = 1,
         warm: bool = True,
         trigger: Optional[str] = None,
@@ -330,8 +324,8 @@ class ShardSet:
         """Swap a refreshed engine into every shard with zero downtime.
 
         With ``engine=None`` a full refit runs first on the current
-        snapshot (:meth:`EngineRefresher.full_refit`'s recipe, outside
-        every shard queue) — the old services keep serving throughout.
+        snapshot (:func:`refit_engine`, outside every shard queue) — the
+        old services keep serving throughout.
         The new engine warms, fresh services wrap it, and a FIFO swap
         sentinel lands on each shard queue; see the module docstring
         for the atomicity argument.  ``trigger`` annotates the
@@ -341,12 +335,7 @@ class ShardSet:
             with tracing.span("front.swap", shards=len(self._shards)) as sp:
                 refit_started = time.perf_counter()
                 if engine is None:
-                    old = self._services[0].engine
-                    if parameters is None:
-                        parameters = old.fitted_parameters()
-                    engine = AuricEngine(old.network, old.store, old.config).fit(
-                        parameters, jobs=jobs
-                    )
+                    engine, _ = refit_engine(self._services[0].engine, jobs=jobs)
                 refit_s = time.perf_counter() - refit_started
                 warmed = engine.warm_votes() if warm else 0
 

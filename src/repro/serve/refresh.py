@@ -1,31 +1,33 @@
 """Snapshot refresh for a serving engine.
 
 Networks grow continuously (the paper's opening observation; the
-deployment stream of Table 5), so a long-lived service cannot fit once
-and serve forever.  Two refresh modes are provided:
+deployment stream of Table 5), and SmartLaunch pushes its own
+recommendations back into the network, so a long-lived service cannot
+fit once and serve forever.  Two refresh modes are provided:
 
 * **Incremental add** — when carriers are activated, their configured
   values join the existing vote indexes *without* re-running attribute
   selection.  This is cheap (no chi-square pass) and keeps the learned
-  dependency structure until the next full refit — the degradation
+  dependency structure until the next refit — the degradation
   trade-off real serving systems make.
-* **Incremental refit** — when a changelog names the (carrier,
-  parameter) cells that actually changed, only the touched parameters
-  are refit: their label columns are re-encoded against the mutated
-  store, the vote structures rebuilt vectorized, and chi-square
-  attribute selection re-run *only when the changes could have altered
-  it* — when the capped fit subsample provably never saw a changed
-  sample (and the sample topology is unchanged), the previous selection
-  is reused, which is byte-identical to re-running it because every
-  chi-square builder re-ranks label codes to within-subsample
-  first-appearance order (bijective-recode invariant).  Untouched
-  parameters keep their models, which a full refit would reproduce
-  bit-for-bit anyway.  The equivalence suite asserts the whole engine
-  matches a full refit on the same changelog.
-* **Full refit** — a complete re-fit on the current snapshot, built
-  outside the service lock and swapped in atomically
+* **Refit** — :func:`refit_engine` builds a new engine and
+  :meth:`EngineRefresher.refit` swaps it in atomically
   (:meth:`RecommendationService.refresh_snapshot`), so the stale engine
-  keeps serving until the new one is ready.
+  keeps serving until the new one is ready.  Without a changelog it is
+  a complete re-fit on the current snapshot.  With one (the
+  :class:`~repro.ops.history.ChangeLog` the push controller writes),
+  only the touched parameters are refit: their label columns are
+  re-encoded against the mutated store, the vote structures rebuilt
+  vectorized, and chi-square attribute selection re-run *only when the
+  changes could have altered it* — when the capped fit subsample
+  provably never saw a changed sample (and the sample topology is
+  unchanged), the previous selection is reused, which is byte-identical
+  to re-running it because every chi-square builder re-ranks label
+  codes to within-subsample first-appearance order (bijective-recode
+  invariant).  Untouched parameters share the old engine's models,
+  which a full refit would reproduce bit-for-bit anyway.  The
+  equivalence suite asserts the whole engine matches a full refit on
+  the same changelog.
 
 A refresher constructed with a :class:`repro.store.SnapshotStore` keeps
 the persisted columnar snapshot in step: incremental adds invalidate
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -104,11 +106,11 @@ class RefreshResult:
     #: parameter → number of vote samples added (incremental only).
     added: Dict[str, int] = field(default_factory=dict)
     generation: int = 0
-    #: parameter → number of changed sample positions (incremental
+    #: parameter → number of changed sample positions (changelog
     #: refit only; -1 when the sample topology itself changed).
     refitted: Dict[str, int] = field(default_factory=dict)
     #: touched parameters whose chi-square selection was provably
-    #: unaffected and therefore reused (incremental refit only).
+    #: unaffected and therefore reused (changelog refit only).
     reused_selection: Tuple[str, ...] = ()
     #: touched parameters whose re-encoded columns came out identical
     #: (e.g. a rollback round-trip) — models kept as-is.
@@ -135,11 +137,223 @@ class DriftCheck:
         return self.refreshed is not None
 
 
+def refit_engine(
+    engine: AuricEngine, changes=None, jobs: int = 1
+) -> Tuple[AuricEngine, RefreshResult]:
+    """Build the engine that replaces ``engine`` on its current store.
+
+    With ``changes=None`` this is a full fit of ``engine``'s fitted
+    parameters; ``jobs`` fans it across a process pool.  With a
+    changelog (a :class:`repro.ops.history.ChangeLog` or any iterable
+    of its records) only the touched fitted parameters are refit, on a
+    fork of ``engine`` that shares every other model and the attribute
+    arrays.  Each touched parameter's label column is re-encoded
+    against the mutated store and one of three things happens:
+
+    * the re-encoded column is value-identical (e.g. a rollback
+      round-trip) — the model is kept;
+    * the sample topology is unchanged and every changed position falls
+      outside the deterministic chi-square fit subsample — the previous
+      attribute selection is **reused** (provably identical to
+      re-running it, see the module docstring) and only the vote
+      structures are rebuilt;
+    * otherwise selection re-runs for that one parameter.
+
+    Either way the new engine is byte-identical to a full fit on the
+    same store, and ``engine`` itself is never modified.  When no model
+    changed, the returned engine *is* ``engine``.  The returned result
+    reports the per-parameter paths; its ``generation`` is the caller's
+    to set.  Refit models are unweighted: a model fitted with
+    performance-feedback vote weights loses them when it is refit.
+    """
+    started = time.perf_counter()
+    if changes is None:
+        fresh = AuricEngine(engine.network, engine.store, engine.config).fit(
+            engine.fitted_parameters(), jobs=jobs
+        )
+        return fresh, RefreshResult(
+            mode="full", duration_s=time.perf_counter() - started
+        )
+    models = engine.fitted_models()
+    fork = _fork(engine)
+    refitted: Dict[str, int] = {}
+    reused: List[str] = []
+    skipped: List[str] = []
+    for name in sorted({record.parameter for record in changes}):
+        model = models.get(name)
+        if model is None:
+            continue  # not served; nothing fitted to refresh
+        new_model, changed_count, reuse = _refit_parameter(
+            fork, engine.catalog.spec(name), model
+        )
+        if new_model is None:
+            skipped.append(name)
+            continue
+        fork.install_model(name, new_model)
+        _patch_baseline(fork, name)
+        refitted[name] = changed_count
+        if reuse:
+            reused.append(name)
+    result = RefreshResult(
+        mode="incremental-refit",
+        duration_s=time.perf_counter() - started,
+        refitted=refitted,
+        reused_selection=tuple(reused),
+        skipped=tuple(skipped),
+    )
+    return (fork if refitted else engine), result
+
+
+def _fork(engine: AuricEngine) -> AuricEngine:
+    """A new engine sharing ``engine``'s models, attribute arrays and
+    lineage, but owning its model dict, parameter-column dict and drift
+    baseline — what a changelog refit edits instead of ``engine``."""
+    fork = AuricEngine(engine.network, engine.store, engine.config)
+    for name, model in engine.fitted_models().items():
+        fork.install_model(name, model)
+    snapshot = engine.columnar_snapshot()
+    if snapshot is not None:
+        fork.attach_columnar(snapshot.shallow_copy())
+    baseline = engine.drift_baseline
+    if baseline is not None:
+        fork.drift_baseline = replace(
+            baseline, parameters=dict(baseline.parameters)
+        )
+    fork.lineage = engine.lineage
+    return fork
+
+
+def _refit_parameter(
+    engine: AuricEngine,
+    spec: ParameterSpec,
+    old_model: _ParameterModel,
+) -> Tuple[Optional[_ParameterModel], int, bool]:
+    """Refit one touched parameter; ``(model, changed, reused)``.
+
+    ``model`` is ``None`` when the mutated store encodes to columns
+    value-identical to the fitted ones (keep the old model);
+    ``changed`` counts changed sample positions (-1 when the topology
+    itself changed); ``reused`` flags a reused selection.
+    """
+    snapshot = engine.columnar_snapshot()
+    old_columns = (
+        snapshot.parameters.get(spec.name) if snapshot is not None else None
+    )
+    # Re-encode this parameter's label column against the mutated
+    # store (the attribute matrix is untouched by config changes).
+    engine.invalidate_columnar(spec.name)
+    new_columns = engine.ensure_columnar([spec]).parameter(spec.name)
+    changed = _changed_positions(old_columns, old_model, new_columns, engine)
+    if changed is not None and len(changed) == 0:
+        return None, 0, False
+    if changed is not None:
+        picked = engine._fit_sample_positions(spec.name, len(new_columns))
+        if picked is not None and not np.isin(changed, picked).any():
+            # Selection only ever saw the picked subsample, whose
+            # labels (and all attribute codes) are unchanged — the
+            # chi-square pass would reproduce the old outcome bit for
+            # bit, so skip straight to the vote rebuild.
+            model = engine._build_columnar_model(
+                spec, old_model.dependent_columns, old_model.dependent_stats
+            )
+            return model, int(len(changed)), True
+    return (
+        engine._fit_parameter(spec),
+        int(len(changed)) if changed is not None else -1,
+        False,
+    )
+
+
+def _changed_positions(
+    old_columns: Optional[ParameterColumns],
+    old_model: _ParameterModel,
+    new_columns: ParameterColumns,
+    engine: AuricEngine,
+) -> Optional[np.ndarray]:
+    """Sample positions whose configured value changed, or ``None``
+    when the topology (which targets exist) changed too."""
+    n = len(new_columns)
+    new_labels = np.asarray(new_columns.label_vocab, dtype=object)[
+        new_columns.label_codes
+    ]
+    if old_columns is not None:
+        if len(old_columns) != n:
+            return None
+        if not np.array_equal(old_columns.sources, new_columns.sources):
+            return None
+        if (old_columns.neighbors is None) != (new_columns.neighbors is None):
+            return None
+        if old_columns.neighbors is not None and not np.array_equal(
+            old_columns.neighbors, new_columns.neighbors
+        ):
+            return None
+        old_labels = np.asarray(old_columns.label_vocab, dtype=object)[
+            old_columns.label_codes
+        ]
+    else:
+        # No encoded column to compare against (an engine loaded from
+        # a memory artifact, or a column dropped by incremental_add):
+        # reconstruct the fitted labels from the model's samples, which
+        # are stored in the same sorted-key order the encoder uses.
+        samples = old_model.samples
+        if len(samples) != n:
+            return None
+        carrier_ids = engine.columnar_snapshot().carrier_ids
+        if list(samples.keys()) != new_columns.keys(carrier_ids):
+            return None
+        old_labels = np.asarray(
+            [label for _, label in samples.values()], dtype=object
+        )
+    return np.nonzero(old_labels != new_labels)[0]
+
+
+def _patch_baseline(engine: AuricEngine, name: str) -> None:
+    """Re-capture one parameter's drift-baseline distribution.
+
+    Exactly what :meth:`repro.obs.health.DriftBaseline.capture` records
+    for the parameter — attributes and carrier count are untouched by
+    configuration changes.
+    """
+    baseline = engine.drift_baseline
+    if baseline is None:
+        return
+    counts: Dict[str, float] = {}
+    for values in (
+        engine.store.singular_values(name),
+        engine.store.pairwise_values(name),
+    ):
+        for value in values.values():
+            key = str(value)
+            counts[key] = counts.get(key, 0.0) + 1.0
+    if counts:
+        baseline.parameters[name] = counts
+
+
+def _count_changelog_refit(result: RefreshResult) -> None:
+    """Feed the ``repro_store_*refit*`` counters for one changelog refit."""
+    obs_metrics.counter(
+        "repro_store_incremental_refit_total",
+        "Changelog-scoped incremental refits",
+    ).inc(1.0)
+    obs_metrics.counter(
+        "repro_store_refit_parameters_total",
+        "Parameters refit by incremental refits",
+    ).inc(float(len(result.refitted)))
+    obs_metrics.counter(
+        "repro_store_selection_reused_total",
+        "Chi-square selections reused across incremental refits",
+    ).inc(float(len(result.reused_selection)))
+    obs_metrics.counter(
+        "repro_store_refit_samples_total",
+        "Changed sample positions handled by incremental refits",
+    ).inc(float(sum(c for c in result.refitted.values() if c > 0)))
+
+
 class EngineRefresher:
     """Keeps a service's engine in step with a growing network.
 
     With ``auto_refit`` on, :meth:`check_drift` escalates a stale drift
-    verdict straight into :meth:`full_refit`; the default merely
+    verdict straight into a full :meth:`refit`; the default merely
     *recommends*, leaving the refit decision to the operator (the
     paper's §6 posture: automation proposes, humans approve).
     """
@@ -190,7 +404,7 @@ class EngineRefresher:
         )
         if not self.auto_refit:
             return DriftCheck(report=report, refit_recommended=True)
-        result = self.full_refit(jobs=jobs, trigger="drift", drift_report=report)
+        result = self.refit(jobs=jobs, trigger="drift", drift_report=report)
         return DriftCheck(
             report=report, refit_recommended=True, refreshed=result
         )
@@ -301,313 +515,88 @@ class EngineRefresher:
             return active is None or pair.carrier in active
         return False
 
-    def incremental_refit(
-        self, changes, jobs: int = 1, trigger: Optional[str] = None
-    ) -> RefreshResult:
-        """Refit exactly the parameters a changelog touched.
-
-        ``changes`` is a :class:`repro.ops.history.ChangeLog` (or any
-        iterable of :class:`~repro.ops.history.ChangeRecord`).  For each
-        touched fitted parameter the label column is re-encoded against
-        the mutated store and one of three things happens:
-
-        * the re-encoded column is value-identical (e.g. a rollback
-          round-trip) — the model is kept untouched;
-        * the sample topology is unchanged and every changed position
-          falls outside the deterministic chi-square fit subsample — the
-          previous attribute selection is **reused** (provably identical
-          to re-running it, see the module docstring) and only the vote
-          structures are rebuilt;
-        * otherwise selection re-runs for that one parameter.
-
-        Untouched parameters are never re-encoded or refit.  The result
-        is byte-identical to :meth:`full_refit` over the same store —
-        asserted by the equivalence suite — at a cost proportional to
-        the touched (carrier, parameter) cells, not the network.
-
-        Like :meth:`full_refit`, refit models are unweighted; a model
-        fitted with performance-feedback vote weights loses them for
-        the touched parameters.
-        """
-        records = (
-            changes.all_records() if hasattr(changes, "all_records")
-            else list(changes)
-        )
-        started = time.perf_counter()
-        with tracing.span(
-            "refresh.incremental_refit", changes=len(records)
-        ) as sp:
-            engine = self.service.engine
-            touched: Dict[str, Set[CarrierId]] = {}
-            for record in records:
-                touched.setdefault(record.parameter, set()).add(
-                    record.carrier_id
-                )
-            models = engine.fitted_models()
-            refitted: Dict[str, int] = {}
-            reused: List[str] = []
-            skipped: List[str] = []
-            for name in sorted(touched):
-                model = models.get(name)
-                if model is None:
-                    continue  # not served; nothing fitted to refresh
-                spec = engine.catalog.spec(name)
-                new_model, changed_count, reuse = self._refit_parameter(
-                    engine, spec, model
-                )
-                if new_model is None:
-                    skipped.append(name)
-                    continue
-                engine.install_model(name, new_model)
-                self.service.invalidate(name)
-                self._patch_baseline(engine, name)
-                refitted[name] = changed_count
-                if reuse:
-                    reused.append(name)
-            if refitted and self.snapshot_store is not None:
-                snapshot = engine.columnar_snapshot()
-                if snapshot is not None:
-                    self.snapshot_store.persist(snapshot)
-            duration = time.perf_counter() - started
-            self.service.metrics.record_refresh(duration)
-            obs_metrics.counter(
-                "repro_store_incremental_refit_total",
-                "Changelog-scoped incremental refits",
-            ).inc(1.0)
-            obs_metrics.counter(
-                "repro_store_refit_parameters_total",
-                "Parameters refit by incremental refits",
-            ).inc(float(len(refitted)))
-            obs_metrics.counter(
-                "repro_store_selection_reused_total",
-                "Chi-square selections reused across incremental refits",
-            ).inc(float(len(reused)))
-            obs_metrics.counter(
-                "repro_store_refit_samples_total",
-                "Changed sample positions handled by incremental refits",
-            ).inc(float(sum(c for c in refitted.values() if c > 0)))
-            sp.set("parameters", len(refitted))
-            sp.set("reused_selection", len(reused))
-            # In-place event: incremental refit mutates models under
-            # the same serving generation (parent == generation), so
-            # the timeline annotates the node rather than adding an
-            # edge.  The per-parameter path taken is the record's core.
-            obs_journal.record(
-                "incremental-refit",
-                scope="service",
-                stream=self.service.journal_stream,
-                generation=self.service.generation,
-                parent_generation=self.service.generation,
-                trigger=trigger or "changelog",
-                refit={
-                    "kind": "incremental",
-                    "refitted": dict(refitted),
-                    "reused_selection": list(reused),
-                    "skipped": list(skipped),
-                },
-                duration_s=duration,
-                changes=len(records),
-            )
-            logger.info(
-                "incremental refit applied",
-                extra={
-                    "changes": len(records),
-                    "parameters": len(refitted),
-                    "selection_reused": len(reused),
-                    "unchanged": len(skipped),
-                    "duration_s": round(duration, 6),
-                },
-            )
-            return RefreshResult(
-                mode="incremental-refit",
-                duration_s=duration,
-                generation=self.service.generation,
-                refitted=refitted,
-                reused_selection=tuple(reused),
-                skipped=tuple(skipped),
-            )
-
-    def _refit_parameter(
+    def refit(
         self,
-        engine: AuricEngine,
-        spec: ParameterSpec,
-        old_model: _ParameterModel,
-    ) -> Tuple[Optional[_ParameterModel], int, bool]:
-        """Refit one touched parameter; ``(model, changed, reused)``.
-
-        ``model`` is ``None`` when the mutated store encodes to columns
-        value-identical to the fitted ones (keep the old model);
-        ``changed`` counts changed sample positions (-1 when the
-        topology itself changed); ``reused`` flags a reused selection.
-        """
-        snapshot = engine.columnar_snapshot()
-        old_columns = (
-            snapshot.parameters.get(spec.name)
-            if snapshot is not None
-            else None
-        )
-        # Re-encode this parameter's label column against the mutated
-        # store (the attribute matrix is untouched by config changes).
-        engine.invalidate_columnar(spec.name)
-        new_columns = engine.ensure_columnar([spec]).parameter(spec.name)
-        changed = self._changed_positions(
-            old_columns, old_model, new_columns, engine
-        )
-        if changed is not None and len(changed) == 0:
-            return None, 0, False
-        if changed is not None:
-            picked = engine._fit_sample_positions(
-                spec.name, len(new_columns)
-            )
-            if picked is not None and not np.isin(changed, picked).any():
-                # Selection only ever saw the picked subsample, whose
-                # labels (and all attribute codes) are unchanged — the
-                # chi-square pass would reproduce the old outcome bit
-                # for bit, so skip straight to the vote rebuild.
-                model = engine._build_columnar_model(
-                    spec,
-                    old_model.dependent_columns,
-                    old_model.dependent_stats,
-                )
-                return model, int(len(changed)), True
-        return (
-            engine._fit_parameter(spec),
-            int(len(changed)) if changed is not None else -1,
-            False,
-        )
-
-    @staticmethod
-    def _changed_positions(
-        old_columns: Optional[ParameterColumns],
-        old_model: _ParameterModel,
-        new_columns: ParameterColumns,
-        engine: AuricEngine,
-    ) -> Optional[np.ndarray]:
-        """Sample positions whose configured value changed, or ``None``
-        when the topology (which targets exist) changed too."""
-        n = len(new_columns)
-        new_labels = np.asarray(new_columns.label_vocab, dtype=object)[
-            new_columns.label_codes
-        ]
-        if old_columns is not None:
-            if len(old_columns) != n:
-                return None
-            if not np.array_equal(old_columns.sources, new_columns.sources):
-                return None
-            if (old_columns.neighbors is None) != (
-                new_columns.neighbors is None
-            ):
-                return None
-            if old_columns.neighbors is not None and not np.array_equal(
-                old_columns.neighbors, new_columns.neighbors
-            ):
-                return None
-            old_labels = np.asarray(old_columns.label_vocab, dtype=object)[
-                old_columns.label_codes
-            ]
-        else:
-            # The columns were already invalidated (service.notify_change
-            # drops them on every push): reconstruct the fitted labels
-            # from the model's samples, which are stored in the same
-            # sorted-key order the encoder uses.
-            samples = old_model.samples
-            if len(samples) != n:
-                return None
-            snapshot = engine.columnar_snapshot()
-            if list(samples.keys()) != new_columns.keys(
-                snapshot.carrier_ids
-            ):
-                return None
-            old_labels = np.asarray(
-                [label for _, label in samples.values()], dtype=object
-            )
-        return np.nonzero(old_labels != new_labels)[0]
-
-    @staticmethod
-    def _patch_baseline(engine: AuricEngine, name: str) -> None:
-        """Re-capture one parameter's drift-baseline distribution.
-
-        Exactly what :meth:`repro.obs.health.DriftBaseline.capture`
-        records for the parameter, patched in place — attributes and
-        carrier count are untouched by configuration changes.
-        """
-        baseline = engine.drift_baseline
-        if baseline is None:
-            return
-        counts: Dict[str, float] = {}
-        for values in (
-            engine.store.singular_values(name),
-            engine.store.pairwise_values(name),
-        ):
-            for value in values.values():
-                key = str(value)
-                counts[key] = counts.get(key, 0.0) + 1.0
-        if counts:
-            baseline.parameters[name] = counts
-
-    def full_refit(
-        self,
-        parameters: Optional[Sequence[str]] = None,
+        changes=None,
         jobs: int = 1,
         trigger: Optional[str] = None,
         drift_report: Optional[DriftReport] = None,
     ) -> RefreshResult:
-        """Re-fit from scratch on the current snapshot and swap it in.
+        """Refit the serving engine and swap the new one in.
 
-        Attribute selection runs again, so dependency structure learned
-        incrementally-stale models are replaced.  The old engine serves
-        until the swap (stale-but-available).  ``jobs`` fans the
-        per-parameter fits across a process pool (the refit happens
-        outside the service lock, so parallel workers never contend
-        with serving traffic).
+        ``changes=None`` refits every fitted parameter from scratch;
+        a changelog refits only the parameters it touched (see
+        :func:`refit_engine`).  The new engine is built while the old
+        one keeps serving (stale-but-available), then
+        :meth:`RecommendationService.refresh_snapshot` swaps it in: the
+        generation bumps and the vote cache clears.  A changelog refit
+        that changed no model swaps nothing and keeps the generation.
 
         ``trigger`` and ``drift_report`` annotate the lifecycle-journal
         record — :meth:`check_drift` passes them so the journal ties the
         new generation to the drift scores that caused it.
         """
+        records = None if changes is None else list(changes)
         started = time.perf_counter()
-        with tracing.span("refresh.full", jobs=jobs) as sp:
+        span_name = (
+            "refresh.full" if records is None else "refresh.incremental_refit"
+        )
+        with tracing.span(span_name, jobs=jobs) as sp:
             old = self.service.engine
-            if parameters is None:
-                parameters = old.fitted_parameters()
-            sp.set("parameters", len(parameters))
-            fresh = AuricEngine(old.network, old.store, old.config).fit(
-                parameters, jobs=jobs
-            )
-            generation = self.service.refresh_snapshot(fresh)
-            if self.snapshot_store is not None:
-                snapshot = fresh.columnar_snapshot()
-                if snapshot is not None:
+            engine, result = refit_engine(old, records, jobs=jobs)
+            swapped = engine is not old
+            generation = self.service.generation
+            if swapped:
+                generation = self.service.refresh_snapshot(engine)
+                snapshot = engine.columnar_snapshot()
+                if self.snapshot_store is not None and snapshot is not None:
                     self.snapshot_store.persist(snapshot)
             duration = time.perf_counter() - started
             self.service.metrics.record_refresh(duration)
+            sp.set("swapped", swapped)
+            if records is None:
+                event, default_trigger = "full-refit", "manual"
+                refit = {"kind": "full"}
+                attrs = {
+                    "parameters": len(engine.fitted_parameters()),
+                    "jobs": jobs,
+                    "engine_stream": engine.lineage,
+                }
+            else:
+                _count_changelog_refit(result)
+                event, default_trigger = "incremental-refit", "changelog"
+                refit = {
+                    "kind": "incremental",
+                    "refitted": dict(result.refitted),
+                    "reused_selection": list(result.reused_selection),
+                    "skipped": list(result.skipped),
+                }
+                attrs = {"changes": len(records)}
             obs_journal.record(
-                "full-refit",
+                event,
                 scope="service",
                 stream=self.service.journal_stream,
                 generation=generation,
-                parent_generation=generation - 1,
-                trigger=trigger or "manual",
+                parent_generation=generation - 1 if swapped else generation,
+                trigger=trigger or default_trigger,
                 drift=_drift_payload(drift_report),
-                refit={"kind": "full"},
+                refit=refit,
                 duration_s=duration,
-                parameters=len(parameters),
-                jobs=jobs,
-                engine_stream=fresh.lineage,
+                **attrs,
             )
             logger.info(
-                "full refit swapped in",
+                "refit applied",
                 extra={
-                    "parameters": len(parameters),
+                    "mode": result.mode,
+                    "swapped": swapped,
                     "generation": generation,
-                    "jobs": jobs,
+                    "refitted": len(result.refitted),
+                    "selection_reused": len(result.reused_selection),
+                    "unchanged": len(result.skipped),
                     "duration_s": round(duration, 6),
                 },
             )
-            return RefreshResult(
-                mode="full", duration_s=duration, generation=generation
-            )
-
+            return replace(result, duration_s=duration, generation=generation)
 
 class GrowthReplay:
     """Replay a deployment timeline into a serving engine.

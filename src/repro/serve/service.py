@@ -25,9 +25,8 @@ Design points:
   carry the snapshot generation, which makes every pre-swap entry
   unreachable the moment the snapshot refreshes; entries are spread
   over independently locked LRU stripes so concurrent readers rarely
-  contend on the same stripe lock.  Per-parameter invalidation (a
-  :class:`~repro.ops.history.ChangeLog` entry) is O(entries dropped)
-  via a per-parameter key index.
+  contend on the same stripe lock.  Per-parameter invalidation is
+  O(entries dropped) via a per-parameter key index.
 * **Batched serving.** ``handle_batch`` reads the engine state once
   and serves each request of the micro-batch through the per-request
   path against it, so one batch is answered by one generation.  The
@@ -58,7 +57,7 @@ from repro.core.recommendation import (
     RecommendRequest,
     RecommendResult,
 )
-from repro.exceptions import RecommendationError, UnknownParameterError
+from repro.exceptions import RecommendationError
 from repro.netmodel.identifiers import CarrierId
 from repro.obs import journal as obs_journal
 from repro.obs import tracing
@@ -642,23 +641,6 @@ class RecommendationService:
                 dropped = self._cache.drop_parameter(parameter)
         self.metrics.record_invalidation(dropped)
         return dropped
-
-    def notify_change(self, carrier_id: CarrierId, parameter: str) -> None:
-        """A configuration change landed (e.g. a ChangeLog entry): the
-        electorate for ``parameter`` shifted, so its cached votes are
-        stale.  Unknown parameters are ignored — the change cannot have
-        been cached."""
-        try:
-            with self._write_lock:
-                engine = self._state.engine
-                engine.catalog.spec(parameter)
-                # The configured value changed under the snapshot: the
-                # parameter's encoded label column is stale alongside the
-                # cached votes.
-                engine.invalidate_columnar(parameter)
-        except UnknownParameterError:
-            return
-        self.invalidate(parameter)
 
     def refresh_snapshot(self, engine: AuricEngine) -> int:
         """Atomically swap in a newly fitted engine (new snapshot).

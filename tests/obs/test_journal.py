@@ -214,6 +214,33 @@ class TestTimeline:
         assert timeline.node("service", "svc-1", 0).implicit
         assert timeline.node("service", "svc-1", 2).parent_generation == 1
 
+    def test_changelog_refit_adds_an_edge_only_when_it_swaps(self):
+        swapped = assemble_timeline([
+            {"event": "incremental-refit", "scope": "service",
+             "stream": "svc-1", "generation": 1, "parent_generation": 0},
+        ])
+        assert swapped.node("service", "svc-1", 1).parent_generation == 0
+        assert swapped.node("service", "svc-1", 0).implicit
+        kept = assemble_timeline([
+            {"event": "incremental-refit", "scope": "service",
+             "stream": "svc-1", "generation": 0, "parent_generation": 0},
+        ])
+        assert sorted(kept.streams[("service", "svc-1")]) == [0]
+        assert kept.node("service", "svc-1", 0).parent_generation is None
+        assert kept.complete
+
+    def test_render_counts_refitted_not_full(self):
+        """``refitted`` also counts parameters whose selection was
+        reused, so the label must not call them full refits."""
+        text = assemble_timeline([
+            {"event": "incremental-refit", "scope": "service",
+             "stream": "svc-1", "generation": 1, "parent_generation": 0,
+             "refit": {"kind": "incremental", "refitted": {"pMax": 3},
+                       "reused_selection": ["pMax"], "skipped": []}},
+        ]).render()
+        assert "refit=incremental  refitted=1  reused=1" in text
+        assert "full=" not in text
+
     def test_missing_parent_is_a_gap(self):
         records = [
             {"event": "hot-swap", "scope": "front", "stream": "front-1",

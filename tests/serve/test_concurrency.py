@@ -2,8 +2,8 @@
 
 The serving layer's thread-safety claims, tested the unpleasant way —
 a thread pool fires ``handle()`` traffic while other threads
-continuously ``invalidate()``, ``notify_change()`` and hot-swap the
-tier.  The invariants:
+continuously ``invalidate()``, swap engines under the service and
+hot-swap the tier.  The invariants:
 
 * every request completes (no deadlock, no exception),
 * every answer equals the single-threaded baseline — cache churn and
@@ -68,10 +68,7 @@ class TestServiceHammer:
                     elif action < 0.8:
                         service.invalidate(rng.choice(SINGULAR))
                     else:
-                        request = rng.choice(hammer_requests)
-                        service.notify_change(
-                            request.carrier_id, rng.choice(SINGULAR)
-                        )
+                        service.refresh_snapshot(fitted_engine)
                 except BaseException as exc:  # noqa: BLE001
                     chaos_errors.append(exc)
                     return
@@ -97,15 +94,6 @@ class TestServiceHammer:
         for index, answer in enumerate(answers):
             assert answer == baseline[index % len(baseline)]
 
-    def test_notify_change_unknown_parameter_is_ignored(
-        self, fitted_engine, rulebook, hammer_requests
-    ):
-        service = RecommendationService(fitted_engine, rulebook)
-        service.handle(hammer_requests[0])
-        cached = service.cache_len()
-        service.notify_change(hammer_requests[0].carrier_id, "noSuchParameter")
-        assert service.cache_len() == cached
-
 
 class TestShardSetHammer:
     def test_handle_vs_hot_swap(
@@ -119,9 +107,7 @@ class TestShardSetHammer:
 
             def swapper():
                 for _ in range(2):
-                    report = shard_set.hot_swap(
-                        parameters=list(SERVE_PARAMETERS)
-                    )
+                    report = shard_set.hot_swap()
                     swaps_done.append(report.generation)
                     shard_set.invalidate()
 

@@ -299,7 +299,7 @@ class TestShardSet:
         shard = shard_set.shard_for(request)
         before = _submit_and_wait(shard, [request])[0]
         generation = shard_set.generation
-        report = shard_set.hot_swap(parameters=list(SERVE_PARAMETERS))
+        report = shard_set.hot_swap()
         assert report.generation == generation + 1
         assert shard_set.generation == generation + 1
         assert report.shards == 2

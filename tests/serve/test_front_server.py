@@ -236,6 +236,14 @@ class TestAdminSwap:
         assert status == 400
         assert body["field"] == "jobs"
 
+    @pytest.mark.parametrize("jobs", [True, False], ids=["true", "false"])
+    def test_swap_rejects_boolean_jobs(self, client, jobs):
+        """JSON booleans are Python ints; ``false`` would read as 0,
+        which means "all cores"."""
+        status, body, _ = call(client, "POST", "/admin/swap", {"jobs": jobs})
+        assert status == 400
+        assert body["field"] == "jobs"
+
     def test_invalidate_endpoint(self, client, carrier_keys):
         call(client, "POST", "/recommend", {"carrier": carrier_keys[0]})
         status, body, _ = call(client, "POST", "/admin/invalidate", {})

@@ -1,11 +1,12 @@
-"""Incremental refit: byte-identical to a full refit over the same
+"""Changelog refit: byte-identical to a full refit over the same
 changelog, at a cost scoped to the touched (carrier, parameter) cells.
 
-The hard contract: after ``EngineRefresher.incremental_refit(changes)``
-every fitted model must equal — including Counter insertion order,
-float vote sums and chi-square provenance — what a from-scratch
-``AuricEngine(...).fit(...)`` on the mutated store produces.  Four
-paths are covered:
+The hard contract: after ``EngineRefresher.refit(changes)`` every
+fitted model of the serving engine must equal — including Counter
+insertion order, float vote sums and chi-square provenance — what a
+from-scratch ``AuricEngine(...).fit(...)`` on the mutated store
+produces, and the engine it replaced must be left exactly as it was.
+Four paths are covered:
 
 * changed labels, no fit-subsample cap → per-parameter selection re-runs;
 * changed labels all *outside* the capped fit subsample → the previous
@@ -19,6 +20,7 @@ paths are covered:
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.core import AuricEngine
@@ -89,12 +91,13 @@ class TestEquivalence:
         store, engine, service, refresher = build(dataset, config)
         log = ChangeLog()
         flip_values(store, "pMax", 5, log)
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert result.mode == "incremental-refit"
         assert result.refitted == {"pMax": 5}
         assert result.reused_selection == ()
+        assert result.generation == service.generation == 1
         assert_engines_identical(
-            engine, full_refit_reference(dataset, store, config)
+            service.engine, full_refit_reference(dataset, store, config)
         )
 
     def test_selection_reuse_matches_full(self, dataset):
@@ -106,9 +109,9 @@ class TestEquivalence:
         store, engine, service, refresher = build(dataset, config)
         log = ChangeLog()
         flip_values(store, "pMax", 3, log)
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert_engines_identical(
-            engine, full_refit_reference(dataset, store, config)
+            service.engine, full_refit_reference(dataset, store, config)
         )
         if result.reused_selection:
             assert result.reused_selection == ("pMax",)
@@ -122,9 +125,12 @@ class TestEquivalence:
         }
         log = ChangeLog()
         flip_values(store, "pMax", 4, log, revert=True)
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert result.skipped == ("pMax",)
         assert result.refitted == {}
+        # Nothing changed: nothing is swapped in.
+        assert service.engine is engine
+        assert result.generation == service.generation == 0
         after = {
             name: model_state(m)
             for name, m in engine.fitted_models().items()
@@ -145,10 +151,10 @@ class TestEquivalence:
         log = ChangeLog()
         store.set_singular(missing[0], "pMax", value)
         log.record(missing[0], "pMax", None, value, ChangeSource.MANUAL)
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert result.refitted == {"pMax": -1}
         assert_engines_identical(
-            engine, full_refit_reference(dataset, store, config)
+            service.engine, full_refit_reference(dataset, store, config)
         )
 
     def test_untouched_parameters_keep_their_models(self, dataset):
@@ -160,9 +166,52 @@ class TestEquivalence:
         }
         log = ChangeLog()
         flip_values(store, "pMax", 2, log)
-        refresher.incremental_refit(log)
+        refresher.refit(log)
         for name, model in untouched.items():
-            assert engine.fitted_models()[name] is model
+            assert service.engine.fitted_models()[name] is model
+
+
+class TestReplacedEngine:
+    """A refit builds a new engine; the one it replaces — which readers
+    that loaded it before the swap are still voting on — never moves."""
+
+    @pytest.mark.parametrize("cap", [None, 40], ids=["uncapped", "capped"])
+    def test_refit_never_mutates_the_engine_it_replaces(self, dataset, cap):
+        store, old, service, refresher = build(
+            dataset, AuricConfig(max_fit_samples=cap)
+        )
+        states = {
+            name: model_state(m) for name, m in old.fitted_models().items()
+        }
+        models = old.fitted_models()
+        columns = old.columnar_snapshot().parameters["pMax"]
+        label_codes = columns.label_codes.copy()
+        baseline = dict(old.drift_baseline.parameters["pMax"])
+        log = ChangeLog()
+        flip_values(store, "pMax", 5, log)
+        result = refresher.refit(log)
+        assert result.refitted["pMax"] == 5
+        assert service.engine is not old
+        assert service.generation == 1
+        assert sorted(old.fitted_models()) == sorted(models)
+        for name, model in old.fitted_models().items():
+            assert model is models[name]
+            assert model_state(model) == states[name], name
+        assert old.columnar_snapshot().parameters["pMax"] is columns
+        np.testing.assert_array_equal(columns.label_codes, label_codes)
+        assert old.drift_baseline.parameters["pMax"] == baseline
+        new_models = service.engine.fitted_models()
+        assert new_models["pMax"] is not models["pMax"]
+        for name in ("inactivityTimer", "hysA3Offset"):
+            assert new_models[name] is models[name]
+
+    def test_rollback_round_trip_swaps_nothing(self, dataset):
+        store, old, service, refresher = build(dataset, AuricConfig())
+        log = ChangeLog()
+        flip_values(store, "pMax", 4, log, revert=True)
+        refresher.refit(log)
+        assert service.engine is old
+        assert service.generation == 0
 
 
 def assert_models_equal_by_value(a, b):
@@ -186,8 +235,8 @@ def assert_models_equal_by_value(a, b):
 
 class TestLoadedEngine:
     """An engine loaded from a memory artifact holds no encoded
-    snapshot; its first incremental refit encodes one and must still
-    match a full refit."""
+    snapshot; the first changelog refit encodes one for the new engine
+    and must still match a full refit."""
 
     @pytest.mark.parametrize("cap", [None, 40], ids=["uncapped", "capped"])
     def test_refit_without_snapshot_matches_full(self, dataset, tmp_path, cap):
@@ -199,14 +248,16 @@ class TestLoadedEngine:
         )
         engine = load_engine(path, dataset.network, store)
         assert engine.columnar_snapshot() is None
-        refresher = EngineRefresher(RecommendationService(engine))
+        service = RecommendationService(engine)
+        refresher = EngineRefresher(service)
         log = ChangeLog()
         flip_values(store, "pMax", 5, log)
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert result.refitted == {"pMax": 5}
-        assert engine.columnar_snapshot() is not None
+        assert service.engine.columnar_snapshot() is not None
+        assert engine.columnar_snapshot() is None
         full = full_refit_reference(dataset, store, config)
-        a, b = engine.fitted_models(), full.fitted_models()
+        a, b = service.engine.fitted_models(), full.fitted_models()
         assert sorted(a) == sorted(b)
         for name in sorted(a):
             assert_models_equal_by_value(a[name], b[name])
@@ -225,7 +276,7 @@ class TestServiceIntegration:
         assert service.cache_len() > 0
         log = ChangeLog()
         flip_values(store, "pMax", 1, log)
-        refresher.incremental_refit(log)
+        refresher.refit(log)
         assert service.cache_len() == 0
 
     def test_drift_baseline_tracks_refit(self, dataset):
@@ -235,10 +286,10 @@ class TestServiceIntegration:
         store, engine, service, refresher = build(dataset, config)
         log = ChangeLog()
         flip_values(store, "pMax", 5, log)
-        refresher.incremental_refit(log)
+        refresher.refit(log)
         fresh = full_refit_reference(dataset, store, config)
         assert (
-            engine.drift_baseline.parameters["pMax"]
+            service.engine.drift_baseline.parameters["pMax"]
             == fresh.drift_baseline.parameters["pMax"]
         )
 
@@ -249,12 +300,10 @@ class TestServiceIntegration:
         refresher = EngineRefresher(service, snapshot_store=snapshot_store)
         log = ChangeLog()
         flip_values(store, "pMax", 2, log)
-        refresher.incremental_refit(log)
+        refresher.refit(log)
         persisted = snapshot_store.load()
         assert persisted is not None
-        live = engine.columnar_snapshot()
-        import numpy as np
-
+        live = service.engine.columnar_snapshot()
         np.testing.assert_array_equal(
             persisted.parameters["pMax"].label_codes,
             live.parameters["pMax"].label_codes,
@@ -265,6 +314,8 @@ class TestServiceIntegration:
         store, engine, service, refresher = build(dataset, config)
         log = ChangeLog()
         flip_values(store, "qHyst", 2, log)  # never fitted
-        result = refresher.incremental_refit(log)
+        result = refresher.refit(log)
         assert result.refitted == {}
         assert result.skipped == ()
+        assert service.engine is engine
+        assert service.generation == 0

@@ -57,7 +57,7 @@ class TestServiceEvents:
         engine = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
         service = RecommendationService(engine)
         refresher = EngineRefresher(service)
-        result = refresher.full_refit(parameters=["pMax"])
+        result = refresher.refit()
         assert result.mode == "full"
         tail = journal.tail()
         assert events(journal) == ["fit", "fit", "refresh", "full-refit"]
@@ -111,11 +111,13 @@ class TestServiceEvents:
         new = vocab[0] if values[key] != vocab[0] else vocab[1]
         log.record(key, "pMax", values[key], new, ChangeSource.AURIC_PUSH)
         store.set_singular(key, "pMax", new)
-        refresher.incremental_refit(log)
+        refresher.refit(log)
         (entry,) = [
             e for e in journal.tail() if e["event"] == "incremental-refit"
         ]
-        assert entry["generation"] == entry["parent_generation"]
+        # A changelog refit that changed a model swaps a new engine in.
+        assert entry["generation"] == 1
+        assert entry["parent_generation"] == 0
         refit = entry["refit"]
         assert refit["kind"] == "incremental"
         touched = (
@@ -244,7 +246,7 @@ class TestEndToEndTimeline:
         service = RecommendationService(engine)
         service.enable_drift_tracking(sample_every=1)
         refresher = EngineRefresher(service, auto_refit=True)
-        refresher.full_refit(parameters=["pMax"])
+        refresher.refit()
         live = attribute_distributions(dataset.network)
         total = sum(live["hardware"].values())
         live["hardware"] = {"RRH9": total}

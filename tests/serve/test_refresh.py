@@ -163,12 +163,12 @@ class TestIncrementalAdd:
 
 class TestFullRefit:
     def test_full_refit_matches_fresh_fit(self, dataset, timeline, initial_carriers):
-        """incremental_add then full_refit converge: the refitted engine
-        equals a from-scratch fit on the same (grown) store."""
+        """incremental_add then a full refit converge: the refitted
+        engine equals a from-scratch fit on the same (grown) store."""
         service, replay = make_replay_service(dataset, timeline, initial_carriers)
         replay.advance_to(timeline.quarters - 1)
         stale = service.engine
-        result = EngineRefresher(service).full_refit()
+        result = EngineRefresher(service).refit()
         assert result.mode == "full"
         assert result.generation == 1
         assert service.engine is not stale

@@ -5,15 +5,23 @@ store (EMS pushes); they are deliberately placed in this module, which
 sorts after the read-only artifact/refresh suites.
 """
 
+import copy
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.config.managed_objects import build_vendor_schema
 from repro.config.templates import ConfigTemplate
-from repro.core import NewCarrierRequest
+from repro.core import AuricEngine, NewCarrierRequest
+from repro.core.recommendation import (
+    CarrierRecommendation,
+    ParameterRecommendation,
+    RecommendRequest,
+)
 from repro.exceptions import RecommendationError
-from repro.ops.controller import ConfigPushController, PushOutcome
+from repro.obs import journal as obs_journal
+from repro.ops.controller import ConfigPushController
 from repro.ops.ems import ElementManagementSystem, EMSConfig
 from repro.ops.history import ChangeLog
 from repro.ops.monitoring import KPIMonitor
@@ -182,21 +190,6 @@ class TestInvalidation:
         assert 0 < dropped < total
         assert service.cache_len() == total - dropped
 
-    def test_notify_change_drops_parameter(self, service, dataset):
-        requests = make_requests(dataset, 5)
-        serve_batch(service, requests, parameters=SINGULAR)
-        total = service.cache_len()
-        carrier_id = next(dataset.network.carriers()).carrier_id
-        service.notify_change(carrier_id, "pMax")
-        assert service.cache_len() < total
-
-    def test_notify_change_unknown_parameter_ignored(self, service, dataset):
-        serve_batch(service, make_requests(dataset, 3), parameters=SINGULAR)
-        total = service.cache_len()
-        carrier_id = next(dataset.network.carriers()).carrier_id
-        service.notify_change(carrier_id, "notAParameter")
-        assert service.cache_len() == total
-
     def test_refresh_snapshot_swaps_and_clears(self, fitted_engine, rulebook, dataset):
         service = RecommendationService(fitted_engine, rulebook)
         serve_batch(service, make_requests(dataset, 3), parameters=SINGULAR)
@@ -206,46 +199,111 @@ class TestInvalidation:
         assert service.cache_len() == 0
 
 
+def confident_pmax(carrier_id, value):
+    recommendation = CarrierRecommendation(str(carrier_id))
+    recommendation.add(
+        ParameterRecommendation(
+            parameter="pMax", value=value, support=0.9,
+            matched=10, confident=True, scope="local",
+        )
+    )
+    return recommendation
+
+
+def loo_pmax(service, carriers):
+    """The service's leave-one-out pMax answer for every carrier."""
+    return [
+        service.handle(
+            RecommendRequest(
+                carrier_id=carrier, parameters=("pMax",), leave_one_out=True
+            )
+        ).recommendation.recommendations["pMax"]
+        for carrier in carriers
+    ]
+
+
 class TestOpsIntegration:
-    def make_push_stack(self, dataset, service):
+    def make_push_stack(self, dataset, store):
         ems = ElementManagementSystem(
             dataset.network,
-            dataset.store,
+            store,
             EMSConfig(base_timeout_rate=0.0, per_parameter_timeout_rate=0.0),
         )
         schema = build_vendor_schema(Vendor.VENDOR_A, dataset.catalog)
         controller = ConfigPushController(
-            ems,
-            ConfigTemplate(schema),
-            changelog=ChangeLog(),
-            service=service,
+            ems, ConfigTemplate(schema), changelog=ChangeLog()
         )
         return ems, controller
 
-    def test_push_invalidates_service_cache(self, service, fitted_engine, dataset):
-        serve_batch(service, make_requests(dataset, 5), parameters=SINGULAR)
-        pmax_cached = service.invalidate("pMax")
-        assert pmax_cached > 0
-        # Re-populate, then land a pMax push through the controller.
-        serve_batch(service, make_requests(dataset, 5), parameters=SINGULAR)
-        ems, controller = self.make_push_stack(dataset, service)
-        carrier_id = sorted(dataset.store.singular_values("pMax"))[0]
-        target = serve_batch(service, 
-            make_requests(dataset, 1), parameters=["pMax"]
-        )[0]
-        ems.lock_carrier(carrier_id)
-        result = controller.push(carrier_id, {"pMax": -20.0}, target)
-        ems.unlock_carrier(carrier_id)
-        if result.outcome is PushOutcome.PUSHED:
-            assert service.invalidate("pMax") == 0  # already dropped
-            assert len(controller.changelog) > 0
+    def make_campaign(self, dataset, service, store):
+        _, controller = self.make_push_stack(dataset, store)
+        return SmartLaunch(
+            controller,
+            KPIMonitor(store, degradation_rate=0.0),
+            SmartLaunchConfig(premature_unlock_rate=0.0),
+            service=service,
+        )
+
+    def test_push_invalidates_service_cache(self, dataset, tmp_path):
+        """A launch wave's pushes reach the votes: the campaign ends with
+        one changelog refit, after which the service answers exactly
+        like a fresh fit on the pushed-to store."""
+        store = copy.deepcopy(dataset.store)
+        service = RecommendationService(
+            AuricEngine(dataset.network, store).fit(["pMax"])
+        )
+        workflow = self.make_campaign(dataset, service, store)
+        values = dict(store.singular_values("pMax"))
+        counts = Counter(values.values())
+        rare = min(counts, key=lambda value: (counts[value], repr(value)))
+        targets = [c for c in sorted(values) if values[c] != rare][:40]
+        carriers = sorted(values)
+        before = loo_pmax(service, carriers)
+        journal = obs_journal.configure(
+            str(tmp_path / "journal.jsonl"), fsync=False
+        )
+        try:
+            stats = workflow.run_campaign(
+                (c, {"pMax": values[c]}, confident_pmax(c, rare))
+                for c in targets
+            )
+            refits = [
+                e for e in journal.tail() if e["event"] == "incremental-refit"
+            ]
+        finally:
+            obs_journal.disable()
+        assert stats.changes_implemented == len(targets)
+        assert service.generation == 1
+        assert len(refits) == 1
+        assert refits[0]["attrs"]["changes"] == len(targets)
+        fresh = RecommendationService(
+            AuricEngine(dataset.network, store).fit(["pMax"])
+        )
+        after = loo_pmax(service, carriers)
+        assert after == loo_pmax(fresh, carriers)
+        assert after != before
+
+    def test_campaign_without_pushes_keeps_generation(self, dataset):
+        store = copy.deepcopy(dataset.store)
+        engine = AuricEngine(dataset.network, store).fit(["pMax"])
+        service = RecommendationService(engine)
+        workflow = self.make_campaign(dataset, service, store)
+        values = store.singular_values("pMax")
+        carriers = sorted(values)[:5]
+        stats = workflow.run_campaign(
+            (c, {"pMax": values[c]}, confident_pmax(c, values[c]))
+            for c in carriers
+        )
+        assert stats.changes_implemented == 0
+        assert service.engine is engine
+        assert service.generation == 0
 
     def test_smartlaunch_campaign_through_service(
         self, service, fitted_engine, rulebook, dataset
     ):
         """Launch entries carry NewCarrierRequests; the workflow asks
         the persistent service instead of refitting per carrier."""
-        ems, controller = self.make_push_stack(dataset, service)
+        ems, controller = self.make_push_stack(dataset, dataset.store)
         monitor = KPIMonitor(dataset.store, degradation_rate=0.0)
         workflow = SmartLaunch(
             controller,
