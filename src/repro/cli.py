@@ -497,13 +497,9 @@ def _run_serve_batch(args) -> int:
     from repro.core.auric import AuricEngine
     from repro.core.recommendation import RecommendRequest
     from repro.dataio import load_dataset_json
-    from repro.serve import (
-        RecommendationService,
-        load_engine,
-        requests_from_json,
-        save_engine,
-    )
+    from repro.serve import RecommendationService, load_engine, save_engine
     from repro.serve.service import DEFAULT_CACHE_SIZE
+    from repro.serve.validation import new_carrier_requests_from_json
 
     from repro.exceptions import ReproError
 
@@ -555,7 +551,7 @@ def _run_serve_batch(args) -> int:
         cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
     )
     with open(args.requests) as handle:
-        requests = requests_from_json(json.load(handle))
+        requests = new_carrier_requests_from_json(json.load(handle))
     unified = [
         RecommendRequest.from_new_carrier(
             request,

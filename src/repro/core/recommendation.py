@@ -5,7 +5,8 @@ speaks: the engine (:meth:`repro.core.auric.AuricEngine.handle`), the
 launch pipeline (:meth:`repro.core.pipeline.RecommendationPipeline.handle`)
 and the long-lived service
 (:meth:`repro.serve.service.RecommendationService.handle`) all accept a
-:class:`RecommendRequest` and return a :class:`RecommendResult`
+:class:`RecommendRequest` and return a :class:`RecommendResult`, built
+by the one request loop in :mod:`repro.core.pipeline`
 (``docs/serving.md`` maps the removed per-layer signatures onto it).
 """
 
@@ -106,10 +107,11 @@ class RecommendRequest:
     ``parameters`` restricts the query (None = the layer's default set);
     ``include_enumerations`` lets layers with a rule-book also fill
     enumeration parameters; ``local=False`` forces network-wide voting.
-    ``explain=True`` asks the serving layer to attach a
+    ``explain=True`` asks the layer to attach a
     :class:`~repro.obs.provenance.ResultExplanation` — the chi-square
     dependencies, vote distribution and serving disposition behind every
-    recommended value — to the result.
+    recommended value — to the result; the loop passes it to the votes
+    as ``capture``.
     """
 
     attributes: Optional[CarrierAttributes] = None

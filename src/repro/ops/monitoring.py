@@ -98,22 +98,26 @@ class KPIMonitor:
         ).labels(str(report.healthy).lower()).inc()
 
     def rollback(self, carrier_id: CarrierId) -> int:
-        """Restore the pre-change configuration; returns values restored."""
+        """Restore the pre-change configuration; returns the number of
+        values the rollback changed back."""
         snapshot = self._snapshots.get(carrier_id)
         if snapshot is None:
             return 0
-        with tracing.span(
-            "ops.rollback", carrier=str(carrier_id), values=len(snapshot)
-        ):
+        with tracing.span("ops.rollback", carrier=str(carrier_id)) as sp:
+            restored: List[str] = []
             for name, value in snapshot.items():
                 current = self.store.get_singular(carrier_id, name)
-                if self.changelog is not None and current != value:
-                    from repro.ops.history import ChangeSource
+                if current != value:
+                    restored.append(name)
+                    if self.changelog is not None:
+                        from repro.ops.history import ChangeSource
 
-                    self.changelog.record(
-                        carrier_id, name, current, value, ChangeSource.ROLLBACK
-                    )
+                        self.changelog.record(
+                            carrier_id, name, current, value,
+                            ChangeSource.ROLLBACK,
+                        )
                 self.store.set_singular(carrier_id, name, value)
+            sp.set("values", len(restored))
             self.rollbacks.append(carrier_id)
             obs_metrics.counter(
                 "repro_rollbacks_total", "Post-launch configuration rollbacks"
@@ -123,17 +127,17 @@ class KPIMonitor:
                 scope="ops",
                 trigger="kpi-degradation",
                 carrier=str(carrier_id),
-                values_restored=len(snapshot),
-                parameters=sorted(snapshot),
+                values_restored=len(restored),
+                parameters=sorted(restored),
             )
             logger.warning(
                 "configuration rolled back",
                 extra={
                     "carrier": str(carrier_id),
-                    "values_restored": len(snapshot),
+                    "values_restored": len(restored),
                 },
             )
-            return len(snapshot)
+            return len(restored)
 
 
 class SimulationKPIMonitor(KPIMonitor):

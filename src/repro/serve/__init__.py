@@ -47,12 +47,7 @@ from repro.serve.refresh import (
     RefreshResult,
     store_subset,
 )
-from repro.serve.service import (
-    DEFAULT_CACHE_SIZE,
-    RecommendationService,
-    request_from_dict,
-    requests_from_json,
-)
+from repro.serve.service import DEFAULT_CACHE_SIZE, RecommendationService
 from repro.serve.validation import (
     RequestValidationError,
     unified_request_from_dict,
@@ -60,8 +55,6 @@ from repro.serve.validation import (
 )
 
 __all__ = [
-    "request_from_dict",
-    "requests_from_json",
     "RequestValidationError",
     "unified_request_from_dict",
     "unified_requests_from_json",

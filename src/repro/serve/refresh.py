@@ -194,6 +194,8 @@ def refit_engine(
         refitted[name] = changed_count
         if reuse:
             reused.append(name)
+    # The fork's encode / select / vote time, like a full fit's.
+    fork._observe_fit_phases()
     result = RefreshResult(
         mode="incremental-refit",
         duration_s=time.perf_counter() - started,

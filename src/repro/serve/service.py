@@ -1,10 +1,17 @@
 """The long-lived recommendation service.
 
 A :class:`RecommendationService` owns a fitted engine plus its network
-snapshot and answers :class:`~repro.core.pipeline.NewCarrierRequest`\\ s
+snapshot and answers :class:`~repro.core.recommendation.RecommendRequest`\\ s
 for as long as the process lives — the deployment shape of section 5 of
 the paper, where Auric runs as an ongoing service feeding the push
 controller, rather than the fit-per-call pattern the experiments use.
+
+It is the request loop of :class:`~repro.core.pipeline.RecommendationPipeline`
+(which it subclasses) plus what a long-lived process needs around it:
+
+* a vote-cache lookup around each parameter's vote,
+* the (engine, generation) state swap,
+* drift tracking and refresh.
 
 Design points:
 
@@ -33,8 +40,9 @@ Design points:
   repeated votes of a batch are answered by the vote cache.
 * **Cold-start fallback.** A parameter with no fitted model, or a vote
   that cannot produce a value, falls back to the operational rule-book
-  (mirroring :class:`~repro.core.pipeline.RecommendationPipeline`) and
-  increments the fallback metric instead of raising.
+  (the loop's fallback) and increments the fallback metric instead of
+  raising.  A service built without a rule-book serves the engine's
+  fitted singular parameters by default.
 """
 
 from __future__ import annotations
@@ -45,12 +53,8 @@ from collections import OrderedDict
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.config.rulebook import RuleBook
-from repro.core.auric import AuricEngine
-from repro.core.pipeline import (
-    NewCarrierRequest,
-    default_parameter_names,
-    resolve_neighborhood,
-)
+from repro.core.auric import AuricEngine, Row
+from repro.core.pipeline import NewCarrierRequest, RecommendationPipeline
 from repro.core.recommendation import (
     CarrierRecommendation,
     ParameterRecommendation,
@@ -58,6 +62,7 @@ from repro.core.recommendation import (
     RecommendResult,
 )
 from repro.exceptions import RecommendationError
+from repro.netmodel.attributes import CarrierAttributes
 from repro.netmodel.identifiers import CarrierId
 from repro.obs import journal as obs_journal
 from repro.obs import tracing
@@ -67,40 +72,10 @@ from repro.obs.health import (
     DriftThresholds,
     DriftWindow,
 )
-from repro.obs.provenance import ResultExplanation
 from repro.obs.metrics import ServiceMetrics
-from repro.serve.validation import (
-    new_carrier_request_from_dict,
-    new_carrier_requests_from_json,
-)
 
 #: Default number of cached (parameter, cell, scope) votes.
 DEFAULT_CACHE_SIZE = 4096
-
-
-def request_from_dict(payload: Dict) -> NewCarrierRequest:
-    """Build a request from its JSON form.
-
-    Shape: ``{"attributes": {...}, "enodeb": "market.index" | null,
-    "neighbors": ["m.e.f.s", ...]}`` — ``enodeb`` uses the same key
-    format as the snapshot's X2 eNodeB edges, ``neighbors`` the carrier
-    key format of :mod:`repro.dataio.keys`.
-
-    Malformed payloads raise
-    :class:`~repro.serve.validation.RequestValidationError`, which names
-    the offending field and the reason (the front end's 400 body).
-    """
-    return new_carrier_request_from_dict(payload)
-
-
-def requests_from_json(payload) -> List[NewCarrierRequest]:
-    """Parse a request batch: either a bare list or ``{"requests": [...]}``.
-
-    Parse failures raise
-    :class:`~repro.serve.validation.RequestValidationError` with the
-    failing item's index in the ``field`` path.
-    """
-    return new_carrier_requests_from_json(payload)
 
 
 class _LRUCache:
@@ -239,8 +214,11 @@ class _EngineState:
         self.generation = generation
 
 
-class RecommendationService:
+class RecommendationService(RecommendationPipeline):
     """Serves configuration recommendations from a persistent engine."""
+
+    source = "service"
+    span_name = "service.handle"
 
     def __init__(
         self,
@@ -248,15 +226,16 @@ class RecommendationService:
         rulebook: Optional[RuleBook] = None,
         metrics: Optional[ServiceMetrics] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
-        cache_stripes: int = DEFAULT_CACHE_STRIPES,
     ) -> None:
         #: Serializes mutators (refresh, invalidation, drift config)
         #: against each other; the read path never takes it.
         self._write_lock = threading.RLock()
+        # The engine lives in the swappable state (the ``engine``
+        # property), so the pipeline's constructor is not called.
         self._state = _EngineState(engine, 0)
         self.rulebook = rulebook
         self.metrics = metrics or ServiceMetrics()
-        self._cache = _StripedCache(cache_size, cache_stripes)
+        self._cache = _StripedCache(cache_size)
         #: Live request-attribute window for drift scoring; None until
         #: :meth:`enable_drift_tracking` — the hot path pays one ``is
         #: None`` check while disabled.  The window itself is
@@ -266,22 +245,6 @@ class RecommendationService:
         #: Lifecycle-journal stream id: each service is its own
         #: generation chain (gen 0 at construction, +1 per refresh).
         self.journal_stream = obs_journal.mint_stream("service")
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        network,
-        store,
-        parameters: Optional[Sequence[str]] = None,
-        config=None,
-        rulebook: Optional[RuleBook] = None,
-        cache_size: int = DEFAULT_CACHE_SIZE,
-    ) -> "RecommendationService":
-        """Fit an engine on a snapshot and wrap it in a service."""
-        engine = AuricEngine(network, store, config).fit(parameters)
-        if rulebook is None:
-            rulebook = RuleBook(store.catalog)
-        return cls(engine, rulebook, cache_size=cache_size)
 
     # -- engine access -------------------------------------------------------
 
@@ -305,8 +268,8 @@ class RecommendationService:
     def handle(self, request: RecommendRequest) -> RecommendResult:
         """Serve one unified request from the persistent engine.
 
-        The canonical entry point (shared request/result vocabulary with
-        the pipeline and the raw engine).  Existing-carrier targets resolve their attributes and X2
+        The pipeline's loop, against the current engine state.
+        Existing-carrier targets resolve their attributes and X2
         neighborhood from the serving snapshot, and leave-one-out
         queries exclude the target's own configured values from the
         vote — cache keys incorporate the exclusion, so evaluation
@@ -317,7 +280,8 @@ class RecommendationService:
         are internally synchronized, so concurrent callers proceed in
         parallel (modulo cache stripe locks).
         """
-        return self._serve(self._state, request)
+        state = self._state
+        return self._serve(state.engine, request, state.generation)
 
     def handle_batch(
         self,
@@ -335,91 +299,24 @@ class RecommendationService:
         parented at its own trace; ``shard`` labels those spans.
         """
         state = self._state
+        engine, generation = state.engine, state.generation
         if traces is None:
-            return [self._serve(state, request) for request in requests]
+            return [
+                self._serve(engine, request, generation) for request in requests
+            ]
         results = []
         for request, trace in zip(requests, traces):
             with tracing.span_from_context(trace, "shard.handle", shard=shard):
-                results.append(self._serve(state, request))
+                results.append(self._serve(engine, request, generation))
         return results
 
-    def _serve(
-        self, state: _EngineState, request: RecommendRequest
-    ) -> RecommendResult:
-        """One request against one engine state (see :meth:`handle`)."""
-        started = time.perf_counter()
-        label = request.label()
-        with tracing.span("service.handle", target=label) as sp:
-            explanation = None
-            engine = state.engine
-            names = self._parameter_names(
-                engine.catalog, request.parameters, request.include_enumerations
-            )
-            attributes, row, neighborhood, exclude = engine.resolve_request(
-                request
-            )
-            drift_window = self._drift_window
-            if drift_window is not None:
-                drift_window.observe(attributes.values)
-            scope_key = frozenset(neighborhood) if neighborhood else None
-            result = CarrierRecommendation(target=label)
-            dispositions: Dict[str, Tuple[str, Optional[str]]] = {}
-            for name in names:
-                rec, disposition, fallback_reason = self._recommend_parameter(
-                    engine, state.generation, name, attributes, row,
-                    neighborhood, scope_key, exclude, explain=request.explain,
-                )
-                result.add(rec)
-                dispositions[name] = (disposition, fallback_reason)
-            if request.explain:
-                explanation = ResultExplanation(
-                    target=label,
-                    source="service",
-                    lineage=engine.lineage,
-                )
-                context = tracing.current_context()
-                if context is not None:
-                    explanation.trace_id = context[0]
-                for name, rec in result.recommendations.items():
-                    cache_state, fallback_reason = dispositions[name]
-                    explanation.parameters[name] = engine.explain_parameter(
-                        rec,
-                        row,
-                        neighborhood=(
-                            neighborhood if request.local else None
-                        ),
-                        cache=cache_state,
-                        fallback_reason=fallback_reason,
-                    )
-            duration = time.perf_counter() - started
-            sp.set("parameters", len(names))
-            self.metrics.record_request(duration, len(names))
-            return RecommendResult(
-                request=request,
-                recommendation=result,
-                source="service",
-                duration_s=duration,
-                exclude=exclude,
-                explain=explanation,
-                generation=state.generation,
-            )
+    def _observe(self, attributes: CarrierAttributes) -> None:
+        drift_window = self._drift_window
+        if drift_window is not None:
+            drift_window.observe(attributes.values)
 
-    def _parameter_names(
-        self,
-        catalog,
-        parameters: Optional[Sequence[str]],
-        include_enumerations: bool,
-    ) -> List[str]:
-        if parameters is not None:
-            for name in parameters:
-                if catalog.spec(name).is_pairwise:
-                    raise RecommendationError(
-                        f"{name} is pair-wise; use recommend_neighbors()"
-                    )
-            return list(parameters)
-        return default_parameter_names(
-            catalog, self.rulebook, include_enumerations
-        )
+    def _record(self, duration_s: float, parameters: int) -> None:
+        self.metrics.record_request(duration_s, parameters)
 
     def recommend_neighbors(
         self,
@@ -448,7 +345,7 @@ class RecommendationService:
                     f"{name} is singular; use recommend()"
                 )
         own = request.attributes.as_tuple()
-        neighborhood = resolve_neighborhood(engine, request)
+        neighborhood = engine.request_neighborhood(request)
         scope_key = frozenset(neighborhood) if neighborhood else None
         results: Dict[CarrierId, CarrierRecommendation] = {}
         for neighbor_id in request.neighbor_carriers:
@@ -472,14 +369,14 @@ class RecommendationService:
         engine: AuricEngine,
         generation: int,
         name: str,
-        attributes,
-        row: Tuple,
+        attributes: CarrierAttributes,
+        row: Row,
         neighborhood: Set[CarrierId],
         scope_key: Optional[frozenset],
         exclude: Optional[Hashable],
         explain: bool = False,
     ) -> Tuple[ParameterRecommendation, str, Optional[str]]:
-        """One parameter's recommendation plus its serving disposition.
+        """The loop's per-parameter step, answered from the vote cache.
 
         Returns ``(recommendation, cache_state, fallback_reason)`` where
         ``cache_state`` is ``"hit"`` or ``"miss"`` and
@@ -513,69 +410,12 @@ class RecommendationService:
             engine, name, spec, fitted, attributes, row, neighborhood,
             exclude, capture=explain,
         )
+        if fallback_reason is None:
+            self.metrics.record_votes(rec.matched)
+        else:
+            self.metrics.record_fallback()
         self._cache.put(key, rec)
         return rec, cache_state, fallback_reason
-
-    def _compute_parameter(
-        self,
-        engine: AuricEngine,
-        name: str,
-        spec,
-        fitted: bool,
-        attributes,
-        row: Tuple,
-        neighborhood: Set[CarrierId],
-        exclude: Optional[Hashable],
-        capture: bool,
-    ) -> Tuple[ParameterRecommendation, Optional[str]]:
-        """One parameter's vote, uncached.
-
-        Returns ``(recommendation, fallback_reason)``; ``capture``
-        turns vote-distribution capture on for this computation (it is
-        OR-ed with the ambient, thread-local flag, so an enclosing
-        capture context stays in force).
-        """
-        fallback_reason: Optional[str] = None
-        rec: Optional[ParameterRecommendation] = None
-        previous_capture = engine._capture_votes
-        engine._capture_votes = capture or previous_capture
-        try:
-            if fitted:
-                try:
-                    if neighborhood:
-                        rec = engine.recommend_local(
-                            name, row, neighborhood, exclude=exclude
-                        )
-                    else:
-                        rec = engine.recommend_global(name, row, exclude=exclude)
-                    self.metrics.record_votes(rec.matched)
-                except RecommendationError as error:
-                    rec = None  # fall through to the rule-book
-                    fallback_reason = f"vote failed: {error}"
-            elif spec.is_range:
-                fallback_reason = "parameter not fitted (cold start)"
-            else:
-                fallback_reason = "enumeration parameter (rule-book)"
-            if rec is None:
-                rec = self._rulebook_fallback(name, attributes)
-        finally:
-            engine._capture_votes = previous_capture
-        return rec, fallback_reason
-
-    def _rulebook_fallback(self, name: str, attributes) -> ParameterRecommendation:
-        if self.rulebook is None:
-            raise RecommendationError(
-                f"cannot recommend {name}: not fitted and no rule-book fallback"
-            )
-        self.metrics.record_fallback()
-        return ParameterRecommendation(
-            parameter=name,
-            value=self.rulebook.value_for(name, attributes),
-            support=1.0,
-            matched=0.0,
-            confident=False,
-            scope="rulebook",
-        )
 
     # -- drift tracking ------------------------------------------------------
 

@@ -14,8 +14,8 @@ generator's assertions) see *what* to fix instead of a bare
 
 Two request vocabularies are parsed here:
 
-* the legacy *new-carrier* shape consumed by
-  :func:`repro.serve.service.requests_from_json` (``attributes`` /
+* the legacy *new-carrier* shape parsed by
+  :func:`new_carrier_requests_from_json` (``attributes`` /
   ``enodeb`` / ``neighbors``), and
 * the *unified* shape of :class:`~repro.core.recommendation.RecommendRequest`
   accepted by the HTTP front end, which additionally supports

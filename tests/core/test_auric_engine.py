@@ -203,12 +203,10 @@ class TestZeroWeightVoters:
         unseen = tuple(
             "unseen" if i in dependent else v for i, v in enumerate(row)
         )
-        engine._capture_votes = True
-        try:
-            kept = engine.recommend_global("pMax", unseen)
-            dropped = engine.recommend_global("pMax", unseen, exclude=voter)
-        finally:
-            engine._capture_votes = False
+        kept = engine.recommend_global("pMax", unseen, capture=True)
+        dropped = engine.recommend_global(
+            "pMax", unseen, exclude=voter, capture=True
+        )
         assert kept.scope == dropped.scope == "global-fallback"
         assert (rare, 0.0) in kept.votes
         assert rare not in [value for value, _ in dropped.votes]

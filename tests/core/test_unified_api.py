@@ -10,6 +10,7 @@ import pytest
 from repro.config.rulebook import RuleBook
 from repro.core.pipeline import NewCarrierRequest, RecommendationPipeline
 from repro.core.recommendation import RecommendRequest, RecommendResult
+from repro.exceptions import RecommendationError
 from repro.serve.service import RecommendationService
 
 
@@ -144,3 +145,39 @@ class TestServiceHandle:
             for layer in (engine, pipeline, service)
         }
         assert len(values) == 1
+
+
+class TestOneLoop:
+    """Every layer runs the one request loop, so without a rule-book they
+    all answer the same requests and reject the same ones."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda engine: engine,
+            lambda engine: RecommendationPipeline(engine, rulebook=None),
+            lambda engine: RecommendationService(engine, rulebook=None),
+        ],
+        ids=["engine", "pipeline", "service"],
+    )
+    def test_rulebook_less_layer_answers_fitted_singulars(
+        self, build, engine, some_carrier
+    ):
+        layer = build(engine)
+        with pytest.raises(RecommendationError, match="pair-wise"):
+            layer.handle(RecommendRequest(
+                attributes=some_carrier.attributes, parameters=("hysA3Offset",)
+            ))
+        with pytest.raises(RecommendationError, match="no rule-book"):
+            layer.handle(RecommendRequest(
+                attributes=some_carrier.attributes, parameters=("qHyst",)
+            ))
+        result = layer.handle(RecommendRequest(
+            attributes=some_carrier.attributes,
+            enodeb_id=some_carrier.carrier_id.enodeb,
+        ))
+        assert result.parameters == ("inactivityTimer", "pMax")
+        assert set(result.scope_counts()) <= {
+            "local", "local-cluster", "global", "global-relaxed",
+            "global-fallback",
+        }

@@ -94,11 +94,12 @@ class TestFastPathGating:
         assert model._encoded is not None
         table = engine._cell_vote_table(model)
         assert isinstance(table, CellVoteTable)
-        engine._capture_votes = True
-        try:
-            assert engine._cell_vote_table(model) is table
-        finally:
-            engine._capture_votes = False
+        key = next(iter(model.samples))
+        captured = engine.recommend_global(
+            "pMax", engine.carrier_row(key), capture=True
+        )
+        assert captured.votes
+        assert engine._cell_vote_table(model) is table
 
     def test_columnar_true_builds_and_caches_vote_table(self, engine):
         model = engine._model("pMax")

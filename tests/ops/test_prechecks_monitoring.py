@@ -56,7 +56,7 @@ class TestKPIMonitor:
         monitor.snapshot(carrier_id)
         dataset.store.set_singular(carrier_id, "pMax", 0)
         restored = monitor.rollback(carrier_id)
-        assert restored >= 1
+        assert restored == 1
         assert dataset.store.get_singular(carrier_id, "pMax") == original
         assert carrier_id in monitor.rollbacks
 

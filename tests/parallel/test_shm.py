@@ -2,8 +2,9 @@
 
 A snapshot built in memory pickles its arrays inline; a spawn-start
 pool unpickles that payload once per worker (fork pools inherit it).
-The pickle round trip and the spawn-pool end-to-end identity are
-covered here; the mmap store's reference pickle is covered in
+The pickle round trip and the spawn-pool end-to-end identity — of the
+fit and of the leave-one-out sweep, whose payload is a fitted engine —
+are covered here; the mmap store's reference pickle is covered in
 ``tests/store/test_snapshot_store.py``.
 """
 
@@ -12,8 +13,9 @@ import pickle
 
 import numpy as np
 
-from repro.core import AuricEngine
+from repro.core import AuricEngine, RecommendRequest
 from repro.core.columnar import ColumnarSnapshot
+from repro.eval.runner import EvaluationRunner
 from repro.parallel.pool import START_METHOD_ENV
 
 
@@ -77,3 +79,37 @@ class TestSpawnPoolIdentity:
             assert list(a.cell_index) == list(b.cell_index)
             assert a.global_counts == b.global_counts
             assert a.samples == b.samples
+
+    def test_spawn_loo_matches_serial(self, dataset, engine, monkeypatch):
+        """A spawn-start pool pickles the fitted engine to its workers;
+        the leave-one-out sweep they run equals the serial one."""
+        runner = EvaluationRunner(dataset)
+        parameters = ["pMax", "inactivityTimer", "hysA3Offset"]
+        serial = runner.loo_accuracy(
+            engine, parameters, max_targets_per_parameter=60, jobs=1
+        )
+        monkeypatch.setenv(START_METHOD_ENV, "spawn")
+        spawned = runner.loo_accuracy(
+            engine, parameters, max_targets_per_parameter=60, jobs=2
+        )
+        assert spawned.parameter_accuracy_local == serial.parameter_accuracy_local
+        assert (
+            spawned.parameter_accuracy_global == serial.parameter_accuracy_global
+        )
+        assert spawned.mismatches_local == serial.mismatches_local
+        assert spawned.mismatches_global == serial.mismatches_global
+        assert spawned.evaluated == serial.evaluated
+
+    def test_pickled_engine_answers_like_the_engine(self, dataset, engine):
+        clone = pickle.loads(pickle.dumps(engine))
+        carriers = sorted(c.carrier_id for c in dataset.network.carriers())
+        for carrier_id in carriers[::25]:
+            for local in (True, False):
+                request = RecommendRequest(
+                    carrier_id=carrier_id, leave_one_out=True, local=local,
+                    explain=True,
+                )
+                assert (
+                    clone.handle(request).recommendation
+                    == engine.handle(request).recommendation
+                )

@@ -25,6 +25,7 @@ import pytest
 
 from repro.core import AuricEngine
 from repro.core.auric import AuricConfig
+from repro.obs import metrics as obs_metrics
 from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
@@ -169,6 +170,39 @@ class TestEquivalence:
         refresher.refit(log)
         for name, model in untouched.items():
             assert service.engine.fitted_models()[name] is model
+
+
+class TestFitPhaseMetrics:
+    def test_changelog_refit_observes_fit_phases(self, dataset):
+        """The encode / select / vote time a changelog refit spends on
+        its fork reaches ``repro_fit_phase_seconds``, as a full fit's
+        does."""
+        previous = obs_metrics.get_registry()
+        registry = obs_metrics.MetricsRegistry()
+        obs_metrics.set_registry(registry)
+        try:
+            config = AuricConfig(max_fit_samples=None)
+            store, _, _, refresher = build(dataset, config)
+            histogram = registry.histogram(
+                "repro_fit_phase_seconds", labelnames=("phase", "parameter")
+            )
+            phases = ("encode", "select", "vote")
+
+            def counts():
+                return {
+                    phase: histogram.labels(phase=phase, parameter="pMax").count
+                    for phase in phases
+                }
+
+            before = counts()
+            log = ChangeLog()
+            flip_values(store, "pMax", 5, log)
+            assert refresher.refit(log).refitted == {"pMax": 5}
+            after = counts()
+        finally:
+            obs_metrics.set_registry(previous)
+        for phase in phases:
+            assert after[phase] == before[phase] + 1, phase
 
 
 class TestReplacedEngine:

@@ -72,11 +72,9 @@ class TestServing:
 
     def test_matches_live_engine(self, service, fitted_engine, dataset):
         """Cached service answers equal direct engine votes."""
-        from repro.core.pipeline import resolve_neighborhood
-
         for request in make_requests(dataset, 10):
             served = serve(service, request, parameters=["pMax"])
-            neighborhood = resolve_neighborhood(fitted_engine, request)
+            neighborhood = fitted_engine.request_neighborhood(request)
             row = request.attributes.as_tuple()
             if neighborhood:
                 direct = fitted_engine.recommend_local(

@@ -12,10 +12,12 @@ import pytest
 from repro.core.recommendation import RecommendRequest
 from repro.serve import (
     RequestValidationError,
-    request_from_dict,
-    requests_from_json,
     unified_request_from_dict,
     unified_requests_from_json,
+)
+from repro.serve.validation import (
+    new_carrier_request_from_dict,
+    new_carrier_requests_from_json,
 )
 
 ATTRIBUTES = {
@@ -59,7 +61,7 @@ class TestErrorShape:
 
 class TestNewCarrierShape:
     def test_well_formed_round_trip(self):
-        request = request_from_dict(
+        request = new_carrier_request_from_dict(
             {
                 "attributes": ATTRIBUTES,
                 "enodeb": "1.4",
@@ -72,28 +74,28 @@ class TestNewCarrierShape:
         assert request.attributes.values["carrier_frequency"] == 1900
 
     def test_non_object_payload(self):
-        error = _error(request_from_dict, ["not", "a", "dict"])
+        error = _error(new_carrier_request_from_dict, ["not", "a", "dict"])
         assert error.field == "request"
         assert "object" in error.reason
 
     def test_missing_attributes(self):
-        error = _error(request_from_dict, {"enodeb": "1.4"})
+        error = _error(new_carrier_request_from_dict, {"enodeb": "1.4"})
         assert error.field == "request.attributes"
         assert "missing" in error.reason
 
     def test_bad_attributes_type(self):
-        error = _error(request_from_dict, {"attributes": 7})
+        error = _error(new_carrier_request_from_dict, {"attributes": 7})
         assert error.field == "request.attributes"
 
     def test_unknown_attribute_name_reports_reason(self):
         bad = dict(ATTRIBUTES, banana=1)
-        error = _error(request_from_dict, {"attributes": bad})
+        error = _error(new_carrier_request_from_dict, {"attributes": bad})
         assert error.field == "request.attributes"
         assert error.reason  # the GenerationError text survives
 
     def test_malformed_enodeb_key(self):
         error = _error(
-            request_from_dict,
+            new_carrier_request_from_dict,
             {"attributes": ATTRIBUTES, "enodeb": "1.2.3"},
         )
         assert error.field == "request.enodeb"
@@ -101,7 +103,7 @@ class TestNewCarrierShape:
 
     def test_malformed_neighbor_key_indexed(self):
         error = _error(
-            request_from_dict,
+            new_carrier_request_from_dict,
             {"attributes": ATTRIBUTES, "neighbors": ["1.4.0.0", "nope"]},
         )
         assert error.field == "request.neighbors[1]"
@@ -109,7 +111,7 @@ class TestNewCarrierShape:
 
     def test_neighbors_must_be_a_list(self):
         error = _error(
-            request_from_dict,
+            new_carrier_request_from_dict,
             {"attributes": ATTRIBUTES, "neighbors": "1.4.0.0"},
         )
         assert error.field == "request.neighbors"
@@ -118,20 +120,20 @@ class TestNewCarrierShape:
 class TestBatchShape:
     def test_bare_list_and_wrapper_agree(self):
         item = {"attributes": ATTRIBUTES}
-        assert len(requests_from_json([item, item])) == 2
-        assert len(requests_from_json({"requests": [item]})) == 1
+        assert len(new_carrier_requests_from_json([item, item])) == 2
+        assert len(new_carrier_requests_from_json({"requests": [item]})) == 1
 
     def test_batch_error_carries_item_index(self):
         good = {"attributes": ATTRIBUTES}
-        error = _error(requests_from_json, [good, {"enodeb": "1.4"}])
+        error = _error(new_carrier_requests_from_json, [good, {"enodeb": "1.4"}])
         assert error.field == "requests[1].attributes"
 
     def test_wrapper_without_requests_key(self):
-        error = _error(requests_from_json, {"batch": []})
+        error = _error(new_carrier_requests_from_json, {"batch": []})
         assert error.field == "requests"
 
     def test_non_list_batch(self):
-        error = _error(requests_from_json, "nope")
+        error = _error(new_carrier_requests_from_json, "nope")
         assert error.field == "requests"
 
 
