@@ -394,8 +394,8 @@ def _health_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--requests", type=int, default=None,
         help="leave-one-out requests to serve (default: two passes over "
-        "the carrier population — stationary by construction, and the "
-        "second pass exercises the vote cache)",
+        "the carrier population — stationary by construction; "
+        "leave-one-out votes bypass the vote cache)",
     )
     parser.add_argument(
         "--shadow-targets", type=int, default=25,
@@ -1042,7 +1042,8 @@ def _collect_health(args):
             carriers = sorted(dataset.store.carriers())
             # Default: two passes over the population — the stream then
             # matches the fitted distributions exactly (stationary by
-            # construction) and the second pass exercises the vote cache.
+            # construction).  Leave-one-out votes bypass the vote cache,
+            # so the cache-hit-ratio rule reads no_data here.
             requests = (
                 args.requests
                 if args.requests is not None

@@ -13,7 +13,7 @@ invariant the rest of the library can rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.config.parameters import ParameterCatalog, ParameterKind
 from repro.config.values import validate_value
@@ -65,13 +65,6 @@ class ConfigurationStore:
         validate_value(spec, value)
         self._pairwise.setdefault(pair, {})[name] = value
 
-    def remove_carrier(self, carrier: CarrierId) -> None:
-        """Drop all configuration touching ``carrier`` (decommissioning)."""
-        self._singular.pop(carrier, None)
-        stale = [p for p in self._pairwise if carrier in (p.carrier, p.neighbor)]
-        for pair in stale:
-            del self._pairwise[pair]
-
     # -- reads ------------------------------------------------------------
 
     def get_singular(self, carrier: CarrierId, name: str) -> Optional[ParameterValue]:
@@ -94,10 +87,6 @@ class ConfigurationStore:
 
     def pairs(self) -> Iterator[PairKey]:
         return iter(self._pairwise)
-
-    def pairs_for_carrier(self, carrier: CarrierId) -> List[PairKey]:
-        """Pairs whose source side is ``carrier``."""
-        return [p for p in self._pairwise if p.carrier == carrier]
 
     def singular_values(self, name: str) -> Dict[CarrierId, ParameterValue]:
         """All configured values of one singular parameter."""

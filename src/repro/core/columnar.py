@@ -48,6 +48,7 @@ receiver re-maps the file.
 from __future__ import annotations
 
 import time
+from array import array
 from collections import Counter
 from operator import itemgetter
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
@@ -434,22 +435,40 @@ def plurality(votes: Dict) -> Tuple:
     return max(votes.items(), key=itemgetter(1))
 
 
+def _slot_ranges(sources: np.ndarray, n_slots: int) -> Tuple[array, array]:
+    """``(order, offsets)`` for samples whose source carriers sit at
+    snapshot slots ``sources``: every sample position grouped by slot
+    (position order within a slot), and slot ``s``'s range
+    ``order[offsets[s]:offsets[s + 1]]`` of them.  A source at or past
+    ``n_slots`` lands in no slot's range.
+
+    Both come back as plain ``array`` buffers, not numpy arrays:
+    indexing one yields a Python int without boxing a numpy scalar,
+    which is most of the cost of gathering a few carriers' ranges.
+    """
+    order = np.argsort(sources, kind="stable").astype(np.int64)
+    offsets = np.zeros(n_slots + 1, dtype=np.int64)
+    np.cumsum(np.bincount(sources, minlength=n_slots)[:n_slots], out=offsets[1:])
+    return array("q", order.tobytes()), array("q", offsets.tobytes())
+
+
 class LocalVoteIndex:
     """Vectorized neighborhood gather for local (1-hop) votes.
 
-    Walking every neighborhood carrier's sample keys through the model's
-    dicts would hash composite dataclass keys millions of times across a
-    LOO sweep.  This index assigns each fitted sample a dense position
-    once, interns its cell and label as small integer codes, and stores
-    each carrier's sample positions as one array; a neighborhood's
-    electorate is then a concatenation of per-carrier position arrays
-    and its vote a :func:`tally` over an integer slice.  ``weights``
-    holds each position's vote weight (``None``: all 1.0).
+    Assigns each fitted sample a dense position once, interns its cell
+    and label as small integer codes, and groups the positions by the
+    snapshot slot of each sample's source carrier (CSR offsets: see
+    :func:`_slot_ranges`).  A neighborhood, resolved to slots once per
+    request, gathers its electorate from its slots' ranges without
+    hashing a single identifier, and its vote is a :func:`tally` over
+    an integer slice.  ``weights`` holds each position's vote weight
+    (``None``: all 1.0).
     """
 
     __slots__ = (
         "key_pos",
-        "positions_by_carrier",
+        "order",
+        "offsets",
         "cell_codes",
         "label_codes",
         "cell_slot",
@@ -462,8 +481,13 @@ class LocalVoteIndex:
         self,
         samples: Dict[Hashable, Tuple[Tuple, ParameterValue]],
         by_carrier: Dict[CarrierId, List[Hashable]],
+        carrier_slots: Dict[CarrierId, int],
         weights: Optional[Dict[Hashable, float]] = None,
     ) -> None:
+        """``by_carrier`` lists each source carrier's keys in sample
+        order; ``carrier_slots`` numbers the snapshot's carriers
+        ``0..len - 1``.  A carrier outside it has no slot, so its
+        samples never vote locally."""
         n = len(samples)
         key_pos: Dict[Hashable, int] = {}
         cell_slot: Dict[Tuple, int] = {}
@@ -495,12 +519,13 @@ class LocalVoteIndex:
             self.weights = np.fromiter(
                 (weights.get(key, 1.0) for key in samples), dtype=np.float64, count=n
             )
-        self.positions_by_carrier = {
-            carrier: np.fromiter(
-                (key_pos[k] for k in keys), dtype=np.intp, count=len(keys)
-            )
-            for carrier, keys in by_carrier.items()
-        }
+        n_slots = len(carrier_slots)
+        sources = np.full(n, n_slots, dtype=np.intp)
+        for carrier, keys in by_carrier.items():
+            slot = carrier_slots.get(carrier)
+            if slot is not None:
+                sources[[key_pos[key] for key in keys]] = slot
+        self.order, self.offsets = _slot_ranges(sources, n_slots)
         obs_metrics.counter(
             "repro_vote_vectorized_cells_total",
             "Distinct vote cells computed by vectorized kernels",
@@ -516,9 +541,10 @@ class LocalVoteIndex:
 
         Equivalent to the dict constructor: the stash's arrays are in
         sample insertion order, its label vocab *is* the label
-        first-appearance order, and cell codes are re-ranked to
-        first-appearance here — only the per-sample Python loop (and
-        its millions of tuple hashes) is replaced by array kernels.
+        first-appearance order, cell codes are re-ranked to
+        first-appearance here, and its ``sources`` already are snapshot
+        slots — only the per-sample Python loop (and its millions of
+        tuple hashes) is replaced by array kernels.
         """
         index = cls.__new__(cls)
         index.key_pos = dict(zip(samples, range(len(samples))))
@@ -536,14 +562,9 @@ class LocalVoteIndex:
         index.label_codes = encoded.label_codes.astype(np.intp)
         index.labels = list(encoded.label_vocab)
         index.weights = encoded.weights
-        sort_order = np.argsort(encoded.sources, kind="stable").astype(np.intp)
-        slots, counts = np.unique(encoded.sources, return_counts=True)
-        chunks = np.split(sort_order, np.cumsum(counts)[:-1])
-        carrier_ids = encoded.carrier_ids
-        index.positions_by_carrier = {
-            carrier_ids[slot]: chunk
-            for slot, chunk in zip(slots.tolist(), chunks)
-        }
+        index.order, index.offsets = _slot_ranges(
+            encoded.sources, len(encoded.carrier_ids)
+        )
         obs_metrics.counter(
             "repro_vote_vectorized_cells_total",
             "Distinct vote cells computed by vectorized kernels",
@@ -551,25 +572,28 @@ class LocalVoteIndex:
         return index
 
     def electorate(
-        self, neighborhood, exclude: Optional[Hashable]
+        self, slots: Sequence[int], exclude: Optional[Hashable]
     ) -> Optional[np.ndarray]:
-        """Sample positions voting from ``neighborhood``, in
-        neighborhood iteration x per-carrier insertion order, minus the
-        excluded target."""
-        chunks = []
-        positions = self.positions_by_carrier
-        for carrier in neighborhood:
-            pos = positions.get(carrier)
-            if pos is not None:
-                chunks.append(pos)
-        if not chunks:
-            return None
-        pos = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        """Sample positions voting from the carriers at snapshot
+        ``slots``, in slot-sequence x per-carrier insertion order, minus
+        the excluded target."""
+        order = self.order
+        offsets = self.offsets
+        pos: List[int] = []
+        for slot in slots:
+            lo = offsets[slot]
+            hi = offsets[slot + 1]
+            # A singular parameter has at most one sample per carrier:
+            # skip building a one-element slice.
+            if hi - lo == 1:
+                pos.append(order[lo])
+            elif hi > lo:
+                pos.extend(order[lo:hi])
         if exclude is not None:
             excluded = self.key_pos.get(exclude)
-            if excluded is not None:
-                pos = pos[pos != excluded]
-        return pos if len(pos) else None
+            if excluded is not None and excluded in pos:
+                pos.remove(excluded)
+        return np.array(pos, dtype=np.intp) if pos else None
 
 
 class EncodedVotes:
@@ -767,6 +791,12 @@ class ParameterColumns:
         return [vocab[code] for code in self.label_codes.tolist()]
 
 
+def snapshot_carrier_ids(network: Network) -> List[CarrierId]:
+    """The network's carrier ids in snapshot slot order (sorted): the
+    row order of a :class:`ColumnarSnapshot` encoded from it."""
+    return sorted(carrier.carrier_id for carrier in network.carriers())
+
+
 class ColumnarSnapshot:
     """Integer-encoded snapshot: attribute code matrix + label columns.
 
@@ -804,9 +834,7 @@ class ColumnarSnapshot:
         """Encode a snapshot's attribute matrix and parameter columns."""
         started = time.perf_counter()
         with tracing.span("columnar.encode", parameters=len(specs)) as span:
-            carrier_ids = sorted(
-                carrier.carrier_id for carrier in network.carriers()
-            )
+            carrier_ids = snapshot_carrier_ids(network)
             n_attrs = len(ATTRIBUTE_SCHEMA.names)
             codes = np.empty((len(carrier_ids), n_attrs), dtype=np.int32)
             vocab_maps: List[Dict[AttributeValue, int]] = [

@@ -26,10 +26,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.config.rulebook import RuleBook
-from repro.core.auric import AuricEngine, Row
+from repro.core.auric import AuricEngine, Row, Voters
 from repro.core.recommendation import (
     CarrierRecommendation,
     ParameterRecommendation,
@@ -98,17 +98,14 @@ class RecommendationPipeline:
         with tracing.span(self.span_name, target=label) as sp:
             names = self._parameter_names(engine, request)
             sp.set("parameters", len(names))
-            attributes, row, neighborhood, exclude = engine.resolve_request(
-                request
-            )
+            attributes, row, voters, exclude = engine.resolve_request(request)
             self._observe(attributes)
-            scope_key = frozenset(neighborhood) if neighborhood else None
             result = CarrierRecommendation(target=label)
             dispositions: Dict[str, Tuple[Optional[str], Optional[str]]] = {}
             for name in names:
                 rec, cache_state, fallback_reason = self._recommend_parameter(
                     engine, generation, name, attributes, row,
-                    neighborhood, scope_key, exclude, explain=request.explain,
+                    voters, exclude, explain=request.explain,
                 )
                 result.add(rec)
                 dispositions[name] = (cache_state, fallback_reason)
@@ -125,7 +122,7 @@ class RecommendationPipeline:
                     explanation.parameters[name] = engine.explain_parameter(
                         rec,
                         row,
-                        neighborhood=neighborhood if request.local else None,
+                        neighborhood=voters.carriers if request.local else None,
                         cache=cache_state,
                         fallback_reason=fallback_reason,
                     )
@@ -190,8 +187,7 @@ class RecommendationPipeline:
         name: str,
         attributes: CarrierAttributes,
         row: Row,
-        neighborhood: Set[CarrierId],
-        scope_key: Optional[frozenset],
+        voters: Voters,
         exclude: Optional[Hashable],
         explain: bool = False,
     ) -> Tuple[ParameterRecommendation, Optional[str], Optional[str]]:
@@ -199,13 +195,13 @@ class RecommendationPipeline:
 
         Returns ``(recommendation, cache_state, fallback_reason)``.
         Here every vote is computed and ``cache_state`` is None; the
-        service answers from its vote cache first, keyed by
-        ``scope_key`` and ``generation``.
+        service answers new-carrier requests from its vote cache first,
+        keyed by the voters and ``generation``.
         """
         spec = engine.catalog.spec(name)
         rec, fallback_reason = self._compute_parameter(
             engine, name, spec, spec.is_range and name in engine._models,
-            attributes, row, neighborhood, exclude, capture=explain,
+            attributes, row, voters, exclude, capture=explain,
         )
         return rec, None, fallback_reason
 
@@ -217,7 +213,7 @@ class RecommendationPipeline:
         fitted: bool,
         attributes: CarrierAttributes,
         row: Row,
-        neighborhood: Set[CarrierId],
+        voters: Voters,
         exclude: Optional[Hashable],
         capture: bool,
     ) -> Tuple[ParameterRecommendation, Optional[str]]:
@@ -230,9 +226,9 @@ class RecommendationPipeline:
         """
         if fitted:
             try:
-                if neighborhood:
+                if voters:
                     rec = engine.recommend_local(
-                        name, row, neighborhood, exclude=exclude, capture=capture
+                        name, row, voters, exclude=exclude, capture=capture
                     )
                 else:
                     rec = engine.recommend_global(

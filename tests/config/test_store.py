@@ -81,21 +81,8 @@ class TestPairwiseValues:
         with pytest.raises(ConfigurationError):
             fresh_store.set_pairwise(PairKey(cid(0), cid(1)), "pMax", 12.6)
 
-    def test_pairs_for_carrier_source_side_only(self, fresh_store):
-        fresh_store.set_pairwise(PairKey(cid(0), cid(1)), "hysA3Offset", 1.0)
-        fresh_store.set_pairwise(PairKey(cid(1), cid(0)), "hysA3Offset", 2.0)
-        assert fresh_store.pairs_for_carrier(cid(0)) == [PairKey(cid(0), cid(1))]
-
 
 class TestRemovalAndCounts:
-    def test_remove_carrier_drops_everything(self, fresh_store):
-        fresh_store.set_singular(cid(0), "pMax", 0)
-        fresh_store.set_pairwise(PairKey(cid(0), cid(1)), "hysA3Offset", 1.0)
-        fresh_store.set_pairwise(PairKey(cid(1), cid(0)), "hysA3Offset", 1.0)
-        fresh_store.remove_carrier(cid(0))
-        assert fresh_store.get_singular(cid(0), "pMax") is None
-        assert not fresh_store.pairwise_values("hysA3Offset")
-
     def test_total_value_count(self, fresh_store):
         fresh_store.set_singular(cid(0), "pMax", 0)
         fresh_store.set_singular(cid(0), "sFreqPrio", 1)

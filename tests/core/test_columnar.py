@@ -291,18 +291,27 @@ class TestLocalVoteIndex:
             "k4": (("b",), 2),
         }
         by_carrier = {"c1": ["k1", "k3"], "c2": ["k2"], "c3": ["k4"]}
-        index = LocalVoteIndex(samples, by_carrier)
-        # Neighborhood iteration order x per-carrier insertion order.
-        pos = index.electorate(["c2", "c1"], None)
+        slots = {"c1": 0, "c2": 1, "c3": 2, "c9": 3}
+        index = LocalVoteIndex(samples, by_carrier, slots)
+        # Slot-sequence order x per-carrier insertion order.
+        pos = index.electorate([1, 0], None)
         keys = [list(samples)[p] for p in pos.tolist()]
         assert keys == ["k2", "k1", "k3"]
         # The excluded target leaves the electorate.
-        pos = index.electorate(["c2", "c1"], "k1")
+        pos = index.electorate([1, 0], "k1")
         keys = [list(samples)[p] for p in pos.tolist()]
         assert keys == ["k2", "k3"]
         # No voters at all -> None.
-        assert index.electorate(["c9"], None) is None
-        assert index.electorate(["c2"], "k2") is None
+        assert index.electorate([3], None) is None
+        assert index.electorate([1], "k2") is None
+        assert index.electorate([], None) is None
+
+    def test_carrier_outside_the_slots_never_votes(self):
+        samples = {"k1": (("a",), 1), "k2": (("a",), 2)}
+        index = LocalVoteIndex(
+            samples, {"c1": ["k1"], "gone": ["k2"]}, {"c1": 0}
+        )
+        assert index.electorate([0], None).tolist() == [0]
 
     def test_codes_decode_back_to_cells_and_labels(self):
         samples = {
@@ -310,7 +319,7 @@ class TestLocalVoteIndex:
             "k2": (("b", 2), "y"),
             "k3": (("a", 1), "x"),
         }
-        index = LocalVoteIndex(samples, {"c": ["k1", "k2", "k3"]})
+        index = LocalVoteIndex(samples, {"c": ["k1", "k2", "k3"]}, {"c": 0})
         for i, (cell, label) in enumerate(samples.values()):
             assert index.cells[index.cell_codes[i]] == cell
             assert index.labels[index.label_codes[i]] == label

@@ -150,3 +150,63 @@ class TestEvaluationIdentical:
                     (r.value, r.support, r.matched, r.scope, r.confident)
                     for r in b
                 ]
+
+
+def _dict_walk(model, index, neighborhood, exclude):
+    """The reference electorate: each neighborhood carrier looked up in
+    the model's ``by_carrier`` dict, in neighborhood iteration x
+    per-carrier insertion order, minus the excluded target."""
+    positions = [
+        index.key_pos[key]
+        for carrier in neighborhood
+        for key in model.by_carrier.get(carrier, ())
+    ]
+    excluded = index.key_pos.get(exclude) if exclude is not None else None
+    return [p for p in positions if p != excluded]
+
+
+@pytest.fixture(scope="module")
+def fitted_and_loaded(engine, dataset):
+    """The shared engine (singular and pair-wise models, fitted from
+    encoded columns) and its artifact round trip (dict-built models)."""
+    loaded = engine_from_dict(
+        json.loads(json.dumps(engine_to_dict(engine))),
+        dataset.network,
+        dataset.store,
+    )
+    return engine, loaded
+
+
+class TestSlotElectorate:
+    def test_slot_gather_matches_the_dict_walk(self, fitted_and_loaded):
+        kinds = set()
+        for engine in fitted_and_loaded:
+            for model in engine.fitted_models().values():
+                index = engine._local_vote_index(model)
+                pairwise = model.spec.is_pairwise
+                kinds.add((model._encoded is None, pairwise))
+                for key in list(model.samples)[:80]:
+                    source = key.carrier if pairwise else key
+                    neighborhood = engine.neighborhood_of(source)
+                    # The target's own carrier votes too, so the
+                    # exclusion has something to remove.
+                    neighborhood.add(source)
+                    slots = engine.voters(neighborhood).slots
+                    for exclude in (None, key):
+                        got = index.electorate(slots, exclude)
+                        assert (
+                            [] if got is None else got.tolist()
+                        ) == _dict_walk(model, index, neighborhood, exclude)
+        # Fitted and loaded engines, singular and pair-wise models.
+        assert kinds == {
+            (loaded, pairwise)
+            for loaded in (False, True)
+            for pairwise in (False, True)
+        }
+
+    def test_loaded_engine_numbers_carriers_like_the_snapshot(
+        self, fitted_and_loaded
+    ):
+        fitted, loaded = fitted_and_loaded
+        assert loaded.columnar_snapshot() is None
+        assert loaded.carrier_slots() == fitted.carrier_slots()

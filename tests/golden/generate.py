@@ -148,7 +148,7 @@ def _vote_queries(engine: AuricEngine, name: str, extra: Sequence = ()) -> List:
         out.append([
             f"new-local/{_key(key)}",
             *_answer(lambda: engine.recommend_local(
-                name, row, engine.neighborhood_of(source)
+                name, row, engine.voters(engine.neighborhood_of(source))
             )),
         ])
         for label, columns in (

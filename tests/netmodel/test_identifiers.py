@@ -1,3 +1,7 @@
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.netmodel.identifiers import CarrierId, ENodeBId, MarketId
@@ -63,3 +67,77 @@ class TestCarrierId:
     def test_enodeb_accessor(self):
         e = ENodeBId(MarketId(0), 9)
         assert CarrierId(e, 1, 1).enodeb == e
+
+
+def _ids():
+    return [
+        CarrierId(ENodeBId(MarketId(m), e), f, s)
+        for m in range(2)
+        for e in range(40)
+        for f in range(3)
+        for s in range(4)
+    ]
+
+
+def _field_hash(identifier):
+    """The generated dataclass hash: the hash of the field tuple."""
+    if isinstance(identifier, MarketId):
+        return hash((identifier.index,))
+    if isinstance(identifier, ENodeBId):
+        return hash((identifier.market, identifier.index))
+    return hash((identifier.enodeb, identifier.face, identifier.slot))
+
+
+class TestMemoizedHash:
+    def test_hash_is_the_field_tuple_hash(self):
+        for carrier in _ids()[::37]:
+            for identifier in (carrier, carrier.enodeb, carrier.market):
+                assert hash(identifier) == _field_hash(identifier)
+                # Asked again, the remembered value is the same one.
+                assert hash(identifier) == _field_hash(identifier)
+
+    @pytest.mark.parametrize(
+        "clone",
+        [
+            lambda c: pickle.loads(pickle.dumps(c)),
+            copy.deepcopy,
+            lambda c: dataclasses.replace(c, slot=c.slot + 1),
+        ],
+        ids=["pickle", "deepcopy", "replace"],
+    )
+    def test_hash_survives_copies(self, clone):
+        carrier = CarrierId(ENodeBId(MarketId(1), 22), 2, 3)
+        hash(carrier)
+        copied = clone(carrier)
+        assert hash(copied) == _field_hash(copied)
+        assert hash(copied.enodeb) == _field_hash(copied.enodeb)
+        if copied.slot == carrier.slot:
+            assert copied == carrier
+            assert hash(copied) == hash(carrier)
+
+    def test_pickle_carries_no_memo(self):
+        ids = _ids()
+        cold = pickle.dumps(ids)
+        for identifier in ids:
+            hash(identifier)
+        assert pickle.dumps(ids) == cold
+        # 960 ids took 47,153 bytes when they pickled as generated
+        # dataclasses (a state dict per object); constructor arguments
+        # must never make the list larger.
+        assert len(cold) <= 47_153
+
+    def test_sets_keep_their_iteration_order(self):
+        class Generated:
+            """An id hashed afresh on every call, as the generated
+            dataclass hash does."""
+
+            def __init__(self, carrier):
+                self.carrier = carrier
+
+            def __hash__(self):
+                return _field_hash(self.carrier)
+
+        ids = _ids()
+        assert [c for c in set(ids)] == [
+            g.carrier for g in {Generated(c) for c in ids}
+        ]

@@ -135,9 +135,9 @@ class TestServiceDisposition:
     def test_cache_disposition_flips_to_hit(self, service, dataset):
         carrier_id = sorted(dataset.store.carriers())[0]
         request = RecommendRequest(
-            carrier_id=carrier_id,
+            attributes=dataset.network.carrier(carrier_id).attributes,
+            enodeb_id=carrier_id.enodeb,
             parameters=PARAMETERS,
-            leave_one_out=True,
             explain=True,
         )
         first = service.handle(request).explain
@@ -149,6 +149,32 @@ class TestServiceDisposition:
             again = second.parameters[name]
             assert again.value == explanation.value
             assert again.votes == explanation.votes
+
+    def test_leave_one_out_bypasses_the_cache(self, service, dataset):
+        """A leave-one-out vote is computed directly: no cache entry, no
+        cache lookup counted, and no cache disposition to explain."""
+        carrier_id = sorted(dataset.store.carriers())[2]
+        request = RecommendRequest(
+            carrier_id=carrier_id,
+            parameters=PARAMETERS,
+            leave_one_out=True,
+            explain=True,
+        )
+        metrics = service.metrics
+        before = (
+            service.cache_len(), metrics.cache_hits, metrics.cache_misses
+        )
+        requests, votes = metrics.requests, metrics.votes
+        for _ in range(2):
+            explanation = service.handle(request).explain
+            assert {e.cache for e in explanation.parameters.values()} == {
+                None
+            }
+        assert (
+            service.cache_len(), metrics.cache_hits, metrics.cache_misses
+        ) == before
+        assert metrics.requests == requests + 2
+        assert metrics.votes > votes
 
     def test_unexplained_requests_skip_vote_capture(self, service, dataset):
         carrier_id = sorted(dataset.store.carriers())[1]

@@ -78,7 +78,7 @@ class TestServing:
             row = request.attributes.as_tuple()
             if neighborhood:
                 direct = fitted_engine.recommend_local(
-                    "pMax", row, neighborhood, exclude=None
+                    "pMax", row, fitted_engine.voters(neighborhood), exclude=None
                 )
             else:
                 direct = fitted_engine.recommend_global("pMax", row, exclude=None)
@@ -113,6 +113,17 @@ class TestServing:
         assert set(results) == set(neighbors)
         for recommendation in results.values():
             assert "hysA3Offset" in recommendation.value_map()
+
+    def test_recommend_neighbors_points_singular_parameters_at_handle(
+        self, service, dataset
+    ):
+        template = next(dataset.network.carriers())
+        request = NewCarrierRequest(attributes=template.attributes)
+        with pytest.raises(
+            RecommendationError, match=r"^pMax is singular; use handle\(\)$"
+        ):
+            service.recommend_neighbors(request, parameters=["pMax"])
+        assert callable(service.handle)
 
     def test_thread_safety_smoke(self, service, dataset):
         requests = make_requests(dataset, 20)
