@@ -6,12 +6,10 @@ returns every answer as JSON-ready data.  ``answers.json`` next to this
 file holds the frozen output; ``test_golden_answers.py`` recomputes it
 with the current code and requires an exact match.
 
-The battery covers, per scenario engine (plain, vote-weighted, grown by
-``incremental_add``, and weighted-and-edited through ``add_sample`` /
-``remove_sample``):
+The battery covers, per scenario engine (plain and vote-weighted):
 
 * global, local, leave-one-out, relaxed and global-fallback votes over
-  singular and pair-wise parameters (scalar and batched entry points);
+  singular and pair-wise parameters;
 * vote capture through explain requests, new-carrier requests, rule-book
   cold starts and the batch-planning service path;
 * ``repro.core.explain`` lines and ``EvaluationRunner.loo_accuracy``
@@ -40,7 +38,6 @@ from repro.datagen.generator import generate_dataset
 from repro.datagen.profiles import GenerationProfile, four_market_profile
 from repro.eval.runner import EvaluationRunner
 from repro.exceptions import RecommendationError
-from repro.serve.refresh import EngineRefresher, store_subset
 from repro.serve.service import RecommendationService
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("answers.json")
@@ -164,12 +161,10 @@ def _vote_queries(engine: AuricEngine, name: str, extra: Sequence = ()) -> List:
                     *_answer(lambda: engine.recommend_global(name, masked, exclude)),
                 ])
     batch = keys[:8]
-    cells = [model.cell_key(row_of(k)) for k in batch] + [tuple(UNSEEN for _ in deps)]
+    rows = [row_of(k) for k in batch] + [_mask(row_of(keys[0]), deps)]
     excludes = [k if i % 2 else None for i, k in enumerate(batch)] + [None]
-    for i, rec in enumerate(engine.recommend_global_cells(name, cells, excludes)):
-        out.append([f"cells/{i}", *_rec(rec)])
-    for i, rec in enumerate(engine.table_global_votes(name, cells, excludes)):
-        out.append([f"table/{i}", *(_rec(rec) if rec is not None else [None])])
+    for i, (row, exclude) in enumerate(zip(rows, excludes)):
+        out.append([f"cells/{i}", *_rec(engine.recommend_global(name, row, exclude))])
     return out
 
 
@@ -310,38 +305,7 @@ def compute_seed(seed: int) -> Dict:
     weights = vote_weights(dataset, plain)
     weighted = AuricEngine(network, store).fit(list(PARAMETERS), vote_weights=weights)
 
-    # Grown: fit without every 7th carrier, then activate them (and
-    # re-add a few present ones, which moves their votes to the end).
-    carriers = sorted(c.carrier_id for c in network.carriers())
-    held_out = carriers[::7]
-    grown = AuricEngine(
-        network, store_subset(store, set(carriers) - set(held_out))
-    ).fit(list(PARAMETERS))
-    refresher = EngineRefresher(RecommendationService(grown))
-    refresher.incremental_add(held_out, store)
-    refresher.incremental_add(carriers[1:40:9], store)
-
-    # Weighted, then edited sample by sample through the model API.
-    # Weights stay positive here: removing a sample next to zero-weight
-    # voters can drop their cell from the vote index entirely.
-    positive = {key: weight or 0.5 for key, weight in weights.items()}
-    edited = AuricEngine(network, store).fit(list(PARAMETERS), vote_weights=positive)
-    for name in SINGULAR:
-        model = edited._model(name)
-        keys = list(model.samples)
-        for i, key in enumerate(keys[3:60:5]):
-            model.remove_sample(key)
-            if i % 2 == 0:
-                label = model.samples[keys[0]][1]
-                weight = WEIGHT_CYCLE[1 + i % (len(WEIGHT_CYCLE) - 1)]
-                model.add_sample(key, edited.carrier_row(key), label, weight)
-
-    for scenario, engine in (
-        ("plain", plain),
-        ("weighted", weighted),
-        ("grown", grown),
-        ("edited", edited),
-    ):
+    for scenario, engine in (("plain", plain), ("weighted", weighted)):
         for name in PARAMETERS:
             extra = _zero_keys(engine, name)
             sections[f"{scenario}/{name}"] = _vote_queries(engine, name, extra)
