@@ -7,7 +7,8 @@ store, and assert the economics the store exists for:
 
 * **cold start** — opening the persisted store (zero-copy mmap) must be
   at least ``REPRO_STORE_MIN_COLD_SPEEDUP``× faster than re-encoding
-  the snapshot from the configuration store (default 10×);
+  the snapshot from the configuration store (default 10×), each side
+  timed as the median of ``COLD_START_REPEATS`` alternating runs;
 * **fit budget** — the columnar fit itself (generation excluded — that
   is dataset manufacturing, not the data path) stays under
   ``REPRO_STORE_FIT_BUDGET_S``;
@@ -41,6 +42,7 @@ import json
 import os
 import pickle
 import resource
+import statistics
 import time
 
 import pytest
@@ -67,6 +69,10 @@ EQUIV_SCALE = float(
 MAX_RSS_GB = float(os.environ.get("REPRO_STORE_MAX_RSS_GB", "48"))
 
 PARAMETERS = ("pMax", "inactivityTimer")
+#: Re-encodes and mmap opens per cold-start measurement.  At the CI
+#: scale one of each takes a few milliseconds, so a single pair's ratio
+#: moves with scheduler noise; the median of alternating runs does not.
+COLD_START_REPEATS = 5
 
 
 def peak_rss_gb() -> float:
@@ -146,24 +152,30 @@ def test_fit_within_budget(fitted, document):
 
 
 def test_cold_start_mmap_beats_reencode(fitted, store_dataset, document):
-    """The tentpole economics: open+mmap versus a full re-encode."""
-    engine, _, store_path = fitted
+    """The tentpole economics: open+mmap versus a full re-encode, each
+    the median of ``COLD_START_REPEATS`` runs taken in alternation."""
+    _, _, store_path = fitted
     specs = [store_dataset.catalog.spec(name) for name in PARAMETERS]
 
-    started = time.perf_counter()
-    encoded = ColumnarSnapshot.encode(
-        store_dataset.network, store_dataset.store, specs
-    )
-    encode_s = time.perf_counter() - started
-    assert encoded.has_parameter("pMax")
+    encode_runs, mmap_runs = [], []
+    for _ in range(COLD_START_REPEATS):
+        started = time.perf_counter()
+        encoded = ColumnarSnapshot.encode(
+            store_dataset.network, store_dataset.store, specs
+        )
+        encode_runs.append(time.perf_counter() - started)
+        assert encoded.has_parameter("pMax")
 
-    started = time.perf_counter()
-    mapped = MmapSnapshotStore(store_path).load()
-    mmap_s = time.perf_counter() - started
-    assert mapped is not None and mapped.has_parameter("pMax")
+        started = time.perf_counter()
+        mapped = MmapSnapshotStore(store_path).load()
+        mmap_runs.append(time.perf_counter() - started)
+        assert mapped is not None and mapped.has_parameter("pMax")
 
+    encode_s = statistics.median(encode_runs)
+    mmap_s = statistics.median(mmap_runs)
     speedup = encode_s / max(mmap_s, 1e-9)
     document["cold_start"] = {
+        "repeats": COLD_START_REPEATS,
         "reencode_s": round(encode_s, 4),
         "mmap_open_s": round(mmap_s, 6),
         "speedup": round(speedup, 1),

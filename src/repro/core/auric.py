@@ -151,7 +151,12 @@ class AuricConfig:
 
 @dataclass
 class _ParameterModel:
-    """Fitted state for one parameter."""
+    """Fitted state for one parameter.
+
+    Nothing edits a model after its fit: new configured values reach
+    the votes through a refit, which builds new models
+    (:func:`repro.serve.refresh.refit_engine`).
+    """
 
     spec: ParameterSpec
     dependent_columns: Tuple[int, ...]
@@ -168,29 +173,22 @@ class _ParameterModel:
     #: dependency first (empty on models fitted before this field or
     #: loaded from pre-provenance artifacts).
     dependent_stats: Tuple[AttributeDependence, ...] = ()
-    # lazily-built vote indexes for relaxed (prefix) matches; level k
-    # matches on the first k dependent attributes (strongest first)
-    _relaxed: Dict[int, Dict[Tuple[AttributeValue, ...], Counter]] = field(
-        default_factory=dict, repr=False
-    )
-    # lazily-built per-cell plurality table (exact-cell global votes);
-    # invalidated whenever the vote indexes change
+    # lazily-built per-cell plurality table (exact-cell global votes)
     _vote_table: Optional[CellVoteTable] = field(
         default=None, repr=False, compare=False
     )
-    # lazily-built vectorized neighborhood index (local votes);
-    # invalidated alongside the vote table
+    # lazily-built vectorized neighborhood index (local votes)
     _local_index: Optional[LocalVoteIndex] = field(
         default=None, repr=False, compare=False
     )
-    # lazily-built per-relaxation-level plurality tables; invalidated
-    # alongside the vote table
+    # lazily-built plurality tables per relaxation level; level k
+    # matches on the first k dependent attributes (strongest first)
     _relaxed_tables: Dict[int, CellVoteTable] = field(
         default_factory=dict, repr=False, compare=False
     )
-    # fit-time encoded vote columns; lets the lazy structures above
-    # build vectorized. Dropped the moment the electorate diverges from
-    # the fit-time arrays.
+    # fit-time encoded vote columns, set on every fitted model; lets
+    # the lazy structures above build vectorized.  A model loaded from
+    # an artifact has none and builds them from its samples.
     _encoded: Optional[EncodedVotes] = field(
         default=None, repr=False, compare=False
     )
@@ -198,98 +196,24 @@ class _ParameterModel:
     def weight_of(self, key: Hashable) -> float:
         return self.weights.get(key, 1.0)
 
-    def add_sample(
-        self,
-        key: Hashable,
-        row: Row,
-        label: ParameterValue,
-        weight: float = 1.0,
-    ) -> None:
-        """Add one configured value to the fitted vote indexes.
-
-        The incremental-refresh path (``repro.serve.refresh``): a newly
-        activated carrier's values join the electorate without re-running
-        attribute selection — the dependency structure is kept until the
-        next full refit.  Replaces any existing sample under ``key``.
-        """
-        if weight < 0.0:
-            raise ValueError(f"vote weight for {key} must be >= 0")
-        if key in self.samples:
-            self.remove_sample(key)
-        self._vote_table = None
-        self._local_index = None
-        self._relaxed_tables = {}
-        self._encoded = None
-        cell = self.cell_key(row)
-        self.cell_index.setdefault(cell, Counter())[label] += weight
-        self.global_counts[label] += weight
-        self.samples[key] = (cell, label)
-        source = key.carrier if isinstance(key, PairKey) else key
-        self.by_carrier.setdefault(source, []).append(key)
-        if weight != 1.0:
-            self.weights[key] = weight
-        for level, index in self._relaxed.items():
-            index.setdefault(cell[:level], Counter())[label] += weight
-
-    def remove_sample(self, key: Hashable) -> None:
-        """Remove one configured value from the fitted vote indexes."""
-        if key not in self.samples:
-            return
-        self._vote_table = None
-        self._local_index = None
-        self._relaxed_tables = {}
-        self._encoded = None
-        cell, label = self.samples.pop(key)
-        weight = self.weights.pop(key, 1.0)
-        self._drop_votes(self.cell_index, cell, label, weight)
-        self.global_counts[label] -= weight
-        if self.global_counts[label] <= 1e-12:
-            del self.global_counts[label]
-        source = key.carrier if isinstance(key, PairKey) else key
-        keys = self.by_carrier.get(source)
-        if keys is not None:
-            keys.remove(key)
-            if not keys:
-                del self.by_carrier[source]
-        for level, index in self._relaxed.items():
-            self._drop_votes(index, cell[:level], label, weight)
-
-    @staticmethod
-    def _drop_votes(
-        index: Dict[Tuple[AttributeValue, ...], Counter],
-        cell: Tuple[AttributeValue, ...],
-        label: ParameterValue,
-        weight: float,
-    ) -> None:
-        counter = index.get(cell)
-        if counter is None:
-            return
-        counter[label] -= weight
-        if counter[label] <= 1e-12:
-            del counter[label]
-        if not counter:
-            del index[cell]
-
     def relaxed_index(
         self, level: int
     ) -> Dict[Tuple[AttributeValue, ...], Counter]:
         """The vote index matching on the first ``level`` dependent
-        attributes (built on first use)."""
-        index = self._relaxed.get(level)
-        if index is None:
-            index = {}
-            weights = self.weights
-            if weights:
-                for key, (cell, label) in self.samples.items():
-                    prefix = cell[:level]
-                    index.setdefault(prefix, Counter())[label] += weights.get(
-                        key, 1.0
-                    )
-            else:
-                for cell, label in self.samples.values():
-                    prefix = cell[:level]
-                    index.setdefault(prefix, Counter())[label] += 1.0
-            self._relaxed[level] = index
+        attributes, built from the samples (what a loaded model's
+        relaxed tables are built from)."""
+        index: Dict[Tuple[AttributeValue, ...], Counter] = {}
+        weights = self.weights
+        if weights:
+            for key, (cell, label) in self.samples.items():
+                prefix = cell[:level]
+                index.setdefault(prefix, Counter())[label] += weights.get(
+                    key, 1.0
+                )
+        else:
+            for cell, label in self.samples.values():
+                prefix = cell[:level]
+                index.setdefault(prefix, Counter())[label] += 1.0
         return index
 
     def cell_key(self, row: Row) -> Tuple[AttributeValue, ...]:
@@ -522,20 +446,11 @@ class AuricEngine:
         fit (the persistence layer saves it when present)."""
         return self._columnar
 
-    def invalidate_columnar(self, parameter: Optional[str] = None) -> None:
-        """Drop stale encoded columns after the store mutates.
-
-        The columnar snapshot is a one-time encoding of the store; the
-        incremental-refresh path writes new configured values into the
-        store, so the affected parameter's label columns (or, with
-        ``parameter=None``, the whole snapshot) must be re-encoded on
-        next use.
-        """
-        if self._columnar is None:
-            return
-        if parameter is None:
-            self._columnar = None
-        else:
+    def invalidate_columnar(self, parameter: str) -> None:
+        """Drop one parameter's encoded label columns so the next use
+        re-encodes them from the (mutated) store — what a changelog
+        refit does for each parameter it touches."""
+        if self._columnar is not None:
             self._columnar.parameters.pop(parameter, None)
 
     def fitted_parameters(self) -> List[str]:
@@ -799,8 +714,7 @@ class AuricEngine:
     # -- voting ---------------------------------------------------------------
 
     def _cell_vote_table(self, model: _ParameterModel) -> CellVoteTable:
-        """The model's exact-cell vote table (built on first use,
-        invalidated whenever the vote indexes change)."""
+        """The model's exact-cell vote table (built on first use)."""
         table = model._vote_table
         if table is None:
             encoded = model._encoded
@@ -815,8 +729,8 @@ class AuricEngine:
         self, model: _ParameterModel, level: int
     ) -> CellVoteTable:
         """The vote table over the first ``level`` dependent attributes
-        (built on first use, invalidated with the vote table); level 0
-        is the global value distribution."""
+        (built on first use); level 0 is the global value
+        distribution."""
         table = model._relaxed_tables.get(level)
         if table is None:
             if level == 0:
@@ -947,70 +861,6 @@ class AuricEngine:
         """
         model = self._model(parameter)
         return self._global_vote(model, model.cell_key(row), exclude, capture)
-
-    def table_global_votes(
-        self,
-        parameter: str,
-        cells: Sequence[Tuple[AttributeValue, ...]],
-        excludes: Optional[Sequence[Optional[Hashable]]] = None,
-    ) -> List[Optional[ParameterRecommendation]]:
-        """Exact-cell global votes answered straight from the vote
-        table, vectorized over the batch.
-
-        All no-exclusion cells are resolved with one
-        :meth:`CellVoteTable.vote_many` gather; leave-one-out entries
-        take the scalar path.  Entries the table cannot answer — unknown
-        cells, emptied cells, an unfitted parameter — come back as
-        ``None`` and the caller falls through to the per-target vote.
-        Never raises: a cell with no voters anywhere is still just
-        ``None`` here.
-        """
-        n = len(cells)
-        if excludes is None:
-            excludes = [None] * n
-        model = self._models.get(parameter)
-        if model is None:
-            return [None] * n
-        table = self._cell_vote_table(model)
-        out: List[Optional[ParameterRecommendation]] = [None] * n
-        plain = [i for i in range(n) if excludes[i] is None]
-        known, values, tops, totals = table.vote_many([cells[i] for i in plain])
-        for j, i in enumerate(plain):
-            if known[j]:
-                out[i] = self._outcome(
-                    model, "global", values[j], tops[j], totals[j]
-                )
-        for i in range(n):
-            if excludes[i] is not None:
-                out[i] = self._table_vote(
-                    model, table, cells[i],
-                    self._exclusion(model, excludes[i]), "global", False,
-                )
-        return out
-
-    def recommend_global_cells(
-        self,
-        parameter: str,
-        cells: Sequence[Tuple[AttributeValue, ...]],
-        excludes: Optional[Sequence[Optional[Hashable]]] = None,
-    ) -> List[ParameterRecommendation]:
-        """Batched :meth:`recommend_global` over precomputed cells.
-
-        Element-wise identical to calling :meth:`recommend_global` on
-        each cell's source row: the vectorized table pass answers the
-        common exact-cell case, and every ``None`` falls through the
-        same relaxation chain the scalar call uses (including raising
-        :class:`RecommendationError` for a cell with no votes anywhere).
-        """
-        model = self._model(parameter)
-        if excludes is None:
-            excludes = [None] * len(cells)
-        out = self.table_global_votes(parameter, cells, excludes)
-        return [
-            rec if rec is not None
-            else self._global_vote(model, cells[i], excludes[i])
-            for i, rec in enumerate(out)
-        ]
 
     def recommend_local(
         self,

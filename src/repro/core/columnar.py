@@ -380,40 +380,6 @@ class CellVoteTable:
             return self._value1[slot], reduced, total
         return self._value2[slot], top2, total
 
-    def vote_many(
-        self, cells: Sequence[Tuple]
-    ) -> Tuple[np.ndarray, List[Optional[ParameterValue]], np.ndarray, np.ndarray]:
-        """Plain (no-exclusion) votes for a batch of cells in one pass.
-
-        Returns ``(known, values, tops, totals)`` aligned with
-        ``cells``: ``known[i]`` is False for cells the table has never
-        seen (``values[i]`` is then ``None`` and the caller must take
-        the relaxation path, exactly as a ``None`` from :meth:`vote`).
-        The per-cell stats are gathered with one fancy-indexing pass
-        over the plurality arrays, so a micro-batch's distinct cells
-        cost one numpy gather instead of ``len(cells)`` dict walks;
-        element-wise the results are identical to scalar :meth:`vote`
-        calls (same arrays, same dtypes).
-
-        Leave-one-out exclusions stay on the scalar path: they are rare
-        in serving batches and their tie-break arithmetic is branchy.
-        """
-        n = len(cells)
-        lookup = self._slots.get
-        slots = np.fromiter(
-            (lookup(cell, -1) for cell in cells), dtype=np.intp, count=n
-        )
-        known = slots >= 0
-        safe = np.where(known, slots, 0)
-        tops = self._top1[safe]
-        totals = self._totals[safe]
-        value1 = self._value1
-        values: List[Optional[ParameterValue]] = [
-            value1[slot] if ok else None
-            for slot, ok in zip(slots.tolist(), known.tolist())
-        ]
-        return known, values, tops, totals
-
 
 def tally(
     label_codes: Sequence[int], weights: Optional[Sequence[float]] = None
@@ -603,9 +569,8 @@ class EncodedVotes:
     to build the plurality table, every relaxed-level table and the
     local vote index with array kernels instead of per-sample dict
     loops.  ``weights`` is the per-sample vote weight (``None``: all
-    1.0).  Describes the fit-time electorate only: the owning model
-    drops the stash whenever its samples change (``add_sample`` /
-    ``remove_sample``).
+    1.0).  A model's electorate never changes after its fit, so the
+    stash stays valid for the model's lifetime.
     """
 
     __slots__ = (

@@ -10,10 +10,11 @@ transition emits one structured record:
 
 * ``fit`` — an engine learned its models (parameters, phase breakdown,
   snapshot fingerprint);
-* ``refresh`` / ``full-refit`` / ``incremental-refit`` /
-  ``incremental-add`` — the refresher changed a service's serving
-  state, with the refit kind, per-parameter path (skip /
-  selection-reuse / full), and the drift scores that triggered it;
+* ``refresh`` / ``full-refit`` / ``incremental-refit`` — the
+  refresher swapped a new engine into a service (or, for a changelog
+  refit that changed no model, kept the old one), with the refit kind,
+  per-parameter path (skip / selection-reuse / full), and the drift
+  scores that triggered it;
 * ``front-start`` / ``hot-swap`` — the front-end tier's generation
   counter (the one stamped on every HTTP response) moved;
 * ``push`` / ``launch`` / ``rollback`` — the ops loop accepted a
@@ -477,8 +478,8 @@ def assemble_timeline(records: Iterable[Dict[str, Any]]) -> Timeline:
     """Reconstruct the generation DAG from journal records.
 
     Transition records (``refresh``, ``hot-swap``, ...) create nodes
-    and parent edges; in-place records (``incremental-add``,
-    ``push``, ...) attach to the generation they ran under, and so does
+    and parent edges; in-place records (``drift-check``) attach to
+    the generation they ran under, and so does
     a transition whose parent is its own generation (a changelog refit
     that swapped nothing).  A transition whose parent generation has
     no record of its own is a **gap** — except generation 0, the

@@ -3,15 +3,15 @@
 The deployment-facing layer: train the Auric engine once, persist the
 fitted state as a versioned artifact, and serve many recommendation
 requests from one process — with caching, metrics, cold-start fallback
-to the rule-book, and incremental refresh as the network grows.
+to the rule-book, and refits as the network grows.
 
 * :mod:`repro.serve.artifacts` — save/load a fitted engine with
   recommendation-identical round-trips.
 * :mod:`repro.serve.service` — the lock-free-read
   :class:`RecommendationService` with generation-stamped, lock-striped
   LRU vote caching and explicit invalidation.
-* :mod:`repro.serve.refresh` — incremental electorate updates and
-  full refits with stale-but-available swapping.
+* :mod:`repro.serve.refresh` — changelog and full refits with
+  stale-but-available swapping.
 * Service metrics live in :mod:`repro.obs.metrics`
   (:class:`ServiceMetrics`, re-exported here for convenience).
 * :mod:`repro.serve.validation` — structured payload validation
@@ -43,9 +43,7 @@ from repro.obs.metrics import (
 from repro.serve.refresh import (
     DriftCheck,
     EngineRefresher,
-    GrowthReplay,
     RefreshResult,
-    store_subset,
 )
 from repro.serve.service import DEFAULT_CACHE_SIZE, RecommendationService
 from repro.serve.validation import (
@@ -72,9 +70,7 @@ __all__ = [
     "ServiceMetrics",
     "DriftCheck",
     "EngineRefresher",
-    "GrowthReplay",
     "RefreshResult",
-    "store_subset",
     "DEFAULT_CACHE_SIZE",
     "RecommendationService",
 ]

@@ -41,12 +41,11 @@ from typing import Callable, Dict, Hashable, List, Optional, Sequence
 from repro.config.rulebook import RuleBook
 from repro.core.auric import AuricEngine
 from repro.core.recommendation import RecommendRequest, RecommendResult
-from repro.netmodel.identifiers import CarrierId
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.serve.front.routing import HashRing, shard_key
-from repro.serve.refresh import EngineRefresher, RefreshResult, refit_engine
+from repro.serve.refresh import refit_engine
 from repro.serve.service import DEFAULT_CACHE_SIZE, RecommendationService
 
 __all__ = ["EngineShard", "ShardSet", "SwapReport"]
@@ -290,27 +289,6 @@ class ShardSet:
         return sum(
             service.invalidate(parameter) for service in self._services
         )
-
-    def incremental_add(
-        self,
-        carrier_ids: Sequence[CarrierId],
-        source_store=None,
-        active=None,
-    ) -> RefreshResult:
-        """Activate carriers into the (shared) serving engine.
-
-        Delegates to :meth:`EngineRefresher.incremental_add` on the
-        first shard — the engine is shared, so one application updates
-        every shard's electorate — then invalidates the affected
-        parameters on the remaining shards' caches.
-        """
-        result = EngineRefresher(self._services[0]).incremental_add(
-            carrier_ids, source_store, active
-        )
-        for name in result.added:
-            for service in self._services[1:]:
-                service.invalidate(name)
-        return result
 
     # -- hot swap ------------------------------------------------------------
 

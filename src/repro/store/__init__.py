@@ -1,8 +1,8 @@
 """``repro.store`` — columnar-snapshot persistence.
 
 One :class:`~repro.store.base.SnapshotStore` protocol consumed by serve
-artifacts (save/load) and the refresher (persist/invalidate after
-refits); the mmap store is the only persisted form of a snapshot.  See
+artifacts (save/load) and the refresher (persist after refits); the
+mmap store is the only persisted form of a snapshot.  See
 :mod:`repro.store.base` for the rationale and
 :mod:`repro.store.mmapfile` for the file format.
 """

@@ -4,14 +4,11 @@ A ``SnapshotStore`` keeps an encoded
 :class:`~repro.core.columnar.ColumnarSnapshot` outside the engine for
 the two layers that need one: serve artifacts (``save_engine``
 persists it next to the artifact, ``load_engine`` opens it) and the
-refresher (re-persists after refits, invalidates after incremental
-adds):
+refresher (re-persists after refits):
 
 * :meth:`SnapshotStore.persist` — write the current snapshot out.
 * :meth:`SnapshotStore.load` — open what was persisted (``None`` when
   nothing is there), zero-copy where the backend supports it.
-* :meth:`SnapshotStore.invalidate` — mark one parameter's columns (or
-  the whole snapshot) stale so the next load re-encodes just those.
 * :meth:`SnapshotStore.exists` — whether a persisted snapshot is
   available at all.
 
@@ -31,7 +28,7 @@ Backends are selected per engine through ``AuricConfig.store`` /
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.obs import metrics as obs_metrics
 
@@ -40,11 +37,11 @@ STORE_KINDS = ("memory", "mmap")
 
 
 class SnapshotStoreError(Exception):
-    """A snapshot store could not persist, open or invalidate."""
+    """A snapshot store could not persist or open."""
 
 
 class SnapshotStore(ABC):
-    """One open/load/persist/invalidate surface for columnar snapshots."""
+    """One load/persist surface for columnar snapshots."""
 
     kind: str = "abstract"
 
@@ -54,18 +51,10 @@ class SnapshotStore(ABC):
 
     @abstractmethod
     def load(self):
-        """The persisted snapshot minus any stale parameters, or ``None``.
+        """The persisted snapshot, or ``None``.
 
         Backends that support it return arrays as zero-copy views over
         the persisted bytes; callers must treat them as immutable.
-        """
-
-    @abstractmethod
-    def invalidate(self, parameter: Optional[str] = None) -> None:
-        """Mark one parameter (or, with ``None``, everything) stale.
-
-        A stale parameter is dropped from subsequent :meth:`load`
-        results, so the consumer re-encodes exactly those columns.
         """
 
     @abstractmethod
@@ -106,10 +95,3 @@ def record_open(kind: str, seconds: float, nbytes: int) -> None:
         "repro_store_open_bytes_total",
         "Bytes made available by snapshot-store opens",
     ).inc(float(nbytes))
-
-
-def record_invalidate(kind: str) -> None:
-    obs_metrics.counter(
-        "repro_store_invalidations_total",
-        "Snapshot-store invalidations (parameter or full)",
-    ).inc(1.0)

@@ -9,15 +9,10 @@ before external stores existed.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional, Set
+from typing import Dict, Optional
 
 from repro.core.columnar import ColumnarSnapshot
-from repro.store.base import (
-    SnapshotStore,
-    record_invalidate,
-    record_open,
-    record_persist,
-)
+from repro.store.base import SnapshotStore, record_open, record_persist
 
 
 class MemorySnapshotStore(SnapshotStore):
@@ -25,12 +20,10 @@ class MemorySnapshotStore(SnapshotStore):
 
     def __init__(self) -> None:
         self._snapshot: Optional[ColumnarSnapshot] = None
-        self._stale: Set[str] = set()
 
     def persist(self, snapshot: ColumnarSnapshot) -> Dict:
         started = time.perf_counter()
         self._snapshot = snapshot
-        self._stale = set()
         nbytes = sum(array.nbytes for _, _, array in snapshot._arrays())
         record_persist(self.kind, time.perf_counter() - started, nbytes)
         return {
@@ -49,23 +42,11 @@ class MemorySnapshotStore(SnapshotStore):
             carrier_ids=held.carrier_ids,
             codes=held.codes,
             vocabs=held.vocabs,
-            parameters={
-                name: columns
-                for name, columns in held.parameters.items()
-                if name not in self._stale
-            },
+            parameters=dict(held.parameters),
         )
         nbytes = sum(array.nbytes for _, _, array in view._arrays())
         record_open(self.kind, time.perf_counter() - started, nbytes)
         return view
-
-    def invalidate(self, parameter: Optional[str] = None) -> None:
-        if parameter is None:
-            self._snapshot = None
-            self._stale = set()
-        else:
-            self._stale.add(parameter)
-        record_invalidate(self.kind)
 
     def exists(self) -> bool:
         return self._snapshot is not None

@@ -23,10 +23,6 @@ the kernel shares the pages across every process that maps the same
 file.  The snapshot keeps a :class:`FileBacking` record so pool payloads
 ship as ``(path, layouts)`` references instead of array copies.
 
-Invalidating one parameter leaves the file as persisted and lists the
-parameter in a small ``<path>.stale`` JSON sidecar that :meth:`load`
-honours and :meth:`persist` clears.
-
 Writes are deterministic — parameters sorted by name, canonical JSON —
 so persisting an unchanged snapshot reproduces the file byte for byte
 (asserted by the artifact round-trip suite).
@@ -40,7 +36,7 @@ import os
 import struct
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +45,6 @@ from repro.obs import metrics as obs_metrics
 from repro.store.base import (
     SnapshotStore,
     SnapshotStoreError,
-    record_invalidate,
     record_open,
     record_persist,
 )
@@ -151,54 +146,6 @@ class FileBacking:
     )
 
 
-# -- stale-parameter sidecar -----------------------------------------------
-#
-# Invalidating one parameter must not rewrite a multi-megabyte store
-# file: the file stays as persisted and a tiny ``<path>.stale`` sidecar
-# lists the parameters to drop on load.  ``persist`` clears it.
-
-
-def stale_path(path: str) -> str:
-    return f"{path}.stale"
-
-
-def read_stale(path: str) -> Set[str]:
-    """The persisted stale-parameter set (empty when no sidecar)."""
-    try:
-        with open(stale_path(path), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except FileNotFoundError:
-        return set()
-    except (OSError, ValueError) as exc:
-        raise SnapshotStoreError(
-            f"unreadable stale sidecar {stale_path(path)}: {exc}"
-        ) from exc
-    return set(payload.get("parameters", ()))
-
-
-def mark_stale(path: str, parameter: str) -> None:
-    stale = read_stale(path)
-    stale.add(parameter)
-    with open(stale_path(path), "w", encoding="utf-8") as fh:
-        json.dump({"parameters": sorted(stale)}, fh)
-
-
-def clear_stale(path: str) -> None:
-    try:
-        os.remove(stale_path(path))
-    except FileNotFoundError:
-        pass
-
-
-def remove_file(path: str) -> None:
-    """Best-effort removal of the store and its sidecar."""
-    for target in (path, stale_path(path)):
-        try:
-            os.remove(target)
-        except FileNotFoundError:
-            pass
-
-
 def _snapshot_arrays(
     snapshot: ColumnarSnapshot,
 ) -> List[Tuple[str, Optional[str], np.ndarray]]:
@@ -267,7 +214,6 @@ class MmapSnapshotStore(SnapshotStore):
                 fh.write(b"\x00" * (target - fh.tell()))
                 fh.write(np.ascontiguousarray(array).tobytes())
         os.replace(tmp, self.path)
-        clear_stale(self.path)
         nbytes = os.path.getsize(self.path)
         record_persist(self.kind, time.perf_counter() - started, nbytes)
         return {
@@ -307,7 +253,6 @@ class MmapSnapshotStore(SnapshotStore):
         if not self.exists():
             return None
         started = time.perf_counter()
-        stale = read_stale(self.path)
         header, data_start = self._read_header()
         mapped = map_file(self.path)
         layouts: Dict[Tuple[str, Optional[str]], SegmentLayout] = {}
@@ -321,8 +266,6 @@ class MmapSnapshotStore(SnapshotStore):
         parameters: Dict[str, ParameterColumns] = {}
         for meta in header["parameters"]:
             name = meta["parameter"]
-            if name in stale:
-                continue
             parameters[name] = ParameterColumns(
                 parameter=name,
                 pairwise=bool(meta["pairwise"]),
@@ -346,13 +289,6 @@ class MmapSnapshotStore(SnapshotStore):
         return snapshot
 
     # -- lifecycle --------------------------------------------------------
-
-    def invalidate(self, parameter: Optional[str] = None) -> None:
-        if parameter is None:
-            remove_file(self.path)
-        elif self.exists():
-            mark_stale(self.path, parameter)
-        record_invalidate(self.kind)
 
     def exists(self) -> bool:
         return os.path.exists(self.path)

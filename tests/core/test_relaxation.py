@@ -56,12 +56,9 @@ class TestGlobalRelaxation:
             pytest.skip("needs at least two dependent attributes")
         row = self.alien_row(pmax_engine, dataset, depth=1)
         first = pmax_engine.recommend_global("pMax", row)
-        # Lazily built on first use: the columnar path caches per-level
-        # plurality tables directly; the legacy path caches the raw
-        # relaxed Counter indexes as well.
+        # Lazily built on first use: the per-level plurality tables
+        # are cached on the model.
         assert model._relaxed_tables
-        if model._encoded is None:
-            assert model._relaxed
         second = pmax_engine.recommend_global("pMax", row)
         assert first.value == second.value
         assert first.support == second.support

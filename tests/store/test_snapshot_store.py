@@ -1,5 +1,5 @@
-"""SnapshotStore backends: round-trips, determinism, stale sidecars,
-zero-copy mmap semantics and the pool reference transport."""
+"""SnapshotStore backends: round-trips, determinism, zero-copy mmap
+semantics and the pool reference transport."""
 
 import pickle
 
@@ -91,45 +91,6 @@ class TestRoundTrip:
     def test_load_before_persist_returns_none(self, tmp_path):
         for kind in ("memory", "mmap"):
             assert make_store(kind, tmp_path).load() is None
-
-
-class TestStaleSidecar:
-    @pytest.mark.parametrize("kind", ["memory", "mmap"])
-    def test_invalidate_one_parameter_drops_it_on_load(
-        self, snapshot, tmp_path, kind
-    ):
-        store = make_store(kind, tmp_path)
-        store.persist(snapshot)
-        store.invalidate("pMax")
-        loaded = store.load()
-        assert "pMax" not in loaded.parameters
-        assert "hysA3Offset" in loaded.parameters
-
-    @pytest.mark.parametrize("kind", ["memory", "mmap"])
-    def test_persist_clears_staleness(self, snapshot, tmp_path, kind):
-        store = make_store(kind, tmp_path)
-        store.persist(snapshot)
-        store.invalidate("pMax")
-        store.persist(snapshot)
-        loaded = store.load()
-        assert "pMax" in loaded.parameters
-
-    @pytest.mark.parametrize("kind", ["mmap"])
-    def test_invalidate_all_removes_the_file(self, snapshot, tmp_path, kind):
-        store = make_store(kind, tmp_path)
-        store.persist(snapshot)
-        assert store.exists()
-        store.invalidate()
-        assert not store.exists()
-        assert store.load() is None
-
-    def test_sidecar_survives_on_disk(self, snapshot, tmp_path):
-        """A second process opening the same path sees the staleness."""
-        path = str(tmp_path / "snap.columnar")
-        MmapSnapshotStore(path).persist(snapshot)
-        MmapSnapshotStore(path).invalidate("pMax")
-        loaded = MmapSnapshotStore(path).load()
-        assert "pMax" not in loaded.parameters
 
 
 class TestMmapSemantics:
