@@ -36,6 +36,8 @@ from repro.eval.runner import EvaluationRunner
 from repro.experiments.parameter_selection import evaluation_parameters
 from repro.rng import DEFAULT_SEED
 
+from tests.conftest import model_state
+
 SCALE = float(os.environ.get("REPRO_PARALLEL_SCALE", "0.02"))
 JOBS_SWEEP = [
     int(jobs)
@@ -59,13 +61,7 @@ def parallel_parameters(parallel_dataset):
 def _models_equal(a, b) -> bool:
     if set(a) != set(b):
         return False
-    return all(
-        a[name].dependent_columns == b[name].dependent_columns
-        and a[name].cell_index == b[name].cell_index
-        and a[name].global_counts == b[name].global_counts
-        and a[name].samples == b[name].samples
-        for name in a
-    )
+    return all(model_state(a[name]) == model_state(b[name]) for name in a)
 
 
 def test_parallel_never_loses_to_serial(

@@ -40,7 +40,6 @@ from __future__ import annotations
 import copy
 import json
 import os
-import pickle
 import resource
 import statistics
 import time
@@ -57,6 +56,8 @@ from repro.rng import DEFAULT_SEED
 from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
 from repro.store import MmapSnapshotStore
+
+from tests.conftest import model_state
 
 SCALE = float(os.environ.get("REPRO_STORE_SCALE", "1.0"))
 MIN_COLD_SPEEDUP = float(os.environ.get("REPRO_STORE_MIN_COLD_SPEEDUP", "10"))
@@ -78,21 +79,6 @@ COLD_START_REPEATS = 5
 def peak_rss_gb() -> float:
     # ru_maxrss is KiB on Linux.
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024**2)
-
-
-def model_state(model) -> bytes:
-    return pickle.dumps(
-        (
-            model.dependent_columns,
-            model.dependent_names,
-            dict(model.cell_index),
-            dict(model.global_counts),
-            dict(model.samples),
-            {k: list(v) for k, v in model.by_carrier.items()},
-            dict(model.weights),
-            model.dependent_stats,
-        )
-    )
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +121,7 @@ def fitted(store_dataset, tmp_path_factory, document):
     save_engine(engine, str(artifact))
     document["fit_s"] = round(fit_s, 3)
     document["samples"] = {
-        name: len(engine.fitted_models()[name].samples)
+        name: len(engine.fitted_models()[name].encoded)
         for name in PARAMETERS
     }
     store_path = str(artifact) + ".columnar"

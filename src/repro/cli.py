@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--no-verify-artifact", action="store_true",
-        help="serve an artifact even if it was fitted on another snapshot",
+        help="serve an artifact even if it was fitted on another snapshot "
+        "(its models are rebuilt over this snapshot, or its mmap store)",
     )
     serve.add_argument("--cache-size", type=int, default=None)
 
@@ -384,7 +385,8 @@ def _health_options(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-verify-artifact", action="store_true",
-        help="serve an artifact even if it was fitted on another snapshot",
+        help="serve an artifact even if it was fitted on another snapshot "
+        "(its models are rebuilt over this snapshot, or its mmap store)",
     )
     parser.add_argument(
         "--live", default=None, metavar="PATH",
@@ -533,8 +535,9 @@ def _run_serve_batch(args) -> int:
         except ReproError as exc:
             print(f"error: {exc}", file=sys.stderr)
             print(
-                "hint: --no-verify-artifact serves an artifact fitted on "
-                "another snapshot",
+                "hint: --no-verify-artifact rebuilds an artifact fitted on "
+                "another snapshot over this one (over its mmap store when it "
+                "has one)",
                 file=sys.stderr,
             )
             return 2

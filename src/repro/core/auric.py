@@ -14,7 +14,6 @@ carrier's own configured value must not vote for itself.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import itemgetter
@@ -32,11 +31,9 @@ from repro.core.columnar import (
     ColumnarSnapshot,
     EncodedVotes,
     LocalVoteIndex,
-    grouped_votes,
     pack_capacity,
     pack_columns,
     plurality,
-    snapshot_carrier_ids,
     tally,
 )
 from repro.exceptions import RecommendationError, UnknownParameterError
@@ -149,9 +146,15 @@ class AuricConfig:
             )
 
 
+#: ``(position, cell, label, weight)`` of no leave-one-out sample.
+_NO_EXCLUSION = (None, None, NO_EXCLUDE, 1.0)
+
+
 @dataclass
 class _ParameterModel:
-    """Fitted state for one parameter.
+    """Fitted state for one parameter: its chi-square selection, the
+    sparse vote weights and the encoded votes over the snapshot it was
+    built from (:meth:`AuricEngine._build_columnar_model`).
 
     Nothing edits a model after its fit: new configured values reach
     the votes through a refit, which builds new models
@@ -161,60 +164,24 @@ class _ParameterModel:
     spec: ParameterSpec
     dependent_columns: Tuple[int, ...]
     dependent_names: Tuple[str, ...]
-    cell_index: Dict[Tuple[AttributeValue, ...], Counter]
-    global_counts: Counter
-    # target key (CarrierId or PairKey) -> (cell key, label)
-    samples: Dict[Hashable, Tuple[Tuple[AttributeValue, ...], ParameterValue]]
-    # carrier -> target keys whose source side is that carrier
-    by_carrier: Dict[CarrierId, List[Hashable]]
+    encoded: EncodedVotes = field(repr=False, compare=False)
     # sparse vote weights (targets not listed weigh 1.0)
     weights: Dict[Hashable, float] = field(default_factory=dict)
     #: Chi-square provenance of the dependent attributes, strongest
-    #: dependency first (empty on models fitted before this field or
-    #: loaded from pre-provenance artifacts).
+    #: dependency first (empty on models loaded from pre-provenance
+    #: artifacts).
     dependent_stats: Tuple[AttributeDependence, ...] = ()
-    # lazily-built per-cell plurality table (exact-cell global votes)
-    _vote_table: Optional[CellVoteTable] = field(
-        default=None, repr=False, compare=False
+    # lazily-built plurality tables per relaxation level; level k
+    # matches on the first k dependent attributes (strongest first),
+    # so the last level is the exact cell and level 0 the global
+    # value distribution
+    _tables: Dict[int, CellVoteTable] = field(
+        default_factory=dict, repr=False, compare=False
     )
     # lazily-built vectorized neighborhood index (local votes)
     _local_index: Optional[LocalVoteIndex] = field(
         default=None, repr=False, compare=False
     )
-    # lazily-built plurality tables per relaxation level; level k
-    # matches on the first k dependent attributes (strongest first)
-    _relaxed_tables: Dict[int, CellVoteTable] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-    # fit-time encoded vote columns, set on every fitted model; lets
-    # the lazy structures above build vectorized.  A model loaded from
-    # an artifact has none and builds them from its samples.
-    _encoded: Optional[EncodedVotes] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def weight_of(self, key: Hashable) -> float:
-        return self.weights.get(key, 1.0)
-
-    def relaxed_index(
-        self, level: int
-    ) -> Dict[Tuple[AttributeValue, ...], Counter]:
-        """The vote index matching on the first ``level`` dependent
-        attributes, built from the samples (what a loaded model's
-        relaxed tables are built from)."""
-        index: Dict[Tuple[AttributeValue, ...], Counter] = {}
-        weights = self.weights
-        if weights:
-            for key, (cell, label) in self.samples.items():
-                prefix = cell[:level]
-                index.setdefault(prefix, Counter())[label] += weights.get(
-                    key, 1.0
-                )
-        else:
-            for cell, label in self.samples.values():
-                prefix = cell[:level]
-                index.setdefault(prefix, Counter())[label] += 1.0
-        return index
 
     def cell_key(self, row: Row) -> Tuple[AttributeValue, ...]:
         return tuple(row[c] for c in self.dependent_columns)
@@ -236,9 +203,6 @@ class AuricEngine:
         self._models: Dict[str, _ParameterModel] = {}
         self._row_cache: Dict[CarrierId, Row] = {}
         self._columnar: Optional[ColumnarSnapshot] = None
-        #: Carrier id -> snapshot slot when there is no columnar
-        #: snapshot to take it from (see :meth:`carrier_slots`).
-        self._carrier_slots: Optional[Dict[CarrierId, int]] = None
         #: Lifecycle-journal stream id for this engine's fit lineage —
         #: minted on the first journaled :meth:`fit` so refits of the
         #: same engine chain into one timeline stream.
@@ -268,20 +232,8 @@ class AuricEngine:
 
     def carrier_slots(self) -> Dict[CarrierId, int]:
         """Carrier id -> snapshot slot: the carrier's row in the
-        columnar snapshot.  Rows follow sorted carrier-id order, so an
-        engine without a snapshot (one loaded from a memory artifact)
-        numbers its network's carriers the same way without encoding
-        them."""
-        if self._columnar is not None:
-            return self._columnar.carrier_slots()
-        if self._carrier_slots is None:
-            self._carrier_slots = {
-                carrier_id: slot
-                for slot, carrier_id in enumerate(
-                    snapshot_carrier_ids(self.network)
-                )
-            }
-        return self._carrier_slots
+        columnar snapshot (encoded on first use)."""
+        return self.ensure_columnar().carrier_slots()
 
     def voters(self, carriers: Set[CarrierId]) -> Voters:
         """Resolve a neighborhood to snapshot slots, in its iteration
@@ -361,19 +313,23 @@ class AuricEngine:
             # handed to pool workers with the payload).
             self.ensure_columnar(specs)
             if jobs != 1 and len(specs) > 1:
-                from repro.parallel.fit import fit_parameter_models
+                from repro.parallel.fit import select_parameters
 
-                fitted = fit_parameter_models(
+                # Workers run the chi-square selections; the vote phase
+                # builds every model here, as a serial fit does.
+                selected = select_parameters(
                     self.network,
                     self.store,
                     self.config,
                     [spec.name for spec in specs],
-                    vote_weights=vote_weights,
                     jobs=jobs,
                     columnar=self._columnar,
                     phase_sink=self._fit_phases,
                 )
-                self._models.update(fitted)
+                for spec in specs:
+                    self._models[spec.name] = self._build_columnar_model(
+                        spec, *selected[spec.name], vote_weights
+                    )
             else:
                 for spec in specs:
                     self._models[spec.name] = self._fit_parameter(
@@ -481,8 +437,9 @@ class AuricEngine:
             model = self._models.get(name)
             if model is None:
                 continue
-            self._cell_vote_table(model)
-            self._relaxed_table(model, max(len(model.dependent_columns) - 1, 0))
+            levels = len(model.dependent_columns)
+            self._table(model, levels)
+            self._table(model, max(levels - 1, 0))
             self._local_vote_index(model)
             warmed += 1
         return warmed
@@ -510,7 +467,7 @@ class AuricEngine:
             model = self._build_columnar_model(
                 spec, dependent, dependent_stats, vote_weights
             )
-            sp.set("samples", len(model.samples))
+            sp.set("samples", len(model.encoded))
             sp.set("dependent", list(model.dependent_names))
             return model
 
@@ -576,15 +533,11 @@ class AuricEngine:
         dependent_stats: Tuple[AttributeDependence, ...],
         vote_weights: Optional[Dict[Hashable, float]] = None,
     ) -> _ParameterModel:
-        """Build the vote structures for an already-selected dependency
-        set — exactly what a full fit does after selection, so a model
-        built here is byte-identical to one from a fresh fit with the
-        same selection outcome.
-
-        Codes are bijective with raw values per column, and the
-        grouped-vote kernel emits (cell, label) groups in sample
-        insertion order, so replaying them builds the dicts, Counters
-        and float sums a per-sample loop would."""
+        """The vote phase: a model from a selection over the encoded
+        snapshot.  Every model comes from here — a fit, a pool fit, a
+        changelog refit and an artifact load alike — so a model built
+        from the same snapshot, selection and weights is the same model
+        whichever path built it."""
         columnar = self.ensure_columnar([spec])
         vote_started = time.perf_counter()
         columns = columnar.parameter(spec.name)
@@ -592,113 +545,45 @@ class AuricEngine:
             raise RecommendationError(
                 f"no configured values for parameter {spec.name}; cannot fit"
             )
-        row_codes = columnar.row_codes(spec.name)
-        label_codes = columns.label_codes
         sizes = columnar.column_sizes(spec.name)
-        names = self.attribute_names(spec)
-
-        keys = columns.keys(columnar.carrier_ids)
-        label_vocab = columns.label_vocab
         weights: Dict[Hashable, float] = {}
-        weight_array: Optional[np.ndarray] = None
+        weight_list = []
         if vote_weights is not None:
-            weight_list = []
-            for key in keys:
+            for key in columns.keys(columnar.carrier_ids):
                 weight = float(vote_weights.get(key, 1.0))
                 if weight < 0.0:
                     raise ValueError(f"vote weight for {key} must be >= 0")
                 if weight != 1.0:
                     weights[key] = weight
                 weight_list.append(weight)
-            weight_array = np.asarray(weight_list, dtype=np.float64)
 
         capacity = pack_capacity(sizes, dependent)  # raises past int64
-        if capacity > 2**62 // max(len(label_vocab), 1):
+        if capacity > 2**62 // max(len(columns.label_vocab), 1):
             raise ColumnarCapacityError(
                 f"cell x label key space of {spec.name} exceeds int64 capacity"
             )
-        cell_codes = pack_columns(row_codes, dependent, sizes)
-        group_cells, group_labels, group_totals = grouped_votes(
-            cell_codes, label_codes, len(label_vocab), weight_array
-        )
-
-        # Decode every distinct packed cell in one pass per column.
-        uniq_codes = np.unique(group_cells)
-        if dependent:
-            decoded_columns = []
-            remaining = uniq_codes
-            for col in dependent:
-                size = max(int(sizes[col]), 1)
-                vocab = columnar.column_vocab(spec.name, col)
-                decoded_columns.append(
-                    [vocab[code] for code in (remaining % size).tolist()]
-                )
-                remaining = remaining // size
-            decoded = list(zip(*decoded_columns))
-        else:
-            decoded = [()] * len(uniq_codes)
-        cell_tuples: Dict[int, Tuple[AttributeValue, ...]] = dict(
-            zip(uniq_codes.tolist(), decoded)
-        )
-
-        cell_index: Dict[Tuple[AttributeValue, ...], Counter] = {}
-        for code, label_code, total in zip(
-            group_cells.tolist(), group_labels.tolist(), group_totals.tolist()
-        ):
-            cell_index.setdefault(cell_tuples[code], Counter())[
-                label_vocab[label_code]
-            ] = total
-
-        label_uniques, label_firsts = np.unique(label_codes, return_index=True)
-        if weight_array is None:
-            label_totals = np.bincount(
-                label_codes, minlength=len(label_vocab)
-            ).astype(np.float64)
-        else:
-            label_totals = np.bincount(
-                label_codes, weights=weight_array, minlength=len(label_vocab)
-            )
-        global_counts: Counter = Counter()
-        for code in label_uniques[np.argsort(label_firsts, kind="stable")].tolist():
-            global_counts[label_vocab[code]] = float(label_totals[code])
-
-        samples: Dict[Hashable, Tuple[Tuple[AttributeValue, ...], ParameterValue]] = {}
-        by_carrier: Dict[CarrierId, List[Hashable]] = {}
-        cell_code_list = cell_codes.tolist()
-        label_code_list = label_codes.tolist()
-        pairwise = spec.is_pairwise
-        for i, key in enumerate(keys):
-            samples[key] = (
-                cell_tuples[cell_code_list[i]],
-                label_vocab[label_code_list[i]],
-            )
-            source = key.carrier if pairwise else key
-            by_carrier.setdefault(source, []).append(key)
-
+        names = self.attribute_names(spec)
         model = _ParameterModel(
             spec=spec,
             dependent_columns=dependent,
             dependent_names=tuple(names[c] for c in dependent),
-            cell_index=cell_index,
-            global_counts=global_counts,
-            samples=samples,
-            by_carrier=by_carrier,
+            encoded=EncodedVotes(
+                columns=columns,
+                cell_codes=pack_columns(
+                    columnar.row_codes(spec.name), dependent, sizes
+                ),
+                prefix_sizes=[int(sizes[col]) for col in dependent],
+                dep_vocabs=[
+                    columnar.column_vocab(spec.name, col) for col in dependent
+                ],
+                carrier_ids=columnar.carrier_ids,
+                carrier_slots=columnar.carrier_slots(),
+                weights=(
+                    np.asarray(weight_list, dtype=np.float64) if weights else None
+                ),
+            ),
             weights=weights,
             dependent_stats=dependent_stats,
-        )
-        # Keep the encoded columns: the lazy vote tables and local index
-        # then build vectorized from them instead of replaying
-        # per-sample dict loops.
-        model._encoded = EncodedVotes(
-            cell_codes=cell_codes,
-            label_codes=label_codes,
-            label_vocab=label_vocab,
-            prefix_sizes=[int(sizes[col]) for col in dependent],
-            cell_tuples=cell_tuples,
-            dep_vocabs=[columnar.column_vocab(spec.name, col) for col in dependent],
-            sources=columns.sources,
-            carrier_ids=columnar.carrier_ids,
-            weights=weight_array if weights else None,
         )
         self._phase("vote", spec.name, time.perf_counter() - vote_started)
         return model
@@ -713,45 +598,27 @@ class AuricEngine:
 
     # -- voting ---------------------------------------------------------------
 
+    def _table(self, model: _ParameterModel, level: int) -> CellVoteTable:
+        """The vote table over the first ``level`` dependent attributes
+        (built on first use): the exact cell at the last level, the
+        global value distribution at level 0."""
+        table = model._tables.get(level)
+        if table is None:
+            table = model._tables[level] = model.encoded.table(level)
+        return table
+
     def _cell_vote_table(self, model: _ParameterModel) -> CellVoteTable:
         """The model's exact-cell vote table (built on first use)."""
-        table = model._vote_table
-        if table is None:
-            encoded = model._encoded
-            if encoded is not None:
-                table = encoded.vote_table()
-            else:
-                table = CellVoteTable(model.cell_index)
-            model._vote_table = table
-        return table
-
-    def _relaxed_table(
-        self, model: _ParameterModel, level: int
-    ) -> CellVoteTable:
-        """The vote table over the first ``level`` dependent attributes
-        (built on first use); level 0 is the global value
-        distribution."""
-        table = model._relaxed_tables.get(level)
-        if table is None:
-            if level == 0:
-                table = CellVoteTable({(): model.global_counts})
-            elif model._encoded is not None:
-                table = model._encoded.relaxed_table(level)
-            else:
-                table = CellVoteTable(model.relaxed_index(level))
-            model._relaxed_tables[level] = table
-        return table
+        return self._table(model, len(model.dependent_columns))
 
     @staticmethod
-    def _exclusion(
-        model: _ParameterModel, exclude: Optional[Hashable]
-    ) -> Tuple[Optional[Tuple[AttributeValue, ...]], object, float]:
-        """``(cell, label, weight)`` of the leave-one-out sample, or
-        ``(None, NO_EXCLUDE, 1.0)`` when ``exclude`` is not a sample."""
-        sample = model.samples.get(exclude) if exclude is not None else None
-        if sample is None:
-            return None, NO_EXCLUDE, 1.0
-        return sample[0], sample[1], model.weight_of(exclude)
+    def _exclusion(model: _ParameterModel, exclude: Optional[Hashable]) -> Tuple:
+        """``(position, cell, label, weight)`` of the leave-one-out
+        sample — resolved once, for the global and the local vote — or
+        ``_NO_EXCLUSION`` when ``exclude`` is not a sample."""
+        if exclude is None:
+            return _NO_EXCLUSION
+        return model.encoded.sample(exclude) or _NO_EXCLUSION
 
     def _outcome(
         self,
@@ -789,7 +656,7 @@ class AuricEngine:
         leave-one-out sample when it falls in that cell; ``None`` for an
         unknown cell or one the exclusion empties.  ``capture`` records
         the full distribution on the outcome."""
-        ex_cell, label, weight = exclusion
+        _, ex_cell, label, weight = exclusion
         if ex_cell is None or ex_cell[: len(cell)] != cell:
             label = NO_EXCLUDE
         outcome = table.vote(cell, label, weight, drop_zero)
@@ -804,27 +671,26 @@ class AuricEngine:
         self,
         model: _ParameterModel,
         cell: Tuple[AttributeValue, ...],
-        exclude: Optional[Hashable],
+        exclusion: Tuple,
         capture: bool = False,
     ) -> ParameterRecommendation:
         """The exact-cell vote, relaxed one dependency at a time and
         finally to the global distribution (where the excluded label
         also drops out at a zero count).  ``capture`` records the full
         vote distribution on the outcome."""
-        exclusion = self._exclusion(model, exclude)
         outcome = self._table_vote(
             model, self._cell_vote_table(model), cell, exclusion, "global", capture
         )
         level = len(cell) - 1
         while outcome is None and level > 0:
             outcome = self._table_vote(
-                model, self._relaxed_table(model, level), cell[:level],
+                model, self._table(model, level), cell[:level],
                 exclusion, "global-relaxed", capture,
             )
             level -= 1
         if outcome is None:
             outcome = self._table_vote(
-                model, self._relaxed_table(model, 0), (), exclusion,
+                model, self._table(model, 0), (), exclusion,
                 "global-fallback", capture, drop_zero=True,
             )
         if outcome is None:
@@ -860,7 +726,9 @@ class AuricEngine:
         leaves it off.
         """
         model = self._model(parameter)
-        return self._global_vote(model, model.cell_key(row), exclude, capture)
+        return self._global_vote(
+            model, model.cell_key(row), self._exclusion(model, exclude), capture
+        )
 
     def recommend_local(
         self,
@@ -894,28 +762,30 @@ class AuricEngine:
         """
         model = self._model(parameter)
         cell = model.cell_key(row)
-        outcome = self._local_vote(model, cell, voters.slots, exclude, capture)
+        exclusion = self._exclusion(model, exclude)
+        outcome = self._local_vote(model, cell, voters.slots, exclusion[0], capture)
         if outcome is not None:
             return outcome
-        return self._global_vote(model, cell, exclude, capture)
+        return self._global_vote(model, cell, exclusion, capture)
 
     def _local_vote(
         self,
         model: _ParameterModel,
         cell: Tuple[AttributeValue, ...],
         slots: List[int],
-        exclude: Optional[Hashable],
+        excluded: Optional[int],
         capture: bool = False,
     ) -> Optional[ParameterRecommendation]:
         """The two local signals of :meth:`recommend_local`; ``None``
         when neither stands and the global vote must decide.
+        ``excluded`` is the leave-one-out sample's position.
 
         The electorate is visited in neighborhood (``slots``) iteration
         x per-carrier insertion order, which fixes the plurality
         tie-breaks; vote weights sum in that order.
         """
         index = self._local_vote_index(model)
-        pos = index.electorate(slots, exclude)
+        pos = index.electorate(slots, excluded)
         if pos is None:
             return None
         labels = index.label_codes[pos]
@@ -980,17 +850,7 @@ class AuricEngine:
     def _local_vote_index(self, model: _ParameterModel) -> LocalVoteIndex:
         index = model._local_index
         if index is None:
-            encoded = model._encoded
-            if encoded is not None:
-                index = LocalVoteIndex.from_encoded(encoded, model.samples)
-            else:
-                index = LocalVoteIndex(
-                    model.samples,
-                    model.by_carrier,
-                    self.carrier_slots(),
-                    model.weights,
-                )
-            model._local_index = index
+            index = model._local_index = LocalVoteIndex(model.encoded)
         return index
 
     def _is_cluster_tuned(
@@ -1104,20 +964,21 @@ class AuricEngine:
         fold make exactly the same per-target calls.
 
         Targets that are fitted samples skip the row re-materialization
-        (their dependent-attribute cell is stored on the model); other
-        keys take the per-target call.
+        (their dependent-attribute cell decodes from the model's
+        arrays); other keys take the per-target call.
         """
         model = self._model(parameter)
+        encoded = model.encoded
         pairwise = model.spec.is_pairwise
         single = self.recommend_for_pair if pairwise else self.recommend_for_carrier
         out: List[ParameterRecommendation] = []
         for key in keys:
-            sample = model.samples.get(key)
+            sample = encoded.sample(key)
             if sample is None:
                 out.append(single(parameter, key, local, leave_one_out))
                 continue
-            cell = sample[0]
-            exclude = key if leave_one_out else None
+            cell = sample[1]
+            exclusion = sample if leave_one_out else _NO_EXCLUSION
             outcome = None
             if local:
                 source = key.carrier if pairwise else key
@@ -1127,10 +988,10 @@ class AuricEngine:
                     # voters too.
                     neighborhood.add(source)
                 outcome = self._local_vote(
-                    model, cell, self.voters(neighborhood).slots, exclude
+                    model, cell, self.voters(neighborhood).slots, exclusion[0]
                 )
             if outcome is None:
-                outcome = self._global_vote(model, cell, exclude)
+                outcome = self._global_vote(model, cell, exclusion)
             out.append(outcome)
         return out
 
@@ -1249,4 +1110,4 @@ class AuricEngine:
         return self._model(parameter).dependent_names
 
     def cell_count(self, parameter: str) -> int:
-        return len(self._model(parameter).cell_index)
+        return len(self._cell_vote_table(self._model(parameter)))

@@ -23,19 +23,22 @@ On top of the codes sit three kernels, all built from ``np.unique`` /
   whose vocabularies are too large to pack fails, which cannot happen
   at the schema's cardinalities).
 * :func:`grouped_votes` — every distinct (cell, label) pair's total
-  vote weight in one shot, emitted in first-appearance order so that
-  replaying the groups reproduces ``Counter`` insertion order *byte for
-  byte*.
+  vote weight in one shot, emitted in first-appearance order: the
+  ``Counter`` insertion order, *byte for byte*.
 * :class:`CellVoteTable` — per-cell plurality winner, runner-up and
   totals precomputed with one vectorized sort, so a global vote (and
   its leave-one-out variant) is an O(1) lookup instead of a ``Counter``
   copy.
 
 These, with :class:`LocalVoteIndex` for neighborhood votes, are the
-engine's only vote code.  Every result follows ``Counter`` arithmetic
-exactly: codes are bijective with raw values per column, float vote
-weights accumulate in insertion order, and plurality ties go to the
-first-inserted label.
+engine's only vote code, and the model's arrays they build from
+(:class:`EncodedVotes`) are its only representation: every model — a
+fit's, a pool fit's, a changelog refit's or an artifact load's — keeps
+its packed cell codes over the snapshot's columns and nothing else, and
+derives keys, cells and labels from them when asked.  Every result
+follows ``Counter`` arithmetic exactly: codes are bijective with raw
+values per column, float vote weights accumulate in insertion order,
+and plurality ties go to the first-inserted label.
 
 ``--jobs N`` pool workers inherit the snapshot through fork, or under
 the *spawn* start method unpickle it once from the pool payload.  The
@@ -132,11 +135,9 @@ def grouped_votes(
     """Total vote weight of every distinct (cell, label) pair.
 
     Returns ``(cells, labels, totals)`` ordered by each pair's first
-    appearance in the sample order — replaying them with
-    ``setdefault(cell, Counter())[label] = total`` rebuilds exactly the
-    dict/Counter insertion order (and, weights being accumulated by
-    ``bincount`` in array order, exactly the same float sums) as the
-    historical per-sample loop.
+    appearance in the sample order — the insertion order (and, weights
+    being accumulated by ``bincount`` in array order, exactly the float
+    sums) of a per-sample ``Counter`` loop.
     """
     n_labels = max(int(n_labels), 1)
     packed = cell_codes * n_labels + label_codes
@@ -168,8 +169,8 @@ NO_EXCLUDE = object()
 class CellVoteTable:
     """Per-cell vote distributions for exact-cell plurality votes.
 
-    Built from (cell, label, weight total) entries in insertion order.
-    For every cell the table holds the total weight, the plurality
+    Built from (cell, label, weight total) groups in insertion order
+    (:meth:`EncodedVotes.table`).  For every cell the table holds the total weight, the plurality
     winner ``(value1, top1)`` and the strongest *other* label
     ``(value2, top2)`` — each resolved with ``Counter.most_common``'s
     tie-break (first-inserted label wins).  When every count is a
@@ -198,40 +199,21 @@ class CellVoteTable:
         "_unit",
     )
 
-    def __init__(self, cell_index: Dict[Tuple, "Counter"]) -> None:
-        slots: Dict[Tuple, int] = {}
-        cell_ids: List[int] = []
-        entry_labels: List[ParameterValue] = []
-        entry_counts: List[float] = []
-        for slot, (cell, counter) in enumerate(cell_index.items()):
-            slots[cell] = slot
-            for label, count in counter.items():
-                cell_ids.append(slot)
-                entry_labels.append(label)
-                entry_counts.append(float(count))
-        self._build(
-            slots,
-            np.asarray(cell_ids, dtype=np.intp),
-            entry_labels,
-            np.asarray(entry_counts, dtype=np.float64),
-        )
-
-    @classmethod
-    def from_grouped(
-        cls,
+    def __init__(
+        self,
         group_cells: np.ndarray,
         group_labels: np.ndarray,
         group_totals: np.ndarray,
         decode_cells: Callable[[np.ndarray], List[Tuple]],
         label_vocab: Sequence[ParameterValue],
-    ) -> "CellVoteTable":
-        """Build directly from :func:`grouped_votes` output.
+    ) -> None:
+        """Build from :func:`grouped_votes` output.
 
         The groups arrive in (cell, label)-pair first-appearance order;
-        restricted to one cell that equals the Counter's label insertion
-        order, so every plurality and leave-one-out tie-break matches a
-        table built from the materialized dict index.  ``decode_cells``
-        maps an array of packed keys to raw cell tuples in one call.
+        restricted to one cell that is the cell's label insertion order,
+        which fixes every plurality and leave-one-out tie-break.
+        ``decode_cells`` maps an array of cell keys to raw cell tuples
+        in one call.
         """
         uniq, first, inverse = np.unique(
             group_cells, return_index=True, return_inverse=True
@@ -239,25 +221,13 @@ class CellVoteTable:
         order = np.argsort(first, kind="stable")
         rank = np.empty(len(uniq), dtype=np.intp)
         rank[order] = np.arange(len(uniq), dtype=np.intp)
-        cells = decode_cells(uniq[order])
-        table = cls.__new__(cls)
-        table._build(
-            {cell: slot for slot, cell in enumerate(cells)},
-            rank[inverse.reshape(-1)],
-            [label_vocab[code] for code in group_labels.tolist()],
-            np.asarray(group_totals, dtype=np.float64),
-        )
-        return table
-
-    def _build(
-        self,
-        slots: Dict[Tuple, int],
-        cells: np.ndarray,
-        entry_labels: List[ParameterValue],
-        counts: np.ndarray,
-    ) -> None:
-        self._slots = slots
-        n_cells = len(slots)
+        cells = rank[inverse.reshape(-1)]
+        counts = np.asarray(group_totals, dtype=np.float64)
+        entry_labels = [label_vocab[code] for code in group_labels.tolist()]
+        self._slots = {
+            cell: slot for slot, cell in enumerate(decode_cells(uniq[order]))
+        }
+        n_cells = len(self._slots)
         positions = np.arange(len(cells), dtype=np.intp)
         # Sort by (cell, count desc, insertion position): the first
         # entry of each cell block is most_common(1), the second is the
@@ -421,18 +391,17 @@ def _slot_ranges(sources: np.ndarray, n_slots: int) -> Tuple[array, array]:
 class LocalVoteIndex:
     """Vectorized neighborhood gather for local (1-hop) votes.
 
-    Assigns each fitted sample a dense position once, interns its cell
-    and label as small integer codes, and groups the positions by the
-    snapshot slot of each sample's source carrier (CSR offsets: see
-    :func:`_slot_ranges`).  A neighborhood, resolved to slots once per
-    request, gathers its electorate from its slots' ranges without
-    hashing a single identifier, and its vote is a :func:`tally` over
-    an integer slice.  ``weights`` holds each position's vote weight
-    (``None``: all 1.0).
+    Built from a model's :class:`EncodedVotes`: interns each sample's
+    cell as a small integer code (first-appearance order) and groups
+    the sample positions by the snapshot slot of their source carrier
+    (CSR offsets: see :func:`_slot_ranges`).  A neighborhood, resolved
+    to slots once per request, gathers its electorate from its slots'
+    ranges without hashing a single identifier, and its vote is a
+    :func:`tally` over an integer slice.  ``weights`` holds each
+    position's vote weight (``None``: all 1.0).
     """
 
     __slots__ = (
-        "key_pos",
         "order",
         "offsets",
         "cell_codes",
@@ -443,106 +412,24 @@ class LocalVoteIndex:
         "weights",
     )
 
-    def __init__(
-        self,
-        samples: Dict[Hashable, Tuple[Tuple, ParameterValue]],
-        by_carrier: Dict[CarrierId, List[Hashable]],
-        carrier_slots: Dict[CarrierId, int],
-        weights: Optional[Dict[Hashable, float]] = None,
-    ) -> None:
-        """``by_carrier`` lists each source carrier's keys in sample
-        order; ``carrier_slots`` numbers the snapshot's carriers
-        ``0..len - 1``.  A carrier outside it has no slot, so its
-        samples never vote locally."""
-        n = len(samples)
-        key_pos: Dict[Hashable, int] = {}
-        cell_slot: Dict[Tuple, int] = {}
-        label_slot: Dict[ParameterValue, int] = {}
-        cells: List[Tuple] = []
-        labels: List[ParameterValue] = []
-        cell_codes = np.empty(n, dtype=np.intp)
-        label_codes = np.empty(n, dtype=np.intp)
-        for i, (key, (cell, label)) in enumerate(samples.items()):
-            key_pos[key] = i
-            code = cell_slot.get(cell)
-            if code is None:
-                code = cell_slot[cell] = len(cells)
-                cells.append(cell)
-            cell_codes[i] = code
-            lcode = label_slot.get(label)
-            if lcode is None:
-                lcode = label_slot[label] = len(labels)
-                labels.append(label)
-            label_codes[i] = lcode
-        self.key_pos = key_pos
-        self.cell_slot = cell_slot
-        self.cells = cells
-        self.labels = labels
-        self.cell_codes = cell_codes
-        self.label_codes = label_codes
-        self.weights = None
-        if weights:
-            self.weights = np.fromiter(
-                (weights.get(key, 1.0) for key in samples), dtype=np.float64, count=n
-            )
-        n_slots = len(carrier_slots)
-        sources = np.full(n, n_slots, dtype=np.intp)
-        for carrier, keys in by_carrier.items():
-            slot = carrier_slots.get(carrier)
-            if slot is not None:
-                sources[[key_pos[key] for key in keys]] = slot
-        self.order, self.offsets = _slot_ranges(sources, n_slots)
+    def __init__(self, encoded: "EncodedVotes") -> None:
+        self.cell_codes, self.cells = encoded.cell_ranks()
+        self.cell_slot = {cell: slot for slot, cell in enumerate(self.cells)}
+        self.label_codes = encoded.columns.label_codes.astype(np.intp)
+        self.labels = list(encoded.columns.label_vocab)
+        self.weights = encoded.weights
+        self.order, self.offsets = encoded.slot_ranges()
         obs_metrics.counter(
             "repro_vote_vectorized_cells_total",
             "Distinct vote cells computed by vectorized kernels",
-        ).inc(float(len(cells)))
-
-    @classmethod
-    def from_encoded(
-        cls,
-        encoded: "EncodedVotes",
-        samples: Dict[Hashable, Tuple[Tuple, ParameterValue]],
-    ) -> "LocalVoteIndex":
-        """Build from a fit-time :class:`EncodedVotes` stash.
-
-        Equivalent to the dict constructor: the stash's arrays are in
-        sample insertion order, its label vocab *is* the label
-        first-appearance order, cell codes are re-ranked to
-        first-appearance here, and its ``sources`` already are snapshot
-        slots — only the per-sample Python loop (and its millions of
-        tuple hashes) is replaced by array kernels.
-        """
-        index = cls.__new__(cls)
-        index.key_pos = dict(zip(samples, range(len(samples))))
-        uniq, first, inverse = np.unique(
-            encoded.cell_codes, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.intp)
-        rank[order] = np.arange(len(uniq), dtype=np.intp)
-        index.cell_codes = rank[inverse.reshape(-1)]
-        index.cells = [
-            encoded.cell_tuples[code] for code in uniq[order].tolist()
-        ]
-        index.cell_slot = {cell: slot for slot, cell in enumerate(index.cells)}
-        index.label_codes = encoded.label_codes.astype(np.intp)
-        index.labels = list(encoded.label_vocab)
-        index.weights = encoded.weights
-        index.order, index.offsets = _slot_ranges(
-            encoded.sources, len(encoded.carrier_ids)
-        )
-        obs_metrics.counter(
-            "repro_vote_vectorized_cells_total",
-            "Distinct vote cells computed by vectorized kernels",
-        ).inc(float(len(index.cells)))
-        return index
+        ).inc(float(len(self.cells)))
 
     def electorate(
-        self, slots: Sequence[int], exclude: Optional[Hashable]
+        self, slots: Sequence[int], excluded: Optional[int]
     ) -> Optional[np.ndarray]:
         """Sample positions voting from the carriers at snapshot
         ``slots``, in slot-sequence x per-carrier insertion order, minus
-        the excluded target."""
+        the sample at position ``excluded``."""
         order = self.order
         offsets = self.offsets
         pos: List[int] = []
@@ -555,97 +442,92 @@ class LocalVoteIndex:
                 pos.append(order[lo])
             elif hi > lo:
                 pos.extend(order[lo:hi])
-        if exclude is not None:
-            excluded = self.key_pos.get(exclude)
-            if excluded is not None and excluded in pos:
-                pos.remove(excluded)
+        if excluded is not None and excluded in pos:
+            pos.remove(excluded)
         return np.array(pos, dtype=np.intp) if pos else None
 
 
 class EncodedVotes:
-    """Fit-time stash of one model's encoded vote columns.
+    """One model's votes over an encoded snapshot — all a fitted model
+    keeps besides its selection and weights.
 
-    Captured by the fit (sample order = sorted-key order) and consumed
-    to build the plurality table, every relaxed-level table and the
-    local vote index with array kernels instead of per-sample dict
-    loops.  ``weights`` is the per-sample vote weight (``None``: all
-    1.0).  A model's electorate never changes after its fit, so the
-    stash stays valid for the model's lifetime.
+    Per sample, in the parameter's sorted-key order: the packed
+    dependent-attribute cell code (:func:`pack_columns`) and, through
+    ``columns``, the label code and the source (and pair-wise neighbor)
+    carrier slot; ``weights`` is the per-sample vote weight (``None``:
+    all 1.0).  The plurality table of every relaxation level and the
+    local vote index build from these arrays.  Target keys, cells and
+    labels are derived from them on demand (:meth:`position`,
+    :meth:`sample`, :meth:`targets`) and never stored.  A model's
+    electorate never changes after its fit, so neither do these.
     """
 
     __slots__ = (
+        "columns",
         "cell_codes",
-        "label_codes",
-        "label_vocab",
         "prefix_sizes",
-        "cell_tuples",
         "dep_vocabs",
-        "sources",
         "carrier_ids",
+        "carrier_slots",
         "weights",
+        "_ranges",
+        "_ranked",
     )
 
     def __init__(
         self,
+        columns: "ParameterColumns",
         cell_codes: np.ndarray,
-        label_codes: np.ndarray,
-        label_vocab: List[ParameterValue],
         prefix_sizes: List[int],
-        cell_tuples: Dict[int, Tuple],
         dep_vocabs: List[List[AttributeValue]],
-        sources: np.ndarray,
-        carrier_ids: List[CarrierId],
+        carrier_ids: Sequence[Hashable],
+        carrier_slots: Dict[Hashable, int],
         weights: Optional[np.ndarray] = None,
     ) -> None:
+        self.columns = columns
         self.cell_codes = cell_codes
-        self.label_codes = label_codes
-        self.label_vocab = label_vocab
         self.prefix_sizes = prefix_sizes
-        self.cell_tuples = cell_tuples
         self.dep_vocabs = dep_vocabs
-        self.sources = sources
         self.carrier_ids = carrier_ids
+        self.carrier_slots = carrier_slots
         self.weights = weights
+        self._ranges: Optional[Tuple[array, array]] = None
+        self._ranked: Optional[Tuple[np.ndarray, List[Tuple]]] = None
 
-    def vote_table(self) -> CellVoteTable:
-        """The exact-cell plurality table, built vectorized."""
-        groups = grouped_votes(
-            self.cell_codes, self.label_codes, len(self.label_vocab), self.weights
-        )
-        tuples = self.cell_tuples
-        return CellVoteTable.from_grouped(
-            *groups,
-            lambda keys: [tuples[key] for key in keys.tolist()],
-            self.label_vocab,
-        )
+    def __len__(self) -> int:
+        return len(self.cell_codes)
 
-    def relaxed_table(self, level: int) -> CellVoteTable:
-        """The plurality table over level-``level`` cell prefixes.
+    def table(self, level: int) -> CellVoteTable:
+        """The plurality table over the first ``level`` dependent
+        attributes: every attribute gives the exact-cell table, none
+        the global value distribution.
 
         Mixed-radix packing puts the first dependent column at stride 1,
         so a prefix key is just the full key modulo the product of the
         first ``level`` vocab sizes — no repacking pass needed.
         """
-        modulo = 1
-        for size in self.prefix_sizes[:level]:
-            modulo *= max(int(size), 1)
+        codes = self.cell_codes
+        if level < len(self.prefix_sizes):
+            modulo = 1
+            for size in self.prefix_sizes[:level]:
+                modulo *= max(int(size), 1)
+            codes = codes % modulo
+        vocab = self.columns.label_vocab
         groups = grouped_votes(
-            self.cell_codes % modulo,
-            self.label_codes,
-            len(self.label_vocab),
-            self.weights,
+            codes, self.columns.label_codes, len(vocab), self.weights
         )
-        return CellVoteTable.from_grouped(
-            *groups,
-            lambda keys: self._decode_prefixes(keys, level),
-            self.label_vocab,
+        return CellVoteTable(
+            *groups, lambda keys: self._decode_prefixes(keys, level), vocab
         )
 
     def _decode_prefixes(
         self, keys: np.ndarray, level: int
     ) -> List[Tuple[AttributeValue, ...]]:
         """Unpack an array of prefix keys column by column (one modulo
-        pass per column instead of a Python loop per key)."""
+        pass per column instead of a Python loop per key); level 0
+        decodes every key to ``()``."""
+        if level == 0:
+            return [()] * len(keys)
         columns = []
         remaining = keys
         for vocab, size in zip(self.dep_vocabs[:level], self.prefix_sizes[:level]):
@@ -653,6 +535,91 @@ class EncodedVotes:
             columns.append([vocab[code] for code in (remaining % size).tolist()])
             remaining = remaining // size
         return list(zip(*columns))
+
+    def cell_ranks(self) -> Tuple[np.ndarray, List[Tuple[AttributeValue, ...]]]:
+        """``(ranks, cells)``: the distinct cells in first-appearance
+        order and each sample's rank among them (built on first use;
+        the local vote index interns its cells with them)."""
+        ranked = self._ranked
+        if ranked is None:
+            uniq, first, inverse = np.unique(
+                self.cell_codes, return_index=True, return_inverse=True
+            )
+            order = np.argsort(first, kind="stable")
+            rank = np.empty(len(uniq), dtype=np.intp)
+            rank[order] = np.arange(len(uniq), dtype=np.intp)
+            ranked = self._ranked = (
+                rank[inverse.reshape(-1)],
+                self._decode_prefixes(uniq[order], len(self.prefix_sizes)),
+            )
+        return ranked
+
+    def slot_ranges(self) -> Tuple[array, array]:
+        """The samples grouped by source carrier slot (built on first
+        use): see :func:`_slot_ranges`."""
+        ranges = self._ranges
+        if ranges is None:
+            ranges = self._ranges = _slot_ranges(
+                self.columns.sources, len(self.carrier_ids)
+            )
+        return ranges
+
+    def position(self, key: Hashable) -> Optional[int]:
+        """The sample position of target ``key``, or ``None`` when it is
+        not a sample: its source carrier's slot range, then, pair-wise,
+        the sample in that range with ``key``'s neighbor."""
+        neighbors = self.columns.neighbors
+        slots = self.carrier_slots
+        if neighbors is None:
+            slot = slots.get(key)
+        elif isinstance(key, PairKey):
+            slot = slots.get(key.carrier)
+        else:
+            return None
+        if slot is None:
+            return None
+        order, offsets = self._ranges or self.slot_ranges()
+        lo = offsets[slot]
+        hi = offsets[slot + 1]
+        if neighbors is None:
+            return order[lo] if hi > lo else None
+        neighbor = slots.get(key.neighbor)
+        for i in range(lo, hi):
+            if neighbors[order[i]] == neighbor:
+                return order[i]
+        return None
+
+    def sample(
+        self, key: Hashable
+    ) -> Optional[Tuple[int, Tuple[AttributeValue, ...], ParameterValue, float]]:
+        """``(position, cell, label, weight)`` of target ``key``'s
+        sample, or ``None`` when it is not a sample."""
+        pos = self.position(key)
+        if pos is None:
+            return None
+        ranks, cells = self._ranked or self.cell_ranks()
+        columns = self.columns
+        return (
+            pos,
+            cells[ranks[pos]],
+            columns.label_vocab[columns.label_codes[pos]],
+            1.0 if self.weights is None else float(self.weights[pos]),
+        )
+
+    def targets(self) -> Dict[Hashable, Tuple[Tuple, ParameterValue]]:
+        """Every sample as ``{key: (cell, label)}`` in sample order,
+        derived from the arrays on each call — for read-only users
+        (experiments, benchmarks, the golden generator)."""
+        ranks, cells = self.cell_ranks()
+        vocab = self.columns.label_vocab
+        return {
+            key: (cells[rank], vocab[label])
+            for key, rank, label in zip(
+                self.columns.keys(self.carrier_ids),
+                ranks.tolist(),
+                self.columns.label_codes.tolist(),
+            )
+        }
 
 
 class ParameterColumns:
@@ -671,7 +638,6 @@ class ParameterColumns:
         "neighbors",
         "label_codes",
         "label_vocab",
-        "_keys",
     )
 
     def __init__(
@@ -689,7 +655,6 @@ class ParameterColumns:
         self.neighbors = neighbors
         self.label_codes = label_codes
         self.label_vocab = label_vocab
-        self._keys: Optional[List[Hashable]] = None
 
     def __len__(self) -> int:
         return len(self.sources)
@@ -727,7 +692,7 @@ class ParameterColumns:
             dtype=np.int32,
             count=len(keys),
         )
-        columns = cls(
+        return cls(
             parameter=spec.name,
             pairwise=spec.is_pairwise,
             sources=sources,
@@ -735,31 +700,21 @@ class ParameterColumns:
             label_codes=label_codes,
             label_vocab=list(vocab_map),
         )
-        columns._keys = keys
-        return columns
 
     def keys(self, carrier_ids: Sequence[CarrierId]) -> List[Hashable]:
-        """The target keys in stored (sorted) order, rebuilt lazily."""
-        if self._keys is None:
-            if self.pairwise:
-                self._keys = [
-                    PairKey(carrier_ids[s], carrier_ids[n])
-                    for s, n in zip(self.sources.tolist(), self.neighbors.tolist())
-                ]
-            else:
-                self._keys = [carrier_ids[s] for s in self.sources.tolist()]
-        return self._keys
+        """The target keys in stored (sorted) order, rebuilt on each
+        call from the slot columns."""
+        if self.pairwise:
+            return [
+                PairKey(carrier_ids[s], carrier_ids[n])
+                for s, n in zip(self.sources.tolist(), self.neighbors.tolist())
+            ]
+        return [carrier_ids[s] for s in self.sources.tolist()]
 
     def labels(self) -> List[ParameterValue]:
         """The configured values in stored order (decoded)."""
         vocab = self.label_vocab
         return [vocab[code] for code in self.label_codes.tolist()]
-
-
-def snapshot_carrier_ids(network: Network) -> List[CarrierId]:
-    """The network's carrier ids in snapshot slot order (sorted): the
-    row order of a :class:`ColumnarSnapshot` encoded from it."""
-    return sorted(carrier.carrier_id for carrier in network.carriers())
 
 
 class ColumnarSnapshot:
@@ -799,7 +754,8 @@ class ColumnarSnapshot:
         """Encode a snapshot's attribute matrix and parameter columns."""
         started = time.perf_counter()
         with tracing.span("columnar.encode", parameters=len(specs)) as span:
-            carrier_ids = snapshot_carrier_ids(network)
+            # Slot order is sorted carrier-id order.
+            carrier_ids = sorted(c.carrier_id for c in network.carriers())
             n_attrs = len(ATTRIBUTE_SCHEMA.names)
             codes = np.empty((len(carrier_ids), n_attrs), dtype=np.int32)
             vocab_maps: List[Dict[AttributeValue, int]] = [
@@ -925,17 +881,6 @@ class ColumnarSnapshot:
         if self.parameter(name).pairwise:
             return sizes + sizes
         return sizes
-
-    def decode_cell(
-        self, name: str, columns: Sequence[int], key: int
-    ) -> Tuple[AttributeValue, ...]:
-        """Decode one packed cell key back to its raw attribute values."""
-        sizes = self.column_sizes(name)
-        codes = unpack_key(key, columns, sizes)
-        return tuple(
-            self.column_vocab(name, col)[code]
-            for col, code in zip(columns, codes)
-        )
 
     # -- pool transport ---------------------------------------------------
 

@@ -153,13 +153,13 @@ def run(
     view = runner.view
     for parameter in parameters:
         spec = dataset.catalog.spec(parameter)
-        model = weighted._model(parameter)
+        targets = weighted._model(parameter).encoded.targets()
         cells_with_detected = {
-            model.samples[key][0] for key in weighted_keys if key in model.samples
+            targets[key][0] for key in weighted_keys if key in targets
         }
         samples = view.samples(parameter)
         for key, label in zip(samples.keys, samples.labels):
-            if model.samples.get(key, (None,))[0] not in cells_with_detected:
+            if targets.get(key, (None,))[0] not in cells_with_detected:
                 continue
             contested_total += 1
             for slot, engine in ((0, plain), (1, weighted)):

@@ -155,6 +155,21 @@ class DriftThresholds:
 PARAMETER_PREFIX = "parameter:"
 
 
+def parameter_distribution(store, name: str) -> Dict[str, float]:
+    """Value counts of one parameter over a configuration store, read
+    from the parameter's own kind (pair-wise or singular values)."""
+    values = (
+        store.pairwise_values(name)
+        if store.catalog.spec(name).is_pairwise
+        else store.singular_values(name)
+    )
+    counts: Dict[str, float] = {}
+    for value in values.values():
+        key = str(value)
+        counts[key] = counts.get(key, 0.0) + 1.0
+    return counts
+
+
 @dataclass
 class DriftBaseline:
     """Fit-time value distributions: the population the models saw.
@@ -181,14 +196,7 @@ class DriftBaseline:
         params: Dict[str, Dict[str, float]] = {}
         if store is not None:
             for name in parameters:
-                counts: Dict[str, float] = {}
-                for values in (
-                    store.singular_values(name),
-                    store.pairwise_values(name),
-                ):
-                    for value in values.values():
-                        key = str(value)
-                        counts[key] = counts.get(key, 0.0) + 1.0
+                counts = parameter_distribution(store, name)
                 if counts:
                     params[name] = counts
         return cls(
@@ -399,14 +407,7 @@ class DriftDetector:
         live: Dict[str, Dict[str, float]] = attribute_distributions(network)
         if store is not None:
             for name in self.baseline.parameters:
-                counts: Dict[str, float] = {}
-                for values in (
-                    store.singular_values(name),
-                    store.pairwise_values(name),
-                ):
-                    for value in values.values():
-                        key = str(value)
-                        counts[key] = counts.get(key, 0.0) + 1.0
+                counts = parameter_distribution(store, name)
                 if counts:
                     live[PARAMETER_PREFIX + name] = counts
         return self.score(live)

@@ -1,8 +1,8 @@
 """Process-pool execution layer for engine fitting and LOO evaluation.
 
-The layer fans embarrassingly-parallel work — per-parameter fits,
-per-parameter leave-one-out folds — across a pool of worker processes
-while keeping every result byte-identical to the serial path:
+The layer fans embarrassingly-parallel work — per-parameter attribute
+selections, per-parameter leave-one-out folds — across a pool of worker
+processes while keeping every result byte-identical to the serial path:
 
 * the shared snapshot payload crosses the process boundary **once per
   worker**, not once per task (fork start methods inherit it for free;
@@ -21,13 +21,13 @@ serial (set ``REPRO_POOL_ADAPTIVE=0`` to disable the cutover).
 """
 
 from repro.parallel.pool import effective_jobs, resolve_jobs, run_tasks
-from repro.parallel.fit import fit_parameter_models
+from repro.parallel.fit import select_parameters
 from repro.parallel.evaluate import parallel_loo_accuracy
 
 __all__ = [
     "effective_jobs",
     "resolve_jobs",
     "run_tasks",
-    "fit_parameter_models",
+    "select_parameters",
     "parallel_loo_accuracy",
 ]

@@ -1,43 +1,37 @@
 """Persistent engine artifacts: train once, save, load, serve.
 
-Every recommendation path in the repository used to refit the Auric
-engine in-process and discard the fitted state.  This module serializes
-a fitted :class:`~repro.core.auric.AuricEngine` — per-parameter
-dependent attributes, vote samples and weights, plus the
-:class:`~repro.core.auric.AuricConfig` — to a schema-versioned JSON
-document, and loads it back so that a reloaded engine produces
-recommendations *identical* to the engine that was fitted live.
-
-Identity is guaranteed by serializing the raw per-target samples in
-their original (sorted-key) order and rebuilding every derived index —
-cell index, global counts, by-carrier index — by replaying that order,
-exactly as the fit accumulated them.  Weighted
-(float) vote counts therefore sum in the same order and land on the
-same values bit-for-bit.
+An artifact stores a fitted :class:`~repro.core.auric.AuricEngine` the
+way a generated dataset is stored as its generator parameters: per
+parameter, only the chi-square selection (dependent columns and names,
+their stats) and the sparse vote weights, plus the
+:class:`~repro.core.auric.AuricConfig`, in a schema-versioned JSON
+document.  A model is a function of ``(snapshot, config, selection,
+weights)``, so a load rebuilds every model with the fit's own vote phase
+(:meth:`~repro.core.auric.AuricEngine._build_columnar_model`) over the
+snapshot the artifact binds, and the loaded engine answers exactly as
+the fitted one did.
 
 Artifacts embed the :func:`~repro.dataio.export.snapshot_fingerprint`
 of the snapshot the engine was fitted on; loading against a different
 snapshot raises unless explicitly allowed (the refresh layer serves
 stale-but-available models on purpose).
 
-A loaded engine votes from those samples and never reads an encoded
-columnar snapshot.  An artifact saved with ``AuricConfig.store="mmap"``
-references an mmap snapshot store next to it, which the loaded engine
-adopts so its first refit or fit skips the encoding pass; a memory
-artifact carries no snapshot, and the engine encodes one on first
-refit or fit.
+The snapshot a load builds from is the mmap snapshot store that an
+artifact saved with ``AuricConfig.store="mmap"`` references (opened
+zero-copy), or else the live network and store, encoded at load.  While
+the fingerprint verifies, the two are the same snapshot.  Under
+``verify_fingerprint=False`` they need not be: a memory artifact then
+votes from the live values, an mmap artifact from its store.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import os
-from collections import Counter
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Optional
 
-from repro.config.store import ConfigurationStore, PairKey
+from repro.config.store import ConfigurationStore
 from repro.core.auric import AuricConfig, AuricEngine, _ParameterModel
 from repro.dataio.export import snapshot_fingerprint
 from repro.dataio.keys import (
@@ -61,12 +55,14 @@ from repro.obs.provenance import AttributeDependence
 #: ``config.store`` field and the optional ``columnar_store`` reference
 #: to an mmap snapshot store next to the artifact.  A legacy ``file``
 #: store (a JSON sidecar) loads as ``memory`` and its reference is
-#: ignored.  All additive, so v1–v3 documents still load (the engine
-#: re-encodes / re-captures on demand).
-ARTIFACT_SCHEMA_VERSION = 4
+#: ignored.  v5 drops each model's ``samples``: a load rebuilds the
+#: votes from the snapshot.  v1–v4 documents still load; their samples
+#: are not read, which gives the same engine whenever the fingerprint
+#: verifies.
+ARTIFACT_SCHEMA_VERSION = 5
 
 #: Schema versions :func:`engine_from_dict` accepts.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
 
 _ARTIFACT_KIND = "auric-engine-artifact"
 
@@ -77,19 +73,6 @@ class ArtifactError(RecommendationError):
 
 def _key_to_str(key: Hashable, pairwise: bool) -> str:
     return pair_key_to_str(key) if pairwise else carrier_key_to_str(key)
-
-
-def _key_parsers() -> Dict[bool, Callable[[str], Hashable]]:
-    """Key-string parsers for one artifact load, by ``pairwise``.
-
-    Each remembers the strings it has parsed, so every model of the
-    artifact shares one ``CarrierId`` (or ``PairKey``) per target and
-    each string is parsed once per load, not once per model.
-    """
-    return {
-        False: functools.lru_cache(maxsize=None)(carrier_key_from_str),
-        True: functools.lru_cache(maxsize=None)(pair_key_from_str),
-    }
 
 
 def _required(section: Dict, field: str, where: str) -> Any:
@@ -106,29 +89,21 @@ def _model_to_dict(model: _ParameterModel) -> Dict:
         "pairwise": pairwise,
         "dependent_columns": list(model.dependent_columns),
         "dependent_names": list(model.dependent_names),
-        # (key, cell, label) triples in fit order — everything else is
-        # derived from these on load.
-        "samples": [
-            [_key_to_str(key, pairwise), list(cell), label]
-            for key, (cell, label) in model.samples.items()
-        ],
-        "weights": {
-            _key_to_str(key, pairwise): weight
-            for key, weight in model.weights.items()
-        },
         # Chi-square provenance for the selected attributes; additive —
         # pre-provenance artifacts simply lack the key.
         "dependent_stats": [
             stat.to_dict() for stat in model.dependent_stats
         ],
+        "weights": {
+            _key_to_str(key, pairwise): weight
+            for key, weight in model.weights.items()
+        },
     }
 
 
-def _model_from_dict(
-    payload: Dict,
-    engine: AuricEngine,
-    parsers: Dict[bool, Callable[[str], Hashable]],
-) -> _ParameterModel:
+def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
+    """Rebuild one model from its selection and weights with the fit's
+    vote phase (a v1–v4 document's ``samples`` are not read)."""
     name = _required(payload, "parameter", "a model")
     where = f"model {name}"
     spec = engine.catalog.spec(name)
@@ -138,7 +113,7 @@ def _model_from_dict(
             f"artifact says {spec.name} is "
             f"{'pair-wise' if pairwise else 'singular'}, catalog disagrees"
         )
-    parse = parsers[pairwise]
+    parse = pair_key_from_str if pairwise else carrier_key_from_str
     try:
         weights: Dict[Hashable, float] = {
             parse(text): float(weight)
@@ -149,38 +124,20 @@ def _model_from_dict(
     dependent = tuple(
         int(c) for c in _required(payload, "dependent_columns", where)
     )
-
-    cell_index: Dict[Tuple, Counter] = {}
-    global_counts: Counter = Counter()
-    samples: Dict[Hashable, Tuple[Tuple, object]] = {}
-    by_carrier: Dict = {}
-    try:
-        for text, cell_list, label in _required(payload, "samples", where):
-            key = parse(text)
-            cell = tuple(cell_list)
-            weight = weights.get(key, 1.0)
-            cell_index.setdefault(cell, Counter())[label] += weight
-            global_counts[label] += weight
-            samples[key] = (cell, label)
-            source = key.carrier if isinstance(key, PairKey) else key
-            by_carrier.setdefault(source, []).append(key)
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{where}: malformed samples: {exc}") from None
-
-    return _ParameterModel(
-        spec=spec,
-        dependent_columns=dependent,
-        dependent_names=tuple(_required(payload, "dependent_names", where)),
-        cell_index=cell_index,
-        global_counts=global_counts,
-        samples=samples,
-        by_carrier=by_carrier,
-        weights=weights,
-        dependent_stats=tuple(
-            AttributeDependence.from_dict(item)
-            for item in payload.get("dependent_stats", ())
-        ),
+    names = tuple(_required(payload, "dependent_names", where))
+    attributes = engine.attribute_names(spec)
+    if names != tuple(
+        attributes[c] if 0 <= c < len(attributes) else None for c in dependent
+    ):
+        raise ArtifactError(
+            f"{where}: dependent columns {list(dependent)} do not name "
+            f"the attributes {list(names)}"
+        )
+    stats = tuple(
+        AttributeDependence.from_dict(item)
+        for item in payload.get("dependent_stats", ())
     )
+    return engine._build_columnar_model(spec, dependent, stats, weights or None)
 
 
 def engine_to_dict(
@@ -275,6 +232,10 @@ def engine_from_dict(
     :func:`load_engine` passes the artifact's directory.  Only an
     ``mmap`` reference is opened; legacy inline ``columnar`` sections
     and ``file`` references are ignored.
+
+    Every model is rebuilt from its selection and weights by the fit's
+    vote phase, over the referenced mmap store or, without one, over
+    the live snapshot encoded here.
     """
     if payload.get("kind") != _ARTIFACT_KIND:
         raise ArtifactError(f"not an engine artifact: kind={payload.get('kind')!r}")
@@ -319,9 +280,8 @@ def engine_from_dict(
         engine.drift_baseline = DriftBaseline.from_dict(
             payload["drift_baseline"]
         )
-    parsers = _key_parsers()
     for model_payload in _required(payload, "models", "the artifact"):
-        model = _model_from_dict(model_payload, engine, parsers)
+        model = _model_from_dict(model_payload, engine)
         engine.install_model(model.spec.name, model)
     return engine
 
@@ -437,10 +397,12 @@ def load_engine(
 def artifact_summary(payload: Dict) -> str:
     """One line describing an artifact (CLI output)."""
     models: List[Dict] = payload.get("models", [])
-    samples = sum(len(m.get("samples", [])) for m in models)
+    dependent = sum(len(m.get("dependent_columns", [])) for m in models)
+    weighted = sum(len(m.get("weights", {})) for m in models)
     line = (
         f"engine artifact v{payload.get('schema_version')}: "
-        f"{len(models)} parameter models, {samples} samples, "
+        f"{len(models)} parameter models, {dependent} dependent attributes, "
+        f"{weighted} weighted targets, "
         f"snapshot {str(payload.get('snapshot_fingerprint'))[:12]}…"
     )
     ref = payload.get("columnar_store")

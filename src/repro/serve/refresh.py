@@ -47,7 +47,7 @@ from repro.core.columnar import ParameterColumns
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.obs.health import DriftReport
+from repro.obs.health import DriftReport, parameter_distribution
 from repro.serve.service import RecommendationService
 
 logger = logging.getLogger(__name__)
@@ -209,15 +209,12 @@ def _refit_parameter(
     model keeps ``old_model``'s vote weights.
     """
     weights = old_model.weights or None
-    snapshot = engine.columnar_snapshot()
-    old_columns = (
-        snapshot.parameters.get(spec.name) if snapshot is not None else None
-    )
+    old_columns = old_model.encoded.columns
     # Re-encode this parameter's label column against the mutated
     # store (the attribute matrix is untouched by config changes).
     engine.invalidate_columnar(spec.name)
     new_columns = engine.ensure_columnar([spec]).parameter(spec.name)
-    changed = _changed_positions(old_columns, old_model, new_columns, engine)
+    changed = _changed_positions(old_columns, new_columns)
     if changed is not None and len(changed) == 0:
         return None, 0, False
     if changed is not None:
@@ -242,45 +239,26 @@ def _refit_parameter(
 
 
 def _changed_positions(
-    old_columns: Optional[ParameterColumns],
-    old_model: _ParameterModel,
-    new_columns: ParameterColumns,
-    engine: AuricEngine,
+    old_columns: ParameterColumns, new_columns: ParameterColumns
 ) -> Optional[np.ndarray]:
     """Sample positions whose configured value changed, or ``None``
     when the topology (which targets exist) changed too."""
-    n = len(new_columns)
+    if len(old_columns) != len(new_columns):
+        return None
+    if not np.array_equal(old_columns.sources, new_columns.sources):
+        return None
+    if (old_columns.neighbors is None) != (new_columns.neighbors is None):
+        return None
+    if old_columns.neighbors is not None and not np.array_equal(
+        old_columns.neighbors, new_columns.neighbors
+    ):
+        return None
+    old_labels = np.asarray(old_columns.label_vocab, dtype=object)[
+        old_columns.label_codes
+    ]
     new_labels = np.asarray(new_columns.label_vocab, dtype=object)[
         new_columns.label_codes
     ]
-    if old_columns is not None:
-        if len(old_columns) != n:
-            return None
-        if not np.array_equal(old_columns.sources, new_columns.sources):
-            return None
-        if (old_columns.neighbors is None) != (new_columns.neighbors is None):
-            return None
-        if old_columns.neighbors is not None and not np.array_equal(
-            old_columns.neighbors, new_columns.neighbors
-        ):
-            return None
-        old_labels = np.asarray(old_columns.label_vocab, dtype=object)[
-            old_columns.label_codes
-        ]
-    else:
-        # No encoded column to compare against (an engine loaded from
-        # a memory artifact): reconstruct the fitted labels from the
-        # model's samples, which are stored in the same sorted-key
-        # order the encoder uses.
-        samples = old_model.samples
-        if len(samples) != n:
-            return None
-        carrier_ids = engine.columnar_snapshot().carrier_ids
-        if list(samples.keys()) != new_columns.keys(carrier_ids):
-            return None
-        old_labels = np.asarray(
-            [label for _, label in samples.values()], dtype=object
-        )
     return np.nonzero(old_labels != new_labels)[0]
 
 
@@ -294,14 +272,7 @@ def _patch_baseline(engine: AuricEngine, name: str) -> None:
     baseline = engine.drift_baseline
     if baseline is None:
         return
-    counts: Dict[str, float] = {}
-    for values in (
-        engine.store.singular_values(name),
-        engine.store.pairwise_values(name),
-    ):
-        for value in values.values():
-            key = str(value)
-            counts[key] = counts.get(key, 0.0) + 1.0
+    counts = parameter_distribution(engine.store, name)
     if counts:
         baseline.parameters[name] = counts
 

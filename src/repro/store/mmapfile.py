@@ -10,9 +10,12 @@ One file holds the whole columnar snapshot:
     (zero padding to the next 16-byte boundary)
     array blobs, each at a 16-byte-aligned offset
 
-The header carries everything non-numeric — carrier ids, attribute
-vocabularies, per-parameter metadata — plus a layout entry
-``[field, parameter, dtype, shape, relative_offset]`` per array.
+The header carries everything non-numeric — attribute vocabularies and
+per-parameter metadata — plus a layout entry ``[field, parameter,
+dtype, shape, relative_offset]`` per array.  The carrier ids are an
+array too (format 2): an ``int32`` ``(n, 4)`` blob of market, eNodeB,
+face and slot, in slot order.  Format 1 kept them as header strings and
+still opens.
 Offsets are relative to the (alignment-rounded) end of the header, so
 the header can be rendered before the blob positions are final.
 
@@ -41,6 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.columnar import ColumnarSnapshot, ParameterColumns
+from repro.netmodel.identifiers import CarrierId, ENodeBId, MarketId
 from repro.obs import metrics as obs_metrics
 from repro.store.base import (
     SnapshotStore,
@@ -50,7 +54,7 @@ from repro.store.base import (
 )
 
 MAGIC = b"AURSTOR1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _PREFIX = len(MAGIC) + 8  # magic + header-length word
 
 
@@ -150,8 +154,16 @@ def _snapshot_arrays(
     snapshot: ColumnarSnapshot,
 ) -> List[Tuple[str, Optional[str], np.ndarray]]:
     """Every buffer in the file's canonical (deterministic) order."""
+    carriers = np.array(
+        [
+            (c.enodeb.market.index, c.enodeb.index, c.face, c.slot)
+            for c in snapshot.carrier_ids
+        ],
+        dtype=np.int32,
+    ).reshape(-1, 4)
     arrays: List[Tuple[str, Optional[str], np.ndarray]] = [
-        ("codes", None, snapshot.codes)
+        ("carrier_ids", None, carriers),
+        ("codes", None, snapshot.codes),
     ]
     for name in sorted(snapshot.parameters):
         columns = snapshot.parameters[name]
@@ -160,6 +172,23 @@ def _snapshot_arrays(
             arrays.append(("neighbors", name, columns.neighbors))
         arrays.append(("label_codes", name, columns.label_codes))
     return arrays
+
+
+def _carrier_ids(rows: np.ndarray) -> List[CarrierId]:
+    """Carrier ids from their ``(market, eNodeB, face, slot)`` rows,
+    sharing one ``MarketId`` and one ``ENodeBId`` per distinct value."""
+    markets: Dict[int, MarketId] = {}
+    enodebs: Dict[Tuple[int, int], ENodeBId] = {}
+    carrier_ids = []
+    for market, enodeb, face, slot in rows.tolist():
+        site = enodebs.get((market, enodeb))
+        if site is None:
+            owner = markets.get(market)
+            if owner is None:
+                owner = markets[market] = MarketId(market)
+            site = enodebs[(market, enodeb)] = ENodeBId(owner, enodeb)
+        carrier_ids.append(CarrierId(site, face, slot))
+    return carrier_ids
 
 
 class MmapSnapshotStore(SnapshotStore):
@@ -171,8 +200,6 @@ class MmapSnapshotStore(SnapshotStore):
     # -- write ------------------------------------------------------------
 
     def persist(self, snapshot: ColumnarSnapshot) -> Dict:
-        from repro.dataio.keys import carrier_key_to_str
-
         started = time.perf_counter()
         arrays = _snapshot_arrays(snapshot)
         layouts = []
@@ -186,9 +213,6 @@ class MmapSnapshotStore(SnapshotStore):
         header = {
             "kind": "auric-columnar-store",
             "format": FORMAT_VERSION,
-            "carrier_ids": [
-                carrier_key_to_str(c) for c in snapshot.carrier_ids
-            ],
             "vocabs": [list(vocab) for vocab in snapshot.vocabs],
             "parameters": [
                 {
@@ -248,8 +272,6 @@ class MmapSnapshotStore(SnapshotStore):
         return header, aligned(_PREFIX + header_len)
 
     def load(self) -> Optional[ColumnarSnapshot]:
-        from repro.dataio.keys import carrier_key_from_str
-
         if not self.exists():
             return None
         started = time.perf_counter()
@@ -274,10 +296,16 @@ class MmapSnapshotStore(SnapshotStore):
                 label_codes=buffers[("label_codes", name)],
                 label_vocab=list(meta["label_vocab"]),
             )
-        snapshot = ColumnarSnapshot(
-            carrier_ids=[
+        if "carrier_ids" in header:  # format 1
+            from repro.dataio.keys import carrier_key_from_str
+
+            carrier_ids = [
                 carrier_key_from_str(t) for t in header["carrier_ids"]
-            ],
+            ]
+        else:
+            carrier_ids = _carrier_ids(buffers.pop(("carrier_ids", None)))
+        snapshot = ColumnarSnapshot(
+            carrier_ids=carrier_ids,
             codes=buffers[("codes", None)],
             vocabs=[list(vocab) for vocab in header["vocabs"]],
             parameters=parameters,

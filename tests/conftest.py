@@ -17,6 +17,32 @@ from repro.datagen import tiny_workload
 ENGINE_PARAMETERS = ("pMax", "inactivityTimer", "hysA3Offset")
 
 
+def model_state(model):
+    """Everything that decides a fitted model's votes, in comparable
+    form, order included: its selection and stats, its sparse weights
+    and its vote arrays (every key, cell and label derives from them)."""
+    encoded = model.encoded
+    columns = encoded.columns
+
+    def listed(array):
+        return None if array is None else array.tolist()
+
+    return (
+        model.spec.name,
+        model.dependent_columns,
+        model.dependent_names,
+        model.dependent_stats,
+        [(str(key), weight) for key, weight in model.weights.items()],
+        [str(key) for key in columns.keys(encoded.carrier_ids)],
+        listed(encoded.cell_codes),
+        listed(columns.label_codes),
+        list(columns.label_vocab),
+        listed(encoded.weights),
+        list(encoded.prefix_sizes),
+        [list(vocab) for vocab in encoded.dep_vocabs],
+    )
+
+
 @pytest.fixture(scope="session")
 def catalog():
     return build_default_catalog()

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from repro.config.store import PairKey
@@ -44,11 +46,10 @@ class TestSingularRecommendation:
     def test_leave_one_out_excludes_self(self, engine, dataset):
         # Find a carrier that is the sole member of its cell: with LOO
         # its own value must not vote.
-        model = engine._model("pMax")
+        targets = engine._model("pMax").encoded.targets()
+        sizes = Counter(cell for cell, _ in targets.values())
         singletons = [
-            key
-            for key, (cell, _) in model.samples.items()
-            if sum(model.cell_index[cell].values()) == 1
+            key for key, (cell, _) in targets.items() if sizes[cell] == 1
         ]
         if not singletons:
             pytest.skip("no singleton cells in tiny dataset")

@@ -1,10 +1,9 @@
 """Unit and property tests for the columnar kernels.
 
 The kernels in :mod:`repro.core.columnar` promise *byte-identity* with
-the tuple/Counter reference implementations: every property test here
-pits a kernel against a small hand-rolled Counter model of the legacy
-behaviour, including the insertion-order and tie-break contracts that
-the engine's reproducibility rests on.
+``Counter`` arithmetic: every property test here pits a kernel against
+a small hand-rolled Counter model, including the insertion-order and
+tie-break contracts that the engine's reproducibility rests on.
 """
 
 from collections import Counter
@@ -18,7 +17,9 @@ from repro.core.columnar import (
     CellVoteTable,
     ColumnarCapacityError,
     ColumnarSnapshot,
+    EncodedVotes,
     LocalVoteIndex,
+    ParameterColumns,
     grouped_votes,
     pack_capacity,
     pack_columns,
@@ -158,6 +159,28 @@ class TestGroupedVotes:
 
 # -- CellVoteTable ----------------------------------------------------------
 
+def _table(cell_index) -> CellVoteTable:
+    """A vote table over ``{cell: Counter}``, built the one way tables
+    are built: from (cell, label, total) groups in insertion order."""
+    cells = list(cell_index)
+    vocab: list = []
+    group_cells, group_labels, totals = [], [], []
+    for code, counter in enumerate(cell_index.values()):
+        for label, count in counter.items():
+            if label not in vocab:
+                vocab.append(label)
+            group_cells.append(code)
+            group_labels.append(vocab.index(label))
+            totals.append(float(count))
+    return CellVoteTable(
+        np.array(group_cells, dtype=np.int64),
+        np.array(group_labels, dtype=np.int64),
+        np.array(totals, dtype=np.float64),
+        lambda keys: [cells[key] for key in keys.tolist()],
+        vocab,
+    )
+
+
 def _reference_vote(counter: Counter, exclude_label):
     """The legacy Counter answer (None = table must also decline)."""
     if exclude_label is not NO_EXCLUDE:
@@ -203,7 +226,7 @@ class TestCellVoteTable:
         counter = Counter()
         for label, weight in stream:
             counter[label] += weight
-        table = CellVoteTable({("c",): counter})
+        table = _table({("c",): counter})
         assert table.vote(("c",)) == (
             counter.most_common(1)[0] + (sum(counter.values()),)
         )
@@ -222,7 +245,7 @@ class TestCellVoteTable:
     def test_zero_count_label_survives_its_own_exclusion(self):
         # The only voter weighs 0: Counter keeps the 0.0 entry unless
         # drop_zero asks for it to go.
-        table = CellVoteTable({("c",): Counter({"x": 0.0})})
+        table = _table({("c",): Counter({"x": 0.0})})
         assert table.vote(("c",), "x", 0.0) == ("x", 0.0, 0.0)
         assert table.vote(("c",), "x", 0.0, drop_zero=True) is None
 
@@ -232,7 +255,7 @@ class TestCellVoteTable:
         cell_index: dict = {}
         for cell, label in stream:
             cell_index.setdefault((cell,), Counter())[label] += 1.0
-        table = CellVoteTable(cell_index)
+        table = _table(cell_index)
         for cell, counter in cell_index.items():
             assert table.vote(cell) == _reference_vote(counter, NO_EXCLUDE)
             for label in counter:
@@ -244,11 +267,11 @@ class TestCellVoteTable:
                     assert got == expected
 
     def test_unknown_cell_is_none(self):
-        table = CellVoteTable({("a",): Counter({1: 2.0})})
+        table = _table({("a",): Counter({1: 2.0})})
         assert table.vote(("b",)) is None
 
     def test_exclusion_emptying_cell_is_none(self):
-        table = CellVoteTable({("a",): Counter({1: 1.0})})
+        table = _table({("a",): Counter({1: 1.0})})
         assert table.vote(("a",), 1) is None
 
     def test_tie_after_exclusion_keeps_first_inserted(self):
@@ -258,7 +281,7 @@ class TestCellVoteTable:
         counter["x"] += 1.0
         counter["y"] += 1.0
         counter["x"] += 1.0
-        table = CellVoteTable({("c",): counter})
+        table = _table({("c",): counter})
         value, top, total = table.vote(("c",), "x")
         assert (value, top, total) == ("x", 1.0, 2.0)
 
@@ -282,48 +305,74 @@ class TestPlurality:
 
 # -- LocalVoteIndex ---------------------------------------------------------
 
+def _encoded(rows, n_slots) -> EncodedVotes:
+    """Encoded votes over ``rows`` of ``(source slot, cell, label)``,
+    packed the way a fit packs them, for a snapshot of ``n_slots``
+    carriers named ``c0``, ``c1``, ..."""
+    n_columns = len(rows[0][1])
+    vocabs: list = [[] for _ in range(n_columns)]
+    codes = np.zeros((len(rows), n_columns), dtype=np.int64)
+    label_vocab: list = []
+    label_codes = []
+    for i, (_, cell, label) in enumerate(rows):
+        for j, value in enumerate(cell):
+            if value not in vocabs[j]:
+                vocabs[j].append(value)
+            codes[i, j] = vocabs[j].index(value)
+        if label not in label_vocab:
+            label_vocab.append(label)
+        label_codes.append(label_vocab.index(label))
+    sizes = [len(vocab) for vocab in vocabs]
+    carrier_ids = [f"c{i}" for i in range(n_slots)]
+    columns = ParameterColumns(
+        parameter="p",
+        pairwise=False,
+        sources=np.array([row[0] for row in rows], dtype=np.int32),
+        neighbors=None,
+        label_codes=np.array(label_codes, dtype=np.int32),
+        label_vocab=label_vocab,
+    )
+    return EncodedVotes(
+        columns=columns,
+        cell_codes=pack_columns(codes, list(range(n_columns)), sizes),
+        prefix_sizes=sizes,
+        dep_vocabs=vocabs,
+        carrier_ids=carrier_ids,
+        carrier_slots={c: i for i, c in enumerate(carrier_ids)},
+    )
+
+
 class TestLocalVoteIndex:
     def test_electorate_order_and_exclusion(self):
-        samples = {
-            "k1": (("a",), 1),
-            "k2": (("a",), 2),
-            "k3": (("b",), 1),
-            "k4": (("b",), 2),
-        }
-        by_carrier = {"c1": ["k1", "k3"], "c2": ["k2"], "c3": ["k4"]}
-        slots = {"c1": 0, "c2": 1, "c3": 2, "c9": 3}
-        index = LocalVoteIndex(samples, by_carrier, slots)
+        # Samples k1..k4 sourced at slots 0, 1, 0, 2.
+        rows = [(0, ("a",), 1), (1, ("a",), 2), (0, ("b",), 1), (2, ("b",), 2)]
+        index = LocalVoteIndex(_encoded(rows, 4))
         # Slot-sequence order x per-carrier insertion order.
-        pos = index.electorate([1, 0], None)
-        keys = [list(samples)[p] for p in pos.tolist()]
-        assert keys == ["k2", "k1", "k3"]
-        # The excluded target leaves the electorate.
-        pos = index.electorate([1, 0], "k1")
-        keys = [list(samples)[p] for p in pos.tolist()]
-        assert keys == ["k2", "k3"]
+        assert index.electorate([1, 0], None).tolist() == [1, 0, 2]
+        # The excluded sample leaves the electorate.
+        assert index.electorate([1, 0], 0).tolist() == [1, 2]
         # No voters at all -> None.
         assert index.electorate([3], None) is None
-        assert index.electorate([1], "k2") is None
+        assert index.electorate([1], 1) is None
         assert index.electorate([], None) is None
 
     def test_carrier_outside_the_slots_never_votes(self):
-        samples = {"k1": (("a",), 1), "k2": (("a",), 2)}
-        index = LocalVoteIndex(
-            samples, {"c1": ["k1"], "gone": ["k2"]}, {"c1": 0}
-        )
+        # The second sample's source lies past the snapshot's one slot.
+        index = LocalVoteIndex(_encoded([(0, ("a",), 1), (1, ("a",), 2)], 1))
         assert index.electorate([0], None).tolist() == [0]
 
     def test_codes_decode_back_to_cells_and_labels(self):
-        samples = {
-            "k1": (("a", 1), "x"),
-            "k2": (("b", 2), "y"),
-            "k3": (("a", 1), "x"),
-        }
-        index = LocalVoteIndex(samples, {"c": ["k1", "k2", "k3"]}, {"c": 0})
-        for i, (cell, label) in enumerate(samples.values()):
+        rows = [(0, ("a", 1), "x"), (1, ("b", 2), "y"), (2, ("a", 1), "x")]
+        encoded = _encoded(rows, 3)
+        index = LocalVoteIndex(encoded)
+        for i, (_, cell, label) in enumerate(rows):
             assert index.cells[index.cell_codes[i]] == cell
             assert index.labels[index.label_codes[i]] == label
+            assert encoded.position(f"c{i}") == i
+            assert encoded.sample(f"c{i}") == (i, cell, label, 1.0)
         assert index.cell_codes[0] == index.cell_codes[2]
+        assert encoded.position("c9") is None
+        assert encoded.sample("c9") is None
 
 
 # -- ColumnarSnapshot encode/decode round trip ------------------------------

@@ -15,7 +15,7 @@ class TestGlobalRelaxation:
         """A row matching a real carrier except on the last `depth`
         dependent attributes, which get never-seen values."""
         model = pmax_engine._model("pMax")
-        base_key = sorted(model.samples)[0]
+        base_key = sorted(model.encoded.targets())[0]
         row = list(dataset.carrier_row(base_key))
         for column in model.dependent_columns[len(model.dependent_columns) - depth:]:
             row[column] = f"never-seen-{column}"
@@ -23,7 +23,7 @@ class TestGlobalRelaxation:
 
     def test_full_match_preferred(self, pmax_engine, dataset):
         model = pmax_engine._model("pMax")
-        base_key = sorted(model.samples)[0]
+        base_key = sorted(model.encoded.targets())[0]
         rec = pmax_engine.recommend_global("pMax", dataset.carrier_row(base_key))
         assert rec.scope == "global"
 
@@ -58,7 +58,7 @@ class TestGlobalRelaxation:
         first = pmax_engine.recommend_global("pMax", row)
         # Lazily built on first use: the per-level plurality tables
         # are cached on the model.
-        assert model._relaxed_tables
+        assert model._tables
         second = pmax_engine.recommend_global("pMax", row)
         assert first.value == second.value
         assert first.support == second.support
@@ -69,7 +69,7 @@ class TestGlobalRelaxation:
         for _ in range(2):
             engine = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
             model = engine._model("pMax")
-            base_key = sorted(model.samples)[0]
+            base_key = sorted(model.encoded.targets())[0]
             candidate = list(dataset.carrier_row(base_key))
             if model.dependent_columns:
                 candidate[model.dependent_columns[-1]] = "never-seen"

@@ -1,12 +1,14 @@
 """Regression tests for the voting fast paths.
 
-* The engine's vote table agrees with the stored Counter indexes and
-  is built once for every model (weighted ones and vote capture
-  included).
+* The engine's vote table agrees with Counters over the model's
+  samples and is built once for every model (weighted ones and vote
+  capture included).
 * :meth:`CollaborativeFilteringRecommender.vote` computes each probed
   level's total once and derives ``exact_match_exists`` from the
   level-0 probe — same outcomes, one pass.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -20,9 +22,15 @@ from repro.learners.collaborative_filtering import (
 
 class TestVoteTableConsistentWithCounters(object):
     def test_table_agrees_with_stored_counters(self, engine):
+        """The exact-cell table answers every cell as a Counter over
+        the model's (derived) samples would."""
         model = engine._model("pMax")
-        table = CellVoteTable(model.cell_index)
-        for cell, counter in model.cell_index.items():
+        table = engine._cell_vote_table(model)
+        cell_index = {}
+        for cell, label in model.encoded.targets().values():
+            cell_index.setdefault(cell, Counter())[label] += 1.0
+        assert len(table) == len(cell_index)
+        for cell, counter in cell_index.items():
             value, top, total = table.vote(cell)
             assert (value, top) == counter.most_common(1)[0]
             assert total == sum(counter.values())
@@ -90,10 +98,10 @@ class TestFastPathGating:
             ["pMax"], vote_weights=weights
         )
         model = engine._model("pMax")
-        assert model._encoded is not None
+        assert model.encoded.weights is not None
         table = engine._cell_vote_table(model)
         assert isinstance(table, CellVoteTable)
-        key = next(iter(model.samples))
+        key = next(iter(model.encoded.targets()))
         captured = engine.recommend_global(
             "pMax", engine.carrier_row(key), capture=True
         )

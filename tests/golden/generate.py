@@ -104,10 +104,11 @@ def _answer(call) -> List:
 
 
 def _targets(model, extra: Sequence = ()) -> List:
-    keys = list(model.samples)
+    samples = model.encoded.targets()
+    keys = list(samples)
     step = max(len(keys) // TARGETS, 1)
     picked = keys[::step][:TARGETS]
-    return picked + [k for k in extra if k in model.samples and k not in picked]
+    return picked + [k for k in extra if k in samples and k not in picked]
 
 
 def _mask(row, columns) -> tuple:
@@ -124,6 +125,7 @@ def _vote_queries(engine: AuricEngine, name: str, extra: Sequence = ()) -> List:
     one = engine.recommend_for_pair if pairwise else engine.recommend_for_carrier
     deps = model.dependent_columns
     keys = _targets(model, extra)
+    samples = model.encoded.targets()
     out: List = []
     for local in (False, True):
         for loo in (True, False):
@@ -131,14 +133,14 @@ def _vote_queries(engine: AuricEngine, name: str, extra: Sequence = ()) -> List:
             tag = f"targets/{'local' if local else 'global'}/{'loo' if loo else 'all'}"
             out += [[f"{tag}/{_key(k)}", *_rec(r)] for k, r in zip(keys, recs)]
     for key in keys[:4] + list(extra):
-        if key not in model.samples:
+        if key not in samples:
             continue
         for local in (False, True):
             out.append([
                 f"scalar/{'local' if local else 'global'}/{_key(key)}",
                 *_answer(lambda: one(name, key, local=local, leave_one_out=True)),
             ])
-    probes = keys[:5] + [k for k in extra if k in model.samples]
+    probes = keys[:5] + [k for k in extra if k in samples]
     for key in probes:
         row = row_of(key)
         source = key.carrier if pairwise else key
@@ -275,12 +277,12 @@ def vote_weights(dataset, plain: AuricEngine) -> Dict:
     for i, pair in enumerate(sorted(dataset.store.pairwise_values(PAIRWISE))):
         weights[pair] = WEIGHT_CYCLE[i % len(WEIGHT_CYCLE)]
     for name in SINGULAR:
-        samples = plain._model(name).samples
+        samples = plain._model(name).encoded.targets()
         sizes = Counter(cell for cell, _ in samples.values())
         singles = [k for k, (cell, _) in samples.items() if sizes[cell] == 1]
         if singles:
             weights[singles[0]] = 0.0
-    samples = plain._model("inactivityTimer").samples
+    samples = plain._model("inactivityTimer").encoded.targets()
     labels = Counter(label for _, label in samples.values())
     rare = min(labels, key=labels.get)
     for key, (_, label) in samples.items():

@@ -6,6 +6,8 @@ from repro.core import AuricEngine
 from repro.eval.runner import EvaluationRunner
 from repro.parallel.evaluate import split_evenly
 
+from tests.conftest import model_state
+
 PARAMETERS = ("pMax", "inactivityTimer", "hysA3Offset")
 
 
@@ -29,12 +31,7 @@ class TestSplitEvenly:
 def _assert_models_equal(a, b):
     assert set(a) == set(b)
     for name in a:
-        assert a[name].dependent_columns == b[name].dependent_columns
-        assert a[name].dependent_names == b[name].dependent_names
-        assert a[name].cell_index == b[name].cell_index
-        assert a[name].global_counts == b[name].global_counts
-        assert a[name].samples == b[name].samples
-        assert a[name].weights == b[name].weights
+        assert model_state(a[name]) == model_state(b[name]), name
 
 
 class TestParallelFit:
@@ -56,6 +53,8 @@ class TestParallelFit:
         parallel = AuricEngine(dataset.network, dataset.store).fit(
             PARAMETERS, vote_weights=weights, jobs=2
         )
+        # The workers only select: the master builds every model with
+        # the weights.
         _assert_models_equal(serial.fitted_models(), parallel.fitted_models())
         assert parallel.fitted_models()["pMax"].weights == {some_key: 3.0}
 

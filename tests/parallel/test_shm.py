@@ -18,6 +18,8 @@ from repro.core.columnar import ColumnarSnapshot
 from repro.eval.runner import EvaluationRunner
 from repro.parallel.pool import START_METHOD_ENV
 
+from tests.conftest import model_state
+
 
 def _snapshot(dataset, count=2):
     specs = []
@@ -73,12 +75,9 @@ class TestSpawnPoolIdentity:
             else:
                 os.environ[START_METHOD_ENV] = previous
         for name in parameters:
-            a, b = serial._models[name], pooled._models[name]
-            assert a.dependent_columns == b.dependent_columns
-            assert a.cell_index == b.cell_index
-            assert list(a.cell_index) == list(b.cell_index)
-            assert a.global_counts == b.global_counts
-            assert a.samples == b.samples
+            assert model_state(serial._models[name]) == model_state(
+                pooled._models[name]
+            ), name
 
     def test_spawn_loo_matches_serial(self, dataset, engine, monkeypatch):
         """A spawn-start pool pickles the fitted engine to its workers;

@@ -1,9 +1,11 @@
 """Artifact round-trips: fit once → save → load → identical answers."""
 
+import copy
 import json
 
 import pytest
 
+from repro.config.store import PairKey
 from repro.core import AuricEngine, NewCarrierRequest
 from repro.core.auric import AuricConfig
 from repro.core.recommendation import RecommendRequest
@@ -18,6 +20,9 @@ from repro.serve import (
     load_engine,
     save_engine,
 )
+from repro.store import MmapSnapshotStore
+
+from tests.conftest import model_state
 
 from .conftest import SERVE_PARAMETERS
 
@@ -120,11 +125,10 @@ class TestArtifactValidation:
     @pytest.mark.parametrize(
         "parameter, field, text",
         [
-            ("pMax", "samples", "not-a-key"),
             ("pMax", "weights", "not-a-key"),
-            ("pMax", "samples", "0.0.7.0"),  # face out of range
-            ("pMax", "samples", 5),  # not a string
-            ("hysA3Offset", "samples", "0.0.0.0"),  # no pair separator
+            ("pMax", "weights", "0.0.7.0"),  # face out of range
+            ("pMax", "weights", 5),  # not a string
+            ("hysA3Offset", "weights", "0.0.0.0"),  # no pair separator
             ("hysA3Offset", "weights", "0.0.0.0|0.0.0.0"),  # self-pair
         ],
     )
@@ -133,17 +137,14 @@ class TestArtifactValidation:
     ):
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         model = next(m for m in payload["models"] if m["parameter"] == parameter)
-        if field == "samples":
-            model["samples"][0][0] = text
-        else:
-            model["weights"] = {text: 1.0}
+        model[field] = {text: 1.0}
         expected = f"model {parameter}: malformed {field}"
         with pytest.raises(ArtifactError, match=expected):
             engine_from_dict(payload, dataset.network, dataset.store)
 
     @pytest.mark.parametrize(
         "field",
-        ["parameter", "pairwise", "dependent_columns", "dependent_names", "samples"],
+        ["parameter", "pairwise", "dependent_columns", "dependent_names"],
     )
     def test_model_missing_a_field_is_an_artifact_error(
         self, fitted_engine, dataset, field
@@ -163,12 +164,14 @@ class TestArtifactValidation:
         with pytest.raises(ArtifactError, match=f"has no '{field}' field"):
             engine_from_dict(payload, dataset.network, dataset.store)
 
-    def test_malformed_sample_entry_is_an_artifact_error(
+    def test_selection_naming_other_attributes_is_an_artifact_error(
         self, fitted_engine, dataset
     ):
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
-        payload["models"][0]["samples"][0] = ["0.0.0.0"]
-        with pytest.raises(ArtifactError, match="malformed samples"):
+        model = next(m for m in payload["models"] if m["parameter"] == "pMax")
+        model["dependent_names"] = list(reversed(model["dependent_names"]))
+        model["dependent_names"].append("carrier_frequency")
+        with pytest.raises(ArtifactError, match="do not name"):
             engine_from_dict(payload, dataset.network, dataset.store)
 
     @pytest.mark.parametrize(
@@ -202,16 +205,21 @@ class TestArtifactValidation:
         with pytest.raises(ArtifactError, match=expected):
             engine_from_dict(payload, dataset.network, dataset.store)
 
-    def test_models_share_one_key_per_target(self, reloaded):
-        """Each key string is parsed once per load: every model holds the
-        same ``CarrierId`` object for a carrier."""
+    def test_models_share_one_key_per_target(self, reloaded, dataset):
+        """Every model derives its keys from the one snapshot a load
+        builds over: all hold the network's ``CarrierId`` object for a
+        carrier."""
         first, second = (
-            reloaded.fitted_models()[name] for name in ("pMax", "inactivityTimer")
+            reloaded.fitted_models()[name].encoded.targets()
+            for name in ("pMax", "inactivityTimer")
         )
-        shared = first.samples.keys() & second.samples.keys()
+        shared = first.keys() & second.keys()
         assert shared
-        by_value = {key: key for key in second.samples}
-        assert all(by_value[key] is key for key in first.samples if key in shared)
+        by_value = {key: key for key in second}
+        assert all(by_value[key] is key for key in first if key in shared)
+        assert all(
+            dataset.network.carrier(key).carrier_id is key for key in shared
+        )
 
     def test_summary_renders(self, fitted_engine):
         text = artifact_summary(engine_to_dict(fitted_engine))
@@ -243,9 +251,8 @@ def _legacy_columnar_section(snapshot):
 
 
 class TestColumnarPersistence:
-    """A memory artifact carries no encoded snapshot: a loaded engine
-    votes from the artifact's samples and encodes a snapshot only on its
-    first refit or fit."""
+    """A memory artifact carries no encoded snapshot: a load encodes the
+    live one and rebuilds every model over it."""
 
     def test_memory_artifact_carries_no_snapshot(self, fitted_engine):
         assert fitted_engine.columnar_snapshot() is not None
@@ -256,18 +263,23 @@ class TestColumnarPersistence:
         assert "columnar_store" not in payload
         assert "columnar" not in payload["config"]
 
-    def test_loaded_engine_has_no_snapshot(self, reloaded):
-        assert reloaded.columnar_snapshot() is None
+    def test_loaded_engine_encodes_the_live_snapshot(
+        self, fitted_engine, reloaded
+    ):
+        snapshot = reloaded.columnar_snapshot()
+        assert snapshot is not None and snapshot._backing is None
+        assert snapshot.fingerprint() == fitted_engine.columnar_snapshot().fingerprint()
 
-    def test_loaded_engine_serves_without_a_snapshot(
+    def test_loaded_engine_serves_like_the_fitted_engine(
         self, fitted_engine, dataset, rulebook, tmp_path
     ):
         """Leave-one-out local and global, new-carrier and explain
         requests — batched — plus pair-wise neighbor recommendations all
-        answer like the fitted engine, and serving never encodes."""
+        answer like the fitted engine, and serving never re-encodes."""
         path = tmp_path / "engine.json"
         save_engine(fitted_engine, str(path))
         loaded = load_engine(str(path), dataset.network, dataset.store)
+        snapshot = loaded.columnar_snapshot()
         carriers = list(dataset.network.carriers())[:16]
         batch = [
             RecommendRequest(
@@ -321,7 +333,7 @@ class TestColumnarPersistence:
             assert served.recommend_neighbors(
                 request, parameters=["hysA3Offset"]
             ) == live.recommend_neighbors(request, parameters=["hysA3Offset"])
-        assert loaded.columnar_snapshot() is None
+        assert loaded.columnar_snapshot() is snapshot
 
     def test_memory_artifact_resave_is_byte_identical(
         self, fitted_engine, dataset, tmp_path
@@ -338,7 +350,7 @@ class TestColumnarPersistence:
     ):
         """A v4 memory document with the inline ``columnar`` section, or
         one from the removed JSON-file store (``config.store: "file"``
-        plus a ``file`` reference), loads without a snapshot, answers
+        plus a ``file`` reference), loads over the live snapshot, answers
         like the fitted engine and re-saves byte-identical to the fitted
         engine's memory artifact, so with neither section."""
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
@@ -356,7 +368,7 @@ class TestColumnarPersistence:
             payload, dataset.network, dataset.store, base_dir=str(tmp_path)
         )
         assert loaded.config == fitted_engine.config
-        assert loaded.columnar_snapshot() is None
+        assert loaded.columnar_snapshot()._backing is None
         for carrier in list(dataset.network.carriers())[:40]:
             for local in (True, False):
                 for name in SINGULAR:
@@ -372,13 +384,13 @@ class TestColumnarPersistence:
 
     def test_v1_artifact_still_loads(self, fitted_engine, dataset):
         """Pre-columnar documents lack the section; they load with
-        defaults and re-encode on first use."""
+        defaults over the live snapshot."""
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         payload["schema_version"] = 1
         payload.pop("columnar", None)
         assert "columnar" not in payload["config"]
         engine = engine_from_dict(payload, dataset.network, dataset.store)
-        assert engine.columnar_snapshot() is None
+        assert engine.columnar_snapshot()._backing is None
         assert engine.config == fitted_engine.config
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
 
@@ -397,7 +409,7 @@ class TestColumnarPersistence:
             payload.pop("columnar", None)
             loaded = engine_from_dict(payload, dataset.network, dataset.store)
             assert loaded.config == fitted_engine.config
-            assert loaded.columnar_snapshot() is None
+            assert loaded.columnar_snapshot()._backing is None
             for carrier in carriers:
                 for local in (True, False):
                     for name in ("pMax", "inactivityTimer"):
@@ -548,3 +560,150 @@ class TestExternalStorePersistence:
         engine = engine_from_dict(payload, dataset.network, dataset.store)
         assert engine.config.store == "memory"
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
+
+
+def _with_samples(payload, engine, version):
+    """``payload`` as a v1–v4 document: each model also carries its
+    samples, derived from the fitted engine's vote arrays."""
+    document = json.loads(json.dumps(payload))
+    document["schema_version"] = version
+    for model in document["models"]:
+        fitted = engine.fitted_models()[model["parameter"]]
+        model["samples"] = [
+            [_key_str(key), list(cell), label]
+            for key, (cell, label) in fitted.encoded.targets().items()
+        ]
+    if version < 4:
+        document["config"].pop("store")
+    if version < 3:
+        document.pop("drift_baseline")
+    return document
+
+
+def _key_str(key):
+    from repro.dataio.keys import pair_key_to_str
+
+    if isinstance(key, PairKey):
+        return pair_key_to_str(key)
+    return carrier_key_to_str(key)
+
+
+class TestSchemaV5:
+    """v5 stores each model's selection, not its samples; older
+    documents load with their samples unread."""
+
+    def test_v5_artifact_carries_no_samples(self, fitted_engine):
+        payload = engine_to_dict(fitted_engine)
+        assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION == 5
+        for model in payload["models"]:
+            assert sorted(model) == sorted([
+                "parameter",
+                "pairwise",
+                "dependent_columns",
+                "dependent_names",
+                "dependent_stats",
+                "weights",
+            ])
+
+    @pytest.mark.parametrize("version", [1, 4])
+    def test_old_document_loads_like_a_fresh_fit(
+        self, fitted_engine, dataset, version
+    ):
+        document = _with_samples(
+            engine_to_dict(fitted_engine), fitted_engine, version
+        )
+        assert all(model["samples"] for model in document["models"])
+        loaded = engine_from_dict(document, dataset.network, dataset.store)
+        fresh = AuricEngine(dataset.network, dataset.store).fit(
+            list(SERVE_PARAMETERS)
+        )
+        assert loaded.fitted_parameters() == fresh.fitted_parameters()
+        for name in SERVE_PARAMETERS:
+            assert model_state(loaded.fitted_models()[name]) == model_state(
+                fresh.fitted_models()[name]
+            ), name
+        for carrier in list(dataset.network.carriers())[:40]:
+            for local in (True, False):
+                assert loaded.recommend_for_carrier(
+                    "pMax", carrier.carrier_id, local=local
+                ) == fresh.recommend_for_carrier(
+                    "pMax", carrier.carrier_id, local=local
+                )
+
+    def test_old_document_samples_are_not_read(self, fitted_engine, dataset):
+        """The samples of a v4 document never reach the votes, even when
+        they disagree with the snapshot."""
+        document = _with_samples(
+            engine_to_dict(fitted_engine), fitted_engine, 4
+        )
+        for model in document["models"]:
+            model["samples"] = [["not-a-key", [], None]]
+        loaded = engine_from_dict(document, dataset.network, dataset.store)
+        for name in SERVE_PARAMETERS:
+            assert model_state(loaded.fitted_models()[name]) == model_state(
+                fitted_engine.fitted_models()[name]
+            ), name
+
+
+class TestUnverifiedLoad:
+    """Under ``verify_fingerprint=False`` against a changed store, a
+    memory artifact rebuilds over the live values and an mmap artifact
+    over its store."""
+
+    @pytest.fixture
+    def changed(self, dataset, tmp_path):
+        store = copy.deepcopy(dataset.store)
+        engine = AuricEngine(dataset.network, store).fit(["pMax"])
+        memory = tmp_path / "memory.json"
+        mapped = tmp_path / "mapped.json"
+        save_engine(engine, str(memory))
+        save_engine(
+            engine,
+            str(mapped),
+            snapshot_store=MmapSnapshotStore(str(mapped) + ".columnar"),
+        )
+        values = store.singular_values("pMax")
+        vocab = sorted(set(values.values()), key=repr)
+        for key in sorted(values)[:60]:
+            store.set_singular(
+                key, "pMax", next(v for v in vocab if v != values[key])
+            )
+        return engine, store, memory, mapped
+
+    def test_memory_artifact_votes_from_the_live_snapshot(
+        self, dataset, changed
+    ):
+        engine, store, memory, _ = changed
+        with pytest.raises(ArtifactError, match="different snapshot"):
+            load_engine(str(memory), dataset.network, store)
+        loaded = load_engine(
+            str(memory), dataset.network, store, verify_fingerprint=False
+        )
+        model = loaded.fitted_models()["pMax"]
+        live = store.singular_values("pMax")
+        assert {
+            key: label for key, (_, label) in model.encoded.targets().items()
+        } == live
+        fitted = engine.fitted_models()["pMax"]
+        rebuilt = AuricEngine(dataset.network, store)._build_columnar_model(
+            fitted.spec, fitted.dependent_columns, fitted.dependent_stats
+        )
+        assert model_state(model) == model_state(rebuilt)
+        assert model_state(model) != model_state(fitted)
+
+    def test_mmap_artifact_votes_from_its_store(self, dataset, changed):
+        engine, store, _, mapped = changed
+        loaded = load_engine(
+            str(mapped), dataset.network, store, verify_fingerprint=False
+        )
+        assert loaded.columnar_snapshot()._backing is not None
+        assert model_state(loaded.fitted_models()["pMax"]) == model_state(
+            engine.fitted_models()["pMax"]
+        )
+        for carrier_id in sorted(store.singular_values("pMax"))[:80]:
+            for local in (True, False):
+                assert loaded.recommend_for_carrier(
+                    "pMax", carrier_id, local=local
+                ) == engine.recommend_for_carrier(
+                    "pMax", carrier_id, local=local
+                )

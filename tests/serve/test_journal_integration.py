@@ -225,7 +225,10 @@ class TestArtifactReplay:
         v3 = json.loads(json.dumps(base))
         v3["schema_version"] = 3
 
-        for version, payload in ((1, v1), (2, v2), (3, v3), (4, base)):
+        v4 = json.loads(json.dumps(base))
+        v4["schema_version"] = 4
+
+        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4), (5, base)):
             path = tmp_path / f"engine-v{version}.json"
             path.write_text(json.dumps(payload))
             engine = load_engine(str(path), dataset.network, dataset.store)
@@ -233,7 +236,7 @@ class TestArtifactReplay:
                 fitted_engine.fitted_parameters()
             )
         loads = [e for e in journal.tail() if e["event"] == "artifact-load"]
-        assert [e["attrs"]["schema_version"] for e in loads] == [1, 2, 3, 4]
+        assert [e["attrs"]["schema_version"] for e in loads] == [1, 2, 3, 4, 5]
         timeline = assemble_timeline(journal.tail())
         assert timeline.complete
 

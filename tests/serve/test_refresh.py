@@ -90,7 +90,7 @@ class TestIncrementalAdd:
     def test_growth_replay_adds_votes(self, dataset, timeline):
         service, store = make_growth_service(dataset, timeline)
         stale = service.engine
-        before = len(stale.fitted_models()["pMax"].samples)
+        before = len(stale.fitted_models()["pMax"].encoded.targets())
         log = grow(dataset, timeline, store, timeline.quarters - 1)
         launched = sum(
             len(timeline.launched_in(q))
@@ -106,12 +106,12 @@ class TestIncrementalAdd:
         # (not every launched carrier configures every parameter, so the
         # full fit — not the raw launch count — is the reference).
         full = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
-        expected = len(full.fitted_models()["pMax"].samples) - before
+        expected = len(full.fitted_models()["pMax"].encoded.targets()) - before
         assert 0 < expected <= launched
-        samples = service.engine.fitted_models()["pMax"].samples
-        assert samples == full.fitted_models()["pMax"].samples
+        samples = service.engine.fitted_models()["pMax"].encoded.targets()
+        assert samples == full.fitted_models()["pMax"].encoded.targets()
         # The engine it replaced keeps its own electorate.
-        assert len(stale.fitted_models()["pMax"].samples) == before
+        assert len(stale.fitted_models()["pMax"].encoded.targets()) == before
 
     def test_new_votes_change_answers(self, dataset, timeline):
         """The activated carriers actually vote: the engine can now
@@ -123,10 +123,10 @@ class TestIncrementalAdd:
             if q > START_QUARTER and dataset.store.get_singular(cid, "pMax")
             is not None
         )
-        assert late not in service.engine.fitted_models()["pMax"].samples
+        assert late not in service.engine.fitted_models()["pMax"].encoded.targets()
         log = grow(dataset, timeline, store, timeline.quarters - 1)
         EngineRefresher(service).refit(log)
-        assert late in service.engine.fitted_models()["pMax"].samples
+        assert late in service.engine.fitted_models()["pMax"].encoded.targets()
         rec = service.engine.recommend_for_carrier(
             "pMax", late, local=False, leave_one_out=True
         )
@@ -151,18 +151,18 @@ class TestIncrementalAdd:
 
     def test_pairwise_joins_when_endpoints_active(self, dataset, timeline):
         service, store = make_growth_service(dataset, timeline)
-        before = len(service.engine.fitted_models()["hysA3Offset"].samples)
+        before = len(service.engine.fitted_models()["hysA3Offset"].encoded.targets())
         log = grow(dataset, timeline, store, timeline.quarters - 1)
         EngineRefresher(service).refit(log)
         model = service.engine.fitted_models()["hysA3Offset"]
-        assert len(model.samples) > before
+        assert len(model.encoded.targets()) > before
         active = active_at(timeline, timeline.quarters - 1)
-        for pair in model.samples:
+        for pair in model.encoded.targets():
             assert pair.carrier in active and pair.neighbor in active
             value = dataset.store.get_pairwise(pair, "hysA3Offset")
             assert value is not None
         full = AuricEngine(dataset.network, dataset.store).fit(["hysA3Offset"])
-        assert model.samples == full.fitted_models()["hysA3Offset"].samples
+        assert model.encoded.targets() == full.fitted_models()["hysA3Offset"].encoded.targets()
 
 
 class TestFullRefit:
@@ -180,11 +180,11 @@ class TestFullRefit:
         assert service.engine is not stale
         fresh = AuricEngine(dataset.network, store).fit(list(SERVE_PARAMETERS))
         for name in SERVE_PARAMETERS:
-            samples = service.engine.fitted_models()[name].samples
-            assert samples == fresh.fitted_models()[name].samples
+            samples = service.engine.fitted_models()[name].encoded.targets()
+            assert samples == fresh.fitted_models()[name].encoded.targets()
             for carrier_id in launched.get(name, ()):
                 assert carrier_id in samples
-                assert carrier_id not in stale.fitted_models()[name].samples
+                assert carrier_id not in stale.fitted_models()[name].encoded.targets()
 
     def test_stale_engine_serves_until_swap(self, dataset):
         """Stale-but-available: the service keeps answering from the old

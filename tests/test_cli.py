@@ -191,13 +191,13 @@ class TestServeBatch:
         base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
         assert main(["serve-batch", *base, "--save-artifact", str(artifact)]) == 0
         payload = json.loads(artifact.read_text())
-        payload["models"][0]["samples"][0][0] = "not-a-key"
+        payload["models"][0]["weights"] = {"not-a-key": 2.0}
         artifact.write_text(json.dumps(payload))
         capsys.readouterr()
         code = main(["serve-batch", *base, "--artifact", str(artifact)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "error: model pMax: malformed samples" in err
+        assert "error: model pMax: malformed weights" in err
 
     @pytest.mark.parametrize(
         "ref, expected",

@@ -57,11 +57,14 @@ class TestWeightedEngine:
             ["pMax"], vote_weights={key: 0.0}
         )
         model = engine._model("pMax")
-        cell, label = model.samples[key]
+        cell, label = model.encoded.targets()[key]
         # The silenced carrier contributes nothing to its cell.
         plain = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
-        plain_cell = plain._model("pMax").cell_index[cell][label]
-        assert model.cell_index[cell][label] == plain_cell - 1
+        plain_votes = dict(
+            plain._cell_vote_table(plain._model("pMax")).distribution(cell)
+        )
+        votes = dict(engine._cell_vote_table(model).distribution(cell))
+        assert votes[label] == plain_votes[label] - 1
 
     def test_experiment_runs_and_does_not_hurt(self, dataset):
         result = performance_feedback.run(
