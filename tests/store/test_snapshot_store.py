@@ -1,7 +1,9 @@
 """SnapshotStore backends: round-trips, determinism, zero-copy mmap
 semantics and the pool reference transport."""
 
+import json
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -121,6 +123,68 @@ class TestMmapSemantics:
         path.write_bytes(b"NOTASTORE-------" * 4)
         with pytest.raises(SnapshotStoreError, match="bad magic"):
             MmapSnapshotStore(str(path)).load()
+
+
+def _write_format_1(snapshot, path):
+    """``snapshot`` in store format 1: carrier ids as header strings."""
+    from repro.dataio.keys import carrier_key_to_str
+    from repro.store.mmapfile import MAGIC, _PREFIX, _snapshot_arrays, aligned
+
+    arrays = [a for a in _snapshot_arrays(snapshot) if a[0] != "carrier_ids"]
+    layouts, offset = [], 0
+    for field, name, array in arrays:
+        offset = aligned(offset)
+        layouts.append([field, name, array.dtype.str, list(array.shape), offset])
+        offset += array.nbytes
+    header = json.dumps({
+        "kind": "auric-columnar-store",
+        "format": 1,
+        "carrier_ids": [carrier_key_to_str(c) for c in snapshot.carrier_ids],
+        "vocabs": [list(vocab) for vocab in snapshot.vocabs],
+        "parameters": [
+            {
+                "parameter": name,
+                "pairwise": snapshot.parameters[name].pairwise,
+                "label_vocab": list(snapshot.parameters[name].label_vocab),
+            }
+            for name in sorted(snapshot.parameters)
+        ],
+        "layouts": layouts,
+    }).encode("utf-8")
+    data_start = aligned(_PREFIX + len(header))
+    with open(path, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<Q", len(header)) + header)
+        for (_, _, array), layout in zip(arrays, layouts):
+            fh.write(b"\x00" * (data_start + layout[4] - fh.tell()))
+            fh.write(np.ascontiguousarray(array).tobytes())
+
+
+class TestCarrierIds:
+    def test_format_2_stores_ids_as_integers(self, snapshot, tmp_path):
+        """Format 2 keeps no id strings in the header, and the ids it
+        builds back share one market and one eNodeB object per value."""
+        store = make_store("mmap", tmp_path)
+        store.persist(snapshot)
+        header, _ = store._read_header()
+        assert header["format"] == 2
+        assert "carrier_ids" not in header
+        loaded = store.load()
+        assert loaded.carrier_ids == snapshot.carrier_ids
+        enodebs = {}
+        for carrier in loaded.carrier_ids:
+            site = enodebs.setdefault(carrier.enodeb, carrier.enodeb)
+            assert carrier.enodeb is site
+        markets = {}
+        for site in enodebs.values():
+            owner = markets.setdefault(site.market, site.market)
+            assert site.market is owner
+
+    def test_format_1_file_still_opens(self, snapshot, tmp_path):
+        path = tmp_path / "old.columnar"
+        _write_format_1(snapshot, str(path))
+        loaded = MmapSnapshotStore(str(path)).load()
+        assert loaded.carrier_ids == snapshot.carrier_ids
+        assert_snapshots_equal(snapshot, loaded)
 
 
 class TestFactory:
