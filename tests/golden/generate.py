@@ -13,7 +13,13 @@ The battery covers, per scenario engine (plain and vote-weighted):
 * vote capture through explain requests, new-carrier requests, rule-book
   cold starts and the batch-planning service path;
 * ``repro.core.explain`` lines and ``EvaluationRunner.loo_accuracy``
-  summaries.
+  summaries;
+* the Table 4 collaborative-filtering learner, per singular parameter
+  and selection mode, fitted on each training fold of
+  ``kfold_indices(n, 3, 11)``: its dependent columns, every column's
+  marginal chi-square result and its ``vote()`` outcomes for a few test
+  rows of the fold, each also voted with its last dependent attribute
+  and with all of them masked.
 
 Regenerate (a behaviour change; see README.md) from the repository
 root::
@@ -36,8 +42,11 @@ from repro.core.recommendation import RecommendRequest
 from repro.dataio.keys import carrier_key_to_str, pair_key_to_str
 from repro.datagen.generator import generate_dataset
 from repro.datagen.profiles import GenerationProfile, four_market_profile
+from repro.eval.dataset import LearningView
 from repro.eval.runner import EvaluationRunner
+from repro.eval.splits import kfold_indices
 from repro.exceptions import RecommendationError
+from repro.learners.collaborative_filtering import CollaborativeFilteringRecommender
 from repro.serve.service import RecommendationService
 
 GOLDEN_PATH = pathlib.Path(__file__).with_name("answers.json")
@@ -61,6 +70,11 @@ COLD_START = "sFreqPrio"
 WEIGHT_CYCLE = (0.0, 0.1, 0.25, 1.7, 1.0)
 TARGETS = 12
 UNSEEN = "never-seen"
+#: Table 4's learner: selection modes, folds and test rows voted per fold.
+SELECTIONS = ("conditional", "marginal")
+FOLDS = 3
+FOLD_SEED = 11
+FOLD_ROWS = 8
 
 
 def dataset_for(seed: int):
@@ -291,6 +305,54 @@ def vote_weights(dataset, plain: AuricEngine) -> Dict:
     return weights
 
 
+def _learner_queries(view: LearningView, name: str) -> List:
+    """The Table 4 learner's selection and votes on one parameter: per
+    selection mode and fold, the dependent columns, every column's
+    marginal test and the outcomes of a few test rows (as they are,
+    with the last dependent attribute masked and with all masked)."""
+    samples = view.samples(name)
+    rows, labels = samples.rows, samples.labels
+    out: List = []
+    for selection in SELECTIONS:
+        folds = kfold_indices(len(samples), FOLDS, FOLD_SEED)
+        for fold, (train, test) in enumerate(folds):
+            learner = CollaborativeFilteringRecommender(selection=selection).fit(
+                [rows[i] for i in train], [labels[i] for i in train]
+            )
+            tag = f"{selection}/fold{fold}"
+            deps = learner.dependent_attributes
+            out.append([f"{tag}/dependent", list(deps)])
+            for col in range(len(rows[0])):
+                result = learner.test_result(col)
+                out.append([
+                    f"{tag}/marginal/{col}",
+                    float(result.statistic),
+                    int(result.dof),
+                    float(result.critical_value),
+                    float(result.p_value),
+                    bool(result.dependent),
+                    float(result.cramers_v),
+                ])
+            step = max(len(test) // FOLD_ROWS, 1)
+            for i in test[::step][:FOLD_ROWS].tolist():
+                for label, columns in (
+                    ("row", ()),
+                    ("masked-last", deps[-1:]),
+                    ("masked-all", deps),
+                ):
+                    outcome = learner.vote(_mask(rows[i], columns))
+                    out.append([
+                        f"{tag}/{label}/{_key(samples.keys[i])}",
+                        outcome.value,
+                        float(outcome.support),
+                        float(outcome.matched_weight),
+                        bool(outcome.confident),
+                        list(outcome.dependent_attributes),
+                        bool(outcome.fallback_used),
+                    ])
+    return out
+
+
 def _zero_keys(engine: AuricEngine, name: str) -> List:
     model = engine._model(name)
     return [k for k, w in model.weights.items() if w == 0.0][:6]
@@ -314,6 +376,9 @@ def compute_seed(seed: int) -> Dict:
         sections[f"{scenario}/explain"] = _explain_queries(engine, dataset)
         sections[f"{scenario}/serving"] = _serving_queries(engine, dataset)
         sections[f"{scenario}/loo"] = _loo_summary(engine, dataset, PARAMETERS)
+    view = LearningView(network, store)
+    for name in SINGULAR:
+        sections[f"learner/{name}"] = _learner_queries(view, name)
     sections["dependents"] = [list(names) for names in _DEPENDENTS]
     return json.loads(json.dumps(sections))
 
