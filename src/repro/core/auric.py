@@ -25,15 +25,9 @@ from scipy import stats as _scipy_stats
 from repro.config.parameters import ParameterCatalog, ParameterSpec
 from repro.config.store import ConfigurationStore, PairKey
 from repro.core.columnar import (
-    NO_EXCLUDE,
-    CellVoteTable,
-    ColumnarCapacityError,
     ColumnarSnapshot,
     EncodedVotes,
     LocalVoteIndex,
-    pack_capacity,
-    pack_columns,
-    plurality,
     tally,
 )
 from repro.exceptions import RecommendationError, UnknownParameterError
@@ -42,7 +36,15 @@ from repro.core.recommendation import (
     RecommendRequest,
     RecommendResult,
 )
-from repro.learners.collaborative_filtering import CollaborativeFilteringRecommender
+from repro.learners.collaborative_filtering import (
+    NO_EXCLUDE,
+    CellVoteTable,
+    check_options,
+    pack_capacity,
+    pack_columns,
+    plurality,
+    select_attributes,
+)
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
@@ -140,6 +142,12 @@ class AuricConfig:
     store: str = "memory"
 
     def __post_init__(self) -> None:
+        check_options(
+            self.support_threshold,
+            self.p_value,
+            self.min_effect_size,
+            self.selection,
+        )
         if self.min_local_votes < 1:
             raise ValueError(
                 f"min_local_votes must be >= 1, got {self.min_local_votes!r}"
@@ -509,18 +517,18 @@ class AuricEngine:
             fit_codes = row_codes[picked]
             fit_label_codes = label_codes[picked]
 
-        recommender = CollaborativeFilteringRecommender(
-            support_threshold=self.config.support_threshold,
-            p_value=self.config.p_value,
-            min_effect_size=self.config.min_effect_size,
-            selection=self.config.selection,
-        ).fit_encoded(fit_codes, fit_label_codes, column_sizes=sizes)
-        dependent = recommender.dependent_attributes
+        config = self.config
+        dependent, results = select_attributes(
+            fit_codes,
+            fit_label_codes,
+            sizes,
+            config.p_value,
+            config.min_effect_size,
+            config.selection,
+        )
         names = self.attribute_names(spec)
         dependent_stats = tuple(
-            _attribute_dependence(
-                names[col], col, recommender.test_result(col)
-            )
+            _attribute_dependence(names[col], col, results[col])
             for col in dependent
         )
         self._phase("select", spec.name, time.perf_counter() - select_started)
@@ -557,11 +565,10 @@ class AuricEngine:
                     weights[key] = weight
                 weight_list.append(weight)
 
-        capacity = pack_capacity(sizes, dependent)  # raises past int64
-        if capacity > 2**62 // max(len(columns.label_vocab), 1):
-            raise ColumnarCapacityError(
-                f"cell x label key space of {spec.name} exceeds int64 capacity"
-            )
+        # The cell x label keys of the vote tables must pack into int64.
+        pack_capacity(
+            sizes + [len(columns.label_vocab)], tuple(dependent) + (len(sizes),)
+        )
         names = self.attribute_names(spec)
         model = _ParameterModel(
             spec=spec,

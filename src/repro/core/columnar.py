@@ -1,10 +1,8 @@
-"""Columnar snapshot store and vectorized voting kernels.
+"""Columnar snapshot store and the engine's encoded votes.
 
 The engine's fitting and evaluation workload is dominated by bulk
 passes over the carrier population: all ~65 range parameters fit over
 the same attribute matrix, and the LOO sweep revisits every sample.
-The historical path re-materialized per-carrier Python tuples for each
-parameter and counted votes one ``Counter`` update at a time.
 
 This module encodes the snapshot **once** into integer code columns:
 
@@ -15,30 +13,16 @@ This module encodes the snapshot **once** into integer code columns:
   row indices, in sorted-key order) plus a label code column with its
   own vocab.
 
-On top of the codes sit three kernels, all built from ``np.unique`` /
-``np.bincount``:
-
-* :func:`pack_columns` — mixed-radix packing of a column subset into a
-  single ``int64`` key per row (with an explicit capacity guard; a fit
-  whose vocabularies are too large to pack fails, which cannot happen
-  at the schema's cardinalities).
-* :func:`grouped_votes` — every distinct (cell, label) pair's total
-  vote weight in one shot, emitted in first-appearance order: the
-  ``Counter`` insertion order, *byte for byte*.
-* :class:`CellVoteTable` — per-cell plurality winner, runner-up and
-  totals precomputed with one vectorized sort, so a global vote (and
-  its leave-one-out variant) is an O(1) lookup instead of a ``Counter``
-  copy.
-
-These, with :class:`LocalVoteIndex` for neighborhood votes, are the
-engine's only vote code, and the model's arrays they build from
-(:class:`EncodedVotes`) are its only representation: every model — a
-fit's, a pool fit's, a changelog refit's or an artifact load's — keeps
-its packed cell codes over the snapshot's columns and nothing else, and
-derives keys, cells and labels from them when asked.  Every result
-follows ``Counter`` arithmetic exactly: codes are bijective with raw
-values per column, float vote weights accumulate in insertion order,
-and plurality ties go to the first-inserted label.
+The collaborative-filtering kernels that select and vote over these
+codes — attribute selection, mixed-radix packing and the per-cell
+plurality tables — live in :mod:`repro.learners.collaborative_filtering`,
+shared with Table 4's learner.  This module holds the engine's side of
+the votes: :class:`EncodedVotes`, a model's only representation, and
+:class:`LocalVoteIndex` with :func:`tally` for neighborhood votes.
+Every model — a fit's, a pool fit's, a changelog refit's or an
+artifact load's — keeps its packed cell codes over the snapshot's
+columns and nothing else, builds its plurality tables from them and
+derives keys, cells and labels when asked.
 
 ``--jobs N`` pool workers inherit the snapshot through fork, or under
 the *spawn* start method unpickle it once from the pool payload.  The
@@ -53,8 +37,7 @@ from __future__ import annotations
 import time
 from array import array
 from collections import Counter
-from operator import itemgetter
-from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -64,291 +47,14 @@ from repro.exceptions import RecommendationError
 from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
 from repro.netmodel.identifiers import CarrierId
 from repro.netmodel.network import Network
+from repro.learners.collaborative_filtering import (
+    CellVoteTable,
+    decode_prefixes,
+    prefix_table,
+)
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.types import AttributeValue, ParameterValue
-
-#: Packed cell keys must stay clear of int64 overflow, including the
-#: final ``* n_labels`` step of :func:`grouped_votes`.
-PACK_CAPACITY_LIMIT = 2**62
-
-
-class ColumnarCapacityError(RecommendationError):
-    """Vocabularies too large to pack into one int64 key.
-
-    Raised as a fit error; the synthetic and production schemas are
-    orders of magnitude below the limit, so this is a guard rail, not
-    an expected mode.
-    """
-
-
-def pack_capacity(sizes: Sequence[int], columns: Sequence[int]) -> int:
-    """The key-space size of packing ``columns`` with the given vocab
-    ``sizes``; raises :class:`ColumnarCapacityError` past the limit."""
-    capacity = 1
-    for col in columns:
-        capacity *= max(int(sizes[col]), 1)
-        if capacity > PACK_CAPACITY_LIMIT:
-            raise ColumnarCapacityError(
-                f"cell key space {capacity} exceeds int64 packing capacity"
-            )
-    return capacity
-
-
-def pack_columns(
-    matrix: np.ndarray, columns: Sequence[int], sizes: Sequence[int]
-) -> np.ndarray:
-    """Mixed-radix-pack a subset of code columns into one int64 per row.
-
-    ``matrix[:, columns[0]]`` is the least-significant digit, so two
-    rows get equal keys iff they agree on every packed column.  Codes
-    must be non-negative and below their column's ``sizes`` entry.
-    """
-    pack_capacity(sizes, columns)
-    packed = np.zeros(len(matrix), dtype=np.int64)
-    stride = 1
-    for col in columns:
-        packed += matrix[:, col].astype(np.int64) * stride
-        stride *= max(int(sizes[col]), 1)
-    return packed
-
-
-def unpack_key(
-    key: int, columns: Sequence[int], sizes: Sequence[int]
-) -> Tuple[int, ...]:
-    """Invert :func:`pack_columns` for a single key (code per column)."""
-    codes = []
-    remaining = int(key)
-    for col in columns:
-        size = max(int(sizes[col]), 1)
-        codes.append(remaining % size)
-        remaining //= size
-    return tuple(codes)
-
-
-def grouped_votes(
-    cell_codes: np.ndarray,
-    label_codes: np.ndarray,
-    n_labels: int,
-    weights: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Total vote weight of every distinct (cell, label) pair.
-
-    Returns ``(cells, labels, totals)`` ordered by each pair's first
-    appearance in the sample order — the insertion order (and, weights
-    being accumulated by ``bincount`` in array order, exactly the float
-    sums) of a per-sample ``Counter`` loop.
-    """
-    n_labels = max(int(n_labels), 1)
-    packed = cell_codes * n_labels + label_codes
-    uniq, first, inverse, counts = np.unique(
-        packed, return_index=True, return_inverse=True, return_counts=True
-    )
-    if weights is None:
-        totals = counts.astype(np.float64)
-    else:
-        totals = np.bincount(
-            inverse.reshape(-1),
-            weights=np.asarray(weights, dtype=np.float64),
-            minlength=len(uniq),
-        )
-    order = np.argsort(first, kind="stable")
-    uniq = uniq[order]
-    obs_metrics.counter(
-        "repro_vote_vectorized_cells_total",
-        "Distinct vote cells computed by vectorized kernels",
-    ).inc(float(len(uniq)))
-    return uniq // n_labels, uniq % n_labels, totals[order]
-
-
-#: Sentinel distinguishing "no leave-one-out exclusion" from excluding
-#: a label that happens to be None.
-NO_EXCLUDE = object()
-
-
-class CellVoteTable:
-    """Per-cell vote distributions for exact-cell plurality votes.
-
-    Built from (cell, label, weight total) groups in insertion order
-    (:meth:`EncodedVotes.table`).  For every cell the table holds the total weight, the plurality
-    winner ``(value1, top1)`` and the strongest *other* label
-    ``(value2, top2)`` — each resolved with ``Counter.most_common``'s
-    tie-break (first-inserted label wins).  When every count is a
-    positive integer (unweighted votes) that answers any single-vote
-    leave-one-out exclusion in O(1); other exclusions replay the
-    ``Counter`` arithmetic over the cell's entries.
-
-    :meth:`vote` and :meth:`distribution` return ``None`` for an
-    unknown cell and for a cell the exclusion empties.
-    """
-
-    __slots__ = (
-        "_slots",
-        "_value1",
-        "_value2",
-        "_top1",
-        "_top2",
-        "_pos1",
-        "_pos2",
-        "_totals",
-        "_order",
-        "_starts",
-        "_sizes",
-        "_labels",
-        "_counts",
-        "_unit",
-    )
-
-    def __init__(
-        self,
-        group_cells: np.ndarray,
-        group_labels: np.ndarray,
-        group_totals: np.ndarray,
-        decode_cells: Callable[[np.ndarray], List[Tuple]],
-        label_vocab: Sequence[ParameterValue],
-    ) -> None:
-        """Build from :func:`grouped_votes` output.
-
-        The groups arrive in (cell, label)-pair first-appearance order;
-        restricted to one cell that is the cell's label insertion order,
-        which fixes every plurality and leave-one-out tie-break.
-        ``decode_cells`` maps an array of cell keys to raw cell tuples
-        in one call.
-        """
-        uniq, first, inverse = np.unique(
-            group_cells, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first, kind="stable")
-        rank = np.empty(len(uniq), dtype=np.intp)
-        rank[order] = np.arange(len(uniq), dtype=np.intp)
-        cells = rank[inverse.reshape(-1)]
-        counts = np.asarray(group_totals, dtype=np.float64)
-        entry_labels = [label_vocab[code] for code in group_labels.tolist()]
-        self._slots = {
-            cell: slot for slot, cell in enumerate(decode_cells(uniq[order]))
-        }
-        n_cells = len(self._slots)
-        positions = np.arange(len(cells), dtype=np.intp)
-        # Sort by (cell, count desc, insertion position): the first
-        # entry of each cell block is most_common(1), the second is the
-        # strongest remaining label under the same tie-break.
-        order = np.lexsort((positions, -counts, cells))
-        sorted_cells = cells[order]
-        starts = np.searchsorted(sorted_cells, np.arange(n_cells, dtype=np.intp))
-        sizes = np.bincount(cells, minlength=n_cells)
-        top1_entries = order[starts]
-        self._top1 = counts[top1_entries]
-        self._pos1 = positions[top1_entries]
-        self._value1 = [entry_labels[i] for i in top1_entries.tolist()]
-        has_second = sizes >= 2
-        second_starts = np.where(has_second, starts + 1, starts)
-        top2_entries = order[second_starts]
-        top2 = np.where(has_second, counts[top2_entries], 0.0)
-        self._top2 = top2
-        self._pos2 = np.where(has_second, positions[top2_entries], -1)
-        self._value2 = [
-            entry_labels[i] if second else None
-            for i, second in zip(top2_entries.tolist(), has_second.tolist())
-        ]
-        # Per-cell sums in entry (insertion) order, as sum(counter.values()).
-        self._totals = np.bincount(cells, weights=counts, minlength=n_cells)
-        self._order = order
-        self._starts = starts
-        self._sizes = sizes
-        self._labels = entry_labels
-        self._counts = counts
-        self._unit = bool(np.all((counts >= 1.0) & (counts == np.floor(counts))))
-        obs_metrics.counter(
-            "repro_vote_vectorized_cells_total",
-            "Distinct vote cells computed by vectorized kernels",
-        ).inc(float(n_cells))
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def _entries(
-        self, slot: int, exclude_label: object, weight: float, drop_zero: bool
-    ) -> List[Tuple[ParameterValue, float]]:
-        """The cell's ``(label, count)`` entries in insertion order after
-        the exclusion.  ``Counter`` arithmetic: the excluded label loses
-        ``weight`` — from a positive count only, unless ``drop_zero`` —
-        and drops out at <= 1e-12."""
-        start = self._starts[slot]
-        block = np.sort(self._order[start:start + self._sizes[slot]])
-        entries = []
-        for i in block.tolist():
-            label, count = self._labels[i], float(self._counts[i])
-            if (
-                exclude_label is not NO_EXCLUDE
-                and label == exclude_label
-                and (count > 0 or drop_zero)
-            ):
-                count -= weight
-                if count <= 1e-12:
-                    continue
-            entries.append((label, count))
-        return entries
-
-    def distribution(
-        self,
-        cell: Tuple,
-        exclude_label: object = NO_EXCLUDE,
-        weight: float = 1.0,
-        drop_zero: bool = False,
-    ) -> Optional[List[Tuple[ParameterValue, float]]]:
-        """The cell's ``(value, weight)`` pairs in ``most_common()``
-        order after the exclusion (see :meth:`vote`), or ``None``."""
-        slot = self._slots.get(cell)
-        if slot is None:
-            return None
-        entries = self._entries(slot, exclude_label, weight, drop_zero)
-        return sorted(entries, key=itemgetter(1), reverse=True) or None
-
-    def vote(
-        self,
-        cell: Tuple,
-        exclude_label: object = NO_EXCLUDE,
-        weight: float = 1.0,
-        drop_zero: bool = False,
-    ) -> Optional[Tuple[ParameterValue, float, float]]:
-        """``(value, top, total)`` of the cell's vote after one
-        ``weight`` vote for ``exclude_label`` (which the caller knows is
-        in the cell) leaves it, or ``None`` for an unknown or emptied
-        cell.  ``drop_zero`` also drops the excluded label when its
-        count is already 0 (zero-weight voters)."""
-        slot = self._slots.get(cell)
-        if slot is None:
-            return None
-        top1 = self._top1[slot]
-        total = self._totals[slot]
-        if exclude_label is NO_EXCLUDE:
-            return self._value1[slot], top1, total
-        if not (self._unit and weight == 1.0):
-            entries = self._entries(slot, exclude_label, weight, drop_zero)
-            if not entries:
-                return None
-            value, top = plurality(dict(entries))
-            return value, top, sum(count for _, count in entries)
-        # Integer counts, unit exclusion: exact O(1) arithmetic.
-        total -= 1.0
-        if total <= 0.0:
-            return None  # cell emptied; the caller relaxes the match
-        if exclude_label != self._value1[slot]:
-            # A non-winning label lost a vote: since its count was
-            # strictly below top1 (or tied but inserted later), the
-            # winner is unchanged.
-            return self._value1[slot], top1, total
-        reduced = top1 - 1.0
-        top2 = self._top2[slot]
-        if self._pos2[slot] < 0 or reduced > top2:
-            return self._value1[slot], reduced, total
-        if reduced < top2:
-            return self._value2[slot], top2, total
-        # Tie after the exclusion: Counter.most_common keeps the
-        # first-inserted of the tied labels.
-        if self._pos1[slot] < self._pos2[slot]:
-            return self._value1[slot], reduced, total
-        return self._value2[slot], top2, total
 
 
 def tally(
@@ -363,12 +69,6 @@ def tally(
     for code, weight in zip(label_codes, weights):
         totals[code] = totals.get(code, 0) + weight
     return totals
-
-
-def plurality(votes: Dict) -> Tuple:
-    """``(winner, count)`` of a vote mapping, with
-    ``Counter.most_common``'s first-inserted tie-break."""
-    return max(votes.items(), key=itemgetter(1))
 
 
 def _slot_ranges(sources: np.ndarray, n_slots: int) -> Tuple[array, array]:
@@ -419,10 +119,6 @@ class LocalVoteIndex:
         self.labels = list(encoded.columns.label_vocab)
         self.weights = encoded.weights
         self.order, self.offsets = encoded.slot_ranges()
-        obs_metrics.counter(
-            "repro_vote_vectorized_cells_total",
-            "Distinct vote cells computed by vectorized kernels",
-        ).inc(float(len(self.cells)))
 
     def electorate(
         self, slots: Sequence[int], excluded: Optional[int]
@@ -452,9 +148,10 @@ class EncodedVotes:
     keeps besides its selection and weights.
 
     Per sample, in the parameter's sorted-key order: the packed
-    dependent-attribute cell code (:func:`pack_columns`) and, through
-    ``columns``, the label code and the source (and pair-wise neighbor)
-    carrier slot; ``weights`` is the per-sample vote weight (``None``:
+    dependent-attribute cell code
+    (:func:`~repro.learners.collaborative_filtering.pack_columns`) and,
+    through ``columns``, the label code and the source (and pair-wise
+    neighbor) carrier slot; ``weights`` is the per-sample vote weight (``None``:
     all 1.0).  The plurality table of every relaxation level and the
     local vote index build from these arrays.  Target keys, cells and
     labels are derived from them on demand (:meth:`position`,
@@ -499,42 +196,18 @@ class EncodedVotes:
 
     def table(self, level: int) -> CellVoteTable:
         """The plurality table over the first ``level`` dependent
-        attributes: every attribute gives the exact-cell table, none
-        the global value distribution.
-
-        Mixed-radix packing puts the first dependent column at stride 1,
-        so a prefix key is just the full key modulo the product of the
-        first ``level`` vocab sizes — no repacking pass needed.
-        """
-        codes = self.cell_codes
-        if level < len(self.prefix_sizes):
-            modulo = 1
-            for size in self.prefix_sizes[:level]:
-                modulo *= max(int(size), 1)
-            codes = codes % modulo
-        vocab = self.columns.label_vocab
-        groups = grouped_votes(
-            codes, self.columns.label_codes, len(vocab), self.weights
+        attributes (:func:`~repro.learners.collaborative_filtering.prefix_table`):
+        every attribute gives the exact-cell table, none the global
+        value distribution."""
+        return prefix_table(
+            self.cell_codes,
+            self.prefix_sizes,
+            self.dep_vocabs,
+            level,
+            self.columns.label_codes,
+            self.columns.label_vocab,
+            self.weights,
         )
-        return CellVoteTable(
-            *groups, lambda keys: self._decode_prefixes(keys, level), vocab
-        )
-
-    def _decode_prefixes(
-        self, keys: np.ndarray, level: int
-    ) -> List[Tuple[AttributeValue, ...]]:
-        """Unpack an array of prefix keys column by column (one modulo
-        pass per column instead of a Python loop per key); level 0
-        decodes every key to ``()``."""
-        if level == 0:
-            return [()] * len(keys)
-        columns = []
-        remaining = keys
-        for vocab, size in zip(self.dep_vocabs[:level], self.prefix_sizes[:level]):
-            size = max(int(size), 1)
-            columns.append([vocab[code] for code in (remaining % size).tolist()])
-            remaining = remaining // size
-        return list(zip(*columns))
 
     def cell_ranks(self) -> Tuple[np.ndarray, List[Tuple[AttributeValue, ...]]]:
         """``(ranks, cells)``: the distinct cells in first-appearance
@@ -550,7 +223,12 @@ class EncodedVotes:
             rank[order] = np.arange(len(uniq), dtype=np.intp)
             ranked = self._ranked = (
                 rank[inverse.reshape(-1)],
-                self._decode_prefixes(uniq[order], len(self.prefix_sizes)),
+                decode_prefixes(
+                    uniq[order],
+                    self.dep_vocabs,
+                    self.prefix_sizes,
+                    len(self.prefix_sizes),
+                ),
             )
         return ranked
 

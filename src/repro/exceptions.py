@@ -44,15 +44,6 @@ class RecommendationError(ReproError):
     """The recommendation engine could not produce a recommendation."""
 
 
-class ColdStartError(RecommendationError):
-    """No similar carriers exist for the new carrier's attribute values.
-
-    This is the "bootstrapping configuration for the unobserved" limitation
-    discussed in section 6 of the paper: a carrier with never-seen attribute
-    values cannot be matched against historical data.
-    """
-
-
 class OperationalError(ReproError):
     """An error in the operational (EMS / SmartLaunch) layer."""
 

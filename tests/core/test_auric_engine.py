@@ -143,6 +143,22 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="min_local_votes"):
             AuricConfig(min_local_votes=votes)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("support_threshold", 0.0),
+            ("support_threshold", 1.5),
+            ("p_value", 0.0),
+            ("p_value", 1.0),
+            ("min_effect_size", -0.1),
+            ("min_effect_size", 1.5),
+            ("selection", "bogus"),
+        ],
+    )
+    def test_out_of_range_field_rejected_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            AuricConfig(**{field: value})
+
     def test_min_local_votes_of_one_allowed(self, dataset, some_carrier_id):
         engine = AuricEngine(
             dataset.network, dataset.store, AuricConfig(min_local_votes=1)
@@ -175,11 +191,11 @@ class TestFitErrors:
     def test_capacity_error_fails_the_fit(self, dataset, monkeypatch):
         """Vocabularies too large to pack are a fit error, not a silent
         switch to another implementation."""
-        from repro.core import columnar
+        from repro.learners import collaborative_filtering as cf
 
-        monkeypatch.setattr(columnar, "PACK_CAPACITY_LIMIT", 1)
+        monkeypatch.setattr(cf, "PACK_CAPACITY_LIMIT", 1)
         engine = AuricEngine(dataset.network, dataset.store)
-        with pytest.raises(columnar.ColumnarCapacityError):
+        with pytest.raises(cf.ColumnarCapacityError):
             engine.fit(["pMax"])
         assert "pMax" not in engine.fitted_parameters()
 

@@ -1,9 +1,11 @@
 """Unit and property tests for the columnar kernels.
 
-The kernels in :mod:`repro.core.columnar` promise *byte-identity* with
-``Counter`` arithmetic: every property test here pits a kernel against
-a small hand-rolled Counter model, including the insertion-order and
-tie-break contracts that the engine's reproducibility rests on.
+The vote kernels (:mod:`repro.learners.collaborative_filtering`) and
+the engine's encoded votes (:mod:`repro.core.columnar`) promise
+*byte-identity* with ``Counter`` arithmetic: every property test here
+pits a kernel against a small hand-rolled Counter model, including the
+insertion-order and tie-break contracts that the engine's
+reproducibility rests on.
 """
 
 from collections import Counter
@@ -13,19 +15,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.columnar import (
-    NO_EXCLUDE,
-    CellVoteTable,
-    ColumnarCapacityError,
     ColumnarSnapshot,
     EncodedVotes,
     LocalVoteIndex,
     ParameterColumns,
+    tally,
+)
+from repro.learners.collaborative_filtering import (
+    NO_EXCLUDE,
+    CellVoteTable,
+    ColumnarCapacityError,
+    decode_prefixes,
     grouped_votes,
     pack_capacity,
     pack_columns,
     plurality,
-    tally,
-    unpack_key,
 )
 from repro.datagen.generator import generate_dataset
 from repro.datagen.profiles import GenerationProfile, four_market_profile
@@ -62,10 +66,13 @@ class TestPacking:
             dtype=np.int32,
         )
         packed = pack_columns(matrix, columns, sizes)
-        for row, key in zip(matrix, packed.tolist()):
-            assert unpack_key(key, columns, sizes) == tuple(
-                int(row[c]) for c in columns
-            )
+        decoded = decode_prefixes(
+            packed,
+            [range(sizes[c]) for c in columns],
+            [sizes[c] for c in columns],
+            len(columns),
+        )
+        assert decoded == [tuple(int(row[c]) for c in columns) for row in matrix]
 
     def test_equal_keys_iff_equal_cells(self):
         sizes = [3, 4, 5]

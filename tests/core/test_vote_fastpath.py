@@ -1,11 +1,12 @@
-"""Regression tests for the voting fast paths.
+"""Regression tests for the vote tables.
 
 * The engine's vote table agrees with Counters over the model's
   samples and is built once for every model (weighted ones and vote
   capture included).
-* :meth:`CollaborativeFilteringRecommender.vote` computes each probed
-  level's total once and derives ``exact_match_exists`` from the
-  level-0 probe — same outcomes, one pass.
+* :meth:`CollaborativeFilteringRecommender.vote` probes the same kind
+  of table, one per relaxation prefix from the exact cell down: an
+  exact match is no fallback, a relaxed one is, and the support is the
+  answering table's top over its total.
 """
 
 from collections import Counter
@@ -13,9 +14,8 @@ from collections import Counter
 import pytest
 
 from repro.core import AuricEngine
-from repro.core.columnar import CellVoteTable
-from repro.exceptions import ColdStartError
 from repro.learners.collaborative_filtering import (
+    CellVoteTable,
     CollaborativeFilteringRecommender,
 )
 
@@ -44,12 +44,8 @@ ROWS = [
 LABELS = ["a", "b", "c", "d"] * 8
 
 
-def _fitted_cf(**kwargs):
-    recommender = CollaborativeFilteringRecommender(
-        min_matched=1, **kwargs
-    )
-    recommender.fit(ROWS, LABELS)
-    return recommender
+def _fitted_cf():
+    return CollaborativeFilteringRecommender().fit(ROWS, LABELS)
 
 
 class TestCollaborativeFilteringVote:
@@ -66,29 +62,16 @@ class TestCollaborativeFilteringVote:
         outcome = recommender.vote(("urban", 99))
         assert outcome.fallback_used
 
-    def test_error_fallback_raises_cold_start_without_exact_match(self):
-        recommender = _fitted_cf(fallback="error")
-        if len(recommender.dependent_attributes) < 2:
-            pytest.skip("needs >= 2 dependent attributes to relax")
-        with pytest.raises(ColdStartError):
-            recommender.vote(("urban", 99))
-
-    def test_error_fallback_still_answers_exact_matches(self):
-        recommender = _fitted_cf(fallback="error")
-        assert recommender.vote(("rural", 10)).value == "c"
-
     def test_support_is_top_over_level_total(self):
         recommender = _fitted_cf()
         outcome = recommender.vote(("urban", 10))
-        index = recommender._indexes[0]
-        key = tuple(
-            ("urban", 10)[col] for col in recommender._prefixes[0]
+        cell = tuple(
+            ("urban", 10)[col] for col in recommender.dependent_attributes
         )
-        counter = index[key]
-        assert outcome.matched_weight == sum(counter.values())
-        assert outcome.support == (
-            counter.most_common(1)[0][1] / sum(counter.values())
-        )
+        value, top, total = recommender._tables[0].vote(cell)
+        assert outcome.value == value
+        assert outcome.matched_weight == total
+        assert outcome.support == top / total
 
 
 class TestFastPathGating:

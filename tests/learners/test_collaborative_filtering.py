@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from repro.exceptions import ColdStartError, NotFittedError
+from repro.exceptions import NotFittedError
 from repro.learners.chi_square import factorize
 from repro.learners.collaborative_filtering import (
     CollaborativeFilteringRecommender,
     VoteOutcome,
+    prefix_table,
+    select_attributes,
 )
 
 
@@ -85,12 +87,6 @@ class TestVoting:
         assert outcome.support == pytest.approx(0.6)
         assert not outcome.confident
 
-    def test_predict_confident_returns_none_below_threshold(self):
-        rows = [("a",)] * 10 + [("b",)] * 10
-        labels = [1] * 6 + [2] * 4 + [3] * 10
-        cf = CollaborativeFilteringRecommender().fit(rows, labels)
-        assert cf.predict_confident([("a",), ("b",)]) == [None, 3]
-
     def test_paper_threshold_default(self):
         assert CollaborativeFilteringRecommender().support_threshold == 0.75
         assert CollaborativeFilteringRecommender().p_value == 0.01
@@ -105,40 +101,34 @@ class TestFallback:
         assert outcome.fallback_used
         assert outcome.value.startswith("u:")
 
-    def test_error_mode_raises_on_cold_start(self):
-        rows, labels = rule_dataset()
-        cf = CollaborativeFilteringRecommender(fallback="error").fit(rows, labels)
-        with pytest.raises(ColdStartError):
-            cf.vote(("zzz", "x", 12345, "0"))
-
-    def test_error_mode_fine_on_known_combo(self):
-        rows, labels = rule_dataset()
-        cf = CollaborativeFilteringRecommender(fallback="error").fit(rows, labels)
-        assert cf.vote(("u", "x", 700, "0")).value == "u:700"
-
-    def test_min_matched_relaxes_thin_cells(self):
-        rows = [("a", "p")] * 1 + [("b", "p")] * 20 + [("b", "q")] * 20
-        labels = ["rare"] + ["common"] * 40
-        cf = CollaborativeFilteringRecommender(min_matched=5).fit(rows, labels)
-        # Whatever the dependent set, the thin ("a", ...) cell (1 sample)
-        # must be skipped in favour of a coarser vote.
-        outcome = cf.vote(("a", "p"))
-        assert outcome.value == "common"
-
 
 class TestWeightedVoting:
+    """Vote weights (section 6's performance feedback) ride on the
+    shared vote table the engine builds its models' votes from."""
+
     def test_weights_shift_vote(self):
-        rows = [("a",)] * 4
-        labels = [1, 1, 2, 2]
-        cf = CollaborativeFilteringRecommender().fit_weighted(
-            rows, labels, weights=[1.0, 1.0, 5.0, 5.0]
+        table = prefix_table(
+            np.zeros(4, dtype=np.int64),
+            [1],
+            [["a"]],
+            1,
+            np.array([0, 0, 1, 1]),
+            [1, 2],
+            weights=np.array([1.0, 1.0, 5.0, 5.0]),
         )
-        assert cf.predict_one(("a",)) == 2
+        assert table.vote(("a",)) == (2, 10.0, 12.0)
 
     def test_weights_length_validated(self):
-        cf = CollaborativeFilteringRecommender()
         with pytest.raises(ValueError):
-            cf.fit_weighted([("a",)], [1], weights=[1.0, 2.0])
+            prefix_table(
+                np.zeros(1, dtype=np.int64),
+                [1],
+                [["a"]],
+                1,
+                np.array([0]),
+                [1],
+                weights=np.array([1.0, 2.0]),
+            )
 
 
 class TestValidationAndExplain:
@@ -148,9 +138,7 @@ class TestValidationAndExplain:
         with pytest.raises(ValueError):
             CollaborativeFilteringRecommender(support_threshold=1.5)
         with pytest.raises(ValueError):
-            CollaborativeFilteringRecommender(fallback="whatever")
-        with pytest.raises(ValueError):
-            CollaborativeFilteringRecommender(min_matched=0.5)
+            CollaborativeFilteringRecommender(p_value=1.0)
         with pytest.raises(ValueError):
             CollaborativeFilteringRecommender(min_effect_size=2.0)
 
@@ -161,42 +149,15 @@ class TestValidationAndExplain:
         with pytest.raises(NotFittedError):
             _ = cf.dependent_attributes
 
-    def test_explain_mentions_dependent_attributes(self):
-        rows, labels = rule_dataset()
-        cf = CollaborativeFilteringRecommender().fit(rows, labels)
-        lines = cf.explain_one(
-            ("u", "x", 700, "0"), ["morph", "junk", "freq", "junk2"]
-        )
-        text = "\n".join(lines)
-        assert "morph=u" in text or "freq=700" in text
-        assert "recommend" in text
-
 
 class TestRecommendMany:
     def test_matches_single_row_votes(self):
+        """predict answers a batch of rows, an unseen cell included,
+        with each row's own vote."""
         rows, labels = rule_dataset()
         model = CollaborativeFilteringRecommender().fit(rows, labels)
-        outcomes = model.recommend_many(rows[:50])
-        for row, outcome in zip(rows[:50], outcomes):
-            single = model.vote(row)
-            assert outcome == single
-
-    def test_memoizes_identical_dependent_cells(self):
-        rows, labels = rule_dataset()
-        model = CollaborativeFilteringRecommender().fit(rows, labels)
-        # Two rows agreeing on the dependent attributes (0 and 2) share
-        # one memoized VoteOutcome even if irrelevant columns differ.
-        base = rows[0]
-        twin = (base[0], "DIFFERENT", base[2], "999")
-        outcomes = model.recommend_many([base, twin])
-        assert outcomes[0] is outcomes[1]
-
-    def test_predict_goes_through_bulk_path(self):
-        rows, labels = rule_dataset()
-        model = CollaborativeFilteringRecommender().fit(rows, labels)
-        assert model.predict(rows[:20]) == [
-            outcome.value for outcome in model.recommend_many(rows[:20])
-        ]
+        batch = rows[:50] + [("u", "x", 99999, "0")]
+        assert model.predict(batch) == [model.vote(row).value for row in batch]
 
 
 class TestSelectionStrategies:
@@ -228,26 +189,39 @@ class TestSelectionStrategies:
             CollaborativeFilteringRecommender(selection="bogus")
 
 
+def sorted_codes(values):
+    """Codes in sorted-value order, and their count."""
+    rank = {value: code for code, value in enumerate(sorted(set(values)))}
+    return np.array([rank[value] for value in values]), len(rank)
+
+
 class TestEncodedFit:
     @pytest.mark.parametrize("selection", ["conditional", "marginal"])
     def test_fit_and_fit_encoded_select_identically(self, selection):
-        """The raw fit (value-tuple strata) and the encoded fit (packed
-        integer strata) select the same attributes, in the same order,
-        with equal statistics."""
+        """Fitting on rows (codes in first-appearance order) selects the
+        same attributes, in the same order, with equal statistics as
+        select_attributes over another one-to-one coding: codes in
+        sorted-value order.  The engine's selection over the snapshot's
+        codes rests on that invariance."""
         rows, labels = rule_dataset(noise=0.05, seed=4)
         rows = [row + (row[0],) for row in rows]  # a redundant copy
-        columns = list(zip(*rows))
-        code_matrix = np.column_stack(
-            [factorize(list(column))[0] for column in columns]
-        )
-        label_codes, _ = factorize(labels)
-        raw = CollaborativeFilteringRecommender(selection=selection).fit(
+        columns = [sorted_codes(column) for column in zip(*rows)]
+        code_matrix = np.column_stack([codes for codes, _ in columns])
+        label_codes, _ = sorted_codes(labels)
+        # Not the first-appearance coding the fit uses.
+        assert not np.array_equal(label_codes, factorize(labels)[0])
+        fitted = CollaborativeFilteringRecommender(selection=selection).fit(
             rows, labels
         )
-        encoded = CollaborativeFilteringRecommender(
-            selection=selection
-        ).fit_encoded(code_matrix, label_codes)
-        assert raw.dependent_attributes
-        assert raw.dependent_attributes == encoded.dependent_attributes
+        dependent, results = select_attributes(
+            code_matrix,
+            label_codes,
+            [size for _, size in columns],
+            fitted.p_value,
+            fitted.min_effect_size,
+            selection,
+        )
+        assert fitted.dependent_attributes
+        assert fitted.dependent_attributes == dependent
         for col in range(len(columns)):
-            assert raw.test_result(col) == encoded.test_result(col)
+            assert fitted.test_result(col) == results[col]
