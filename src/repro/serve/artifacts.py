@@ -33,6 +33,7 @@ from typing import Any, Dict, Hashable, List, Optional
 
 from repro.config.store import ConfigurationStore
 from repro.core.auric import AuricConfig, AuricEngine, _ParameterModel
+from repro.core.columnar import ParameterColumns
 from repro.dataio.export import snapshot_fingerprint
 from repro.dataio.keys import (
     carrier_key_from_str,
@@ -45,6 +46,7 @@ from repro.netmodel.network import Network
 from repro.obs import journal as obs_journal
 from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
+from repro.serve.refresh import _changed_positions
 
 #: Version of the artifact document schema (bump on layout changes).
 #: v2 adds an optional inline ``columnar`` snapshot section (and a
@@ -304,6 +306,25 @@ def default_store_path(artifact_path: str) -> str:
     return f"{artifact_path}.columnar"
 
 
+def _moved_parameters(engine: AuricEngine) -> List[str]:
+    """The fitted parameters whose configured values in the engine's
+    store no longer match the columns their models were built from."""
+    snapshot = engine.columnar_snapshot()
+    moved = []
+    for name, model in sorted(engine.fitted_models().items()):
+        try:
+            live = ParameterColumns.encode(
+                engine.store, model.spec, snapshot.carrier_slots()
+            )
+        except KeyError:  # a configured carrier the snapshot lacks
+            moved.append(name)
+            continue
+        changed = _changed_positions(model.encoded.columns, live)
+        if changed is None or len(changed):
+            moved.append(name)
+    return moved
+
+
 def save_engine(
     engine: AuricEngine,
     path: str,
@@ -316,7 +337,20 @@ def save_engine(
     through that store next to the artifact and referenced by relative
     path, so it opens zero-copy on load.  A memory artifact carries no
     snapshot.
+
+    The artifact binds the store as it is at the save, and a load
+    rebuilds the models over it, so an engine whose store moved after
+    its fit is refused with :class:`ArtifactError`: its artifact would
+    load as another engine.  Refit it first
+    (:meth:`repro.serve.refresh.EngineRefresher.refit` with the
+    changelog).
     """
+    moved = _moved_parameters(engine)
+    if moved:
+        raise ArtifactError(
+            f"the store moved after the fit of {', '.join(moved)}; "
+            "refit before saving, or the artifact loads as another engine"
+        )
     snapshot = engine.columnar_snapshot()
     if (
         snapshot_store is None

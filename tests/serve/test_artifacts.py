@@ -10,6 +10,7 @@ from repro.core import AuricEngine, NewCarrierRequest
 from repro.core.auric import AuricConfig
 from repro.core.recommendation import RecommendRequest
 from repro.dataio.keys import carrier_key_to_str
+from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactError,
@@ -20,6 +21,7 @@ from repro.serve import (
     load_engine,
     save_engine,
 )
+from repro.serve.refresh import EngineRefresher
 from repro.store import MmapSnapshotStore
 
 from tests.conftest import model_state
@@ -427,6 +429,28 @@ class TestColumnarPersistence:
         with pytest.raises(ValueError, match="min_local_votes"):
             engine_from_dict(payload, dataset.network, dataset.store)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("support_threshold", 0.0),
+            ("support_threshold", 1.5),
+            ("p_value", 0.0),
+            ("p_value", 1.0),
+            ("min_effect_size", -0.1),
+            ("min_effect_size", 1.5),
+            ("selection", "bogus"),
+        ],
+    )
+    def test_out_of_range_config_rejected_on_load(
+        self, fitted_engine, dataset, field, value
+    ):
+        """A load runs no selection, so only the config's own checks
+        stand between these values and a served engine."""
+        payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
+        payload["config"][field] = value
+        with pytest.raises(ValueError, match=field):
+            engine_from_dict(payload, dataset.network, dataset.store)
+
 
 class TestDriftBaselinePersistence:
     """Schema v3: the fit-time drift baseline travels with the artifact."""
@@ -707,3 +731,49 @@ class TestUnverifiedLoad:
                 ) == engine.recommend_for_carrier(
                     "pMax", carrier_id, local=local
                 )
+
+
+class TestSaveAfterTheStoreMoved:
+    """An artifact binds the store as it is at the save, and a load
+    rebuilds the models over it: ``save_engine`` refuses an engine whose
+    store moved after its fit, and saves the changelog refit of it."""
+
+    @staticmethod
+    def flip(store, count=40):
+        log = ChangeLog()
+        values = store.singular_values("pMax")
+        vocab = sorted(set(values.values()), key=repr)
+        for key in sorted(values)[:count]:
+            old = values[key]
+            new = next(v for v in vocab if v != old)
+            store.set_singular(key, "pMax", new)
+            log.record(key, "pMax", old, new, ChangeSource.MANUAL)
+        return log
+
+    def test_save_refuses_a_moved_store(self, dataset, tmp_path):
+        store = copy.deepcopy(dataset.store)
+        engine = AuricEngine(dataset.network, store).fit(["pMax", "inactivityTimer"])
+        self.flip(store)
+        path = tmp_path / "engine.json"
+        with pytest.raises(ArtifactError, match="pMax") as raised:
+            save_engine(engine, str(path))
+        assert "inactivityTimer" not in str(raised.value)
+        assert not path.exists()
+
+    def test_changelog_refit_saves_and_reloads_like_the_refit(
+        self, dataset, tmp_path
+    ):
+        store = copy.deepcopy(dataset.store)
+        engine = AuricEngine(dataset.network, store).fit(["pMax", "inactivityTimer"])
+        refresher = EngineRefresher(RecommendationService(engine))
+        refresher.refit(self.flip(store))
+        refit = refresher.service.engine
+        assert refit is not engine
+        path = str(tmp_path / "engine.json")
+        save_engine(refit, path)
+        loaded = load_engine(path, dataset.network, store)
+        for carrier_id in sorted(store.singular_values("pMax")):
+            for local in (False, True):
+                assert loaded.recommend_for_carrier(
+                    "pMax", carrier_id, local=local
+                ) == refit.recommend_for_carrier("pMax", carrier_id, local=local)
