@@ -14,7 +14,6 @@ from repro.core.recommendation import (
     RecommendRequest,
     RecommendResult,
 )
-from repro.core.scope import GlobalScope, LocalScope, Scope
 
 __all__ = [
     "AuricEngine",
@@ -25,7 +24,4 @@ __all__ = [
     "ParameterRecommendation",
     "RecommendRequest",
     "RecommendResult",
-    "GlobalScope",
-    "LocalScope",
-    "Scope",
 ]
