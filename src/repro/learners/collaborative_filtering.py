@@ -61,7 +61,6 @@ from repro.types import AttributeValue, ParameterValue
 
 DEFAULT_SUPPORT_THRESHOLD = 0.75
 DEFAULT_P_VALUE = 0.01
-DEFAULT_MIN_EFFECT_SIZE = 0.12
 
 #: Packed cell keys must stay clear of int64 overflow, including the
 #: final ``* n_labels`` step of :func:`grouped_votes`.
@@ -422,9 +421,9 @@ def select_attributes(
     code_matrix: np.ndarray,
     label_codes: np.ndarray,
     column_sizes: Sequence[int],
-    p_value: float = DEFAULT_P_VALUE,
-    min_effect_size: float = DEFAULT_MIN_EFFECT_SIZE,
-    selection: str = "conditional",
+    p_value: float,
+    min_effect_size: float,
+    selection: str,
 ) -> Tuple[Tuple[int, ...], List[ChiSquareResult]]:
     """Chi-square attribute selection over integer code columns.
 
@@ -517,7 +516,7 @@ class CollaborativeFilteringRecommender(Learner):
         self,
         support_threshold: float = DEFAULT_SUPPORT_THRESHOLD,
         p_value: float = DEFAULT_P_VALUE,
-        min_effect_size: float = DEFAULT_MIN_EFFECT_SIZE,
+        min_effect_size: float = 0.12,
         selection: str = "conditional",
     ) -> None:
         super().__init__()
