@@ -44,14 +44,14 @@ import numpy as np
 from repro.config.parameters import ParameterSpec
 from repro.config.store import ConfigurationStore, PairKey
 from repro.exceptions import RecommendationError
-from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
-from repro.netmodel.identifiers import CarrierId
-from repro.netmodel.network import Network
 from repro.learners.collaborative_filtering import (
     CellVoteTable,
     decode_prefixes,
     prefix_table,
 )
+from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
+from repro.netmodel.identifiers import CarrierId
+from repro.netmodel.network import Network
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.types import AttributeValue, ParameterValue

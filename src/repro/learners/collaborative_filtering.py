@@ -548,9 +548,7 @@ class CollaborativeFilteringRecommender(Learner):
     # -- fitting ----------------------------------------------------------
 
     def _fit(self, rows: Sequence[Row], labels: Sequence[Label]) -> None:
-        # Every column and the labels encoded once, in first-appearance
-        # order.
-        encoded = [factorize(column) for column in zip(*rows)]
+        encoded =[factorize(column) for column in zip(*rows)]
         code_matrix = np.column_stack([codes for codes, _ in encoded])
         sizes = [len(vocab) for _, vocab in encoded]
         label_codes, label_vocab = factorize(labels)
