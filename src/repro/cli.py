@@ -546,7 +546,11 @@ def _run_serve_batch(args) -> int:
             snapshot.network, snapshot.store, _engine_config(args)
         ).fit(parameters, jobs=args.jobs)
     if args.save_artifact is not None:
-        save_engine(engine, args.save_artifact)
+        try:
+            save_engine(engine, args.save_artifact)
+        except ReproError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     service = RecommendationService(
         engine,

@@ -184,6 +184,33 @@ class TestServeBatch:
         assert "different snapshot" in err
         assert "--no-verify-artifact" in err
 
+    def test_resaving_over_a_moved_store_is_a_clean_error(
+        self, snapshot, requests_file, tmp_path, capsys
+    ):
+        """An mmap artifact loaded unverified against moved values
+        votes from its store, so saving it again over the moved snapshot
+        is refused."""
+        artifact = tmp_path / "engine.json"
+        assert main(["serve-batch", str(snapshot), str(requests_file),
+                     "--parameters", "pMax", "--store", "mmap",
+                     "--save-artifact", str(artifact)]) == 0
+        document = json.loads(snapshot.read_text())
+        values = document["config"]["singular"]["pMax"]
+        vocab = sorted(set(values.values()))
+        for key in sorted(values)[:40]:
+            values[key] = next(v for v in vocab if v != values[key])
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(document))
+        capsys.readouterr()
+        code = main(["serve-batch", str(moved), str(requests_file),
+                     "--artifact", str(artifact), "--no-verify-artifact",
+                     "--save-artifact", str(tmp_path / "again.json")])
+        assert code == 2
+        assert "error: the store moved after the fit of pMax" in (
+            capsys.readouterr().err
+        )
+        assert not (tmp_path / "again.json").exists()
+
     def test_malformed_artifact_is_a_clean_error(
         self, snapshot, requests_file, tmp_path, capsys
     ):
