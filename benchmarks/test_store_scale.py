@@ -9,6 +9,10 @@ store, and assert the economics the store exists for:
   at least ``REPRO_STORE_MIN_COLD_SPEEDUP``× faster than re-encoding
   the snapshot from the configuration store (default 10×), each side
   timed as the median of ``COLD_START_REPEATS`` alternating runs;
+* **cold start below the fit** — a verifying artifact load (the store
+  open, the live encode and both digest checks, then the model builds),
+  the median of ``COLD_START_REPEATS`` runs, costs less than the fit it
+  replaces;
 * **fit budget** — the columnar fit itself (generation excluded — that
   is dataset manufacturing, not the data path) stays under
   ``REPRO_STORE_FIT_BUDGET_S``;
@@ -175,11 +179,15 @@ def test_cold_start_mmap_beats_reencode(fitted, store_dataset, document):
 
 def test_artifact_reload_uses_store(fitted, store_dataset, document):
     engine, artifact, _ = fitted
-    started = time.perf_counter()
-    loaded = load_engine(
-        artifact, store_dataset.network, store_dataset.store
-    )
-    document["artifact_load_s"] = round(time.perf_counter() - started, 3)
+    load_runs = []
+    for _ in range(COLD_START_REPEATS):
+        started = time.perf_counter()
+        loaded = load_engine(
+            artifact, store_dataset.network, store_dataset.store
+        )
+        load_runs.append(time.perf_counter() - started)
+    load_s = statistics.median(load_runs)
+    document["artifact_load_s"] = round(load_s, 3)
     snapshot = loaded.columnar_snapshot()
     assert snapshot is not None
     # Zero-copy adoption: the arrays are read-only mmap views.
@@ -189,6 +197,10 @@ def test_artifact_reload_uses_store(fitted, store_dataset, document):
         "pMax", carrier, local=False, leave_one_out=True
     ) == engine.recommend_for_carrier(
         "pMax", carrier, local=False, leave_one_out=True
+    )
+    assert load_s < document["fit_s"], (
+        f"a verifying artifact load took {load_s:.3f}s, more than the "
+        f"{document['fit_s']:.3f}s fit it replaces, at scale {SCALE}"
     )
 
 

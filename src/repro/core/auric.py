@@ -364,9 +364,9 @@ class AuricEngine:
         phase_totals: Dict[str, float] = {}
         for (phase, _parameter), seconds in self._fit_phases.items():
             phase_totals[phase] = phase_totals.get(phase, 0.0) + seconds
-        # The columnar content hash is cheap (raw buffer hashing); the
-        # full dataset fingerprint would cost more than the fit itself.
-        snapshot = self._columnar.fingerprint()
+        # The digest an artifact saved from this engine binds, so the
+        # fit, its save and every load of it share one value.
+        snapshot = self._columnar.fingerprint(self.network, self._models)
         obs_journal.record(
             "fit",
             scope="engine",

@@ -34,10 +34,12 @@ receiver re-maps the file.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from array import array
 from collections import Counter
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +71,12 @@ def tally(
     for code, weight in zip(label_codes, weights):
         totals[code] = totals.get(code, 0) + weight
     return totals
+
+
+def _hash_array(digest: "hashlib._Hash", array: np.ndarray) -> None:
+    """Feed one array to ``digest``: dtype and shape, then its bytes."""
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(np.ascontiguousarray(array).tobytes())
 
 
 def _slot_ranges(sources: np.ndarray, n_slots: int) -> Tuple[array, array]:
@@ -484,33 +492,50 @@ class ColumnarSnapshot:
         copy._backing = self._backing
         return copy
 
-    def fingerprint(self) -> str:
-        """A content hash of the encoded snapshot (hex, 16 chars).
+    def carrier_rows(self) -> np.ndarray:
+        """The carrier ids as an ``int32`` ``(n, 4)`` array of market,
+        eNodeB, face and slot indexes in slot order (store format 2)."""
+        return np.array(
+            [
+                (c.enodeb.market.index, c.enodeb.index, c.face, c.slot)
+                for c in self.carrier_ids
+            ],
+            dtype=np.int32,
+        ).reshape(-1, 4)
 
-        Hashes the raw integer buffers instead of re-serializing the
-        dataset, so it is cheap enough for the lifecycle journal to
-        stamp on every fit record: same carriers, same attribute codes,
-        same encoded samples → same fingerprint.
-        """
-        import hashlib
-
+    def fingerprint(self, network: Network, parameters: Iterable[str]) -> str:
+        """The snapshot identity: the sha256 hex digest of what models
+        fitted on ``parameters`` read — the carrier rows, the attribute
+        codes and vocabularies, each named parameter's columns in name
+        order, and ``network``'s X2 carrier relations as sorted slot
+        pairs (what the local vote walks)."""
         digest = hashlib.sha256()
-        digest.update(repr([str(c) for c in self.carrier_ids]).encode())
-        digest.update(np.ascontiguousarray(self.codes).tobytes())
-        digest.update(repr(self.vocabs).encode())
-        for name in sorted(self.parameters):
-            columns = self.parameters[name]
+        _hash_array(digest, self.carrier_rows())
+        _hash_array(digest, self.codes)
+        digest.update(json.dumps(self.vocabs).encode())
+        for name in sorted(parameters):
+            columns = self.parameter(name)
             digest.update(name.encode())
-            digest.update(np.ascontiguousarray(columns.sources).tobytes())
+            _hash_array(digest, columns.sources)
             if columns.neighbors is not None:
-                digest.update(
-                    np.ascontiguousarray(columns.neighbors).tobytes()
-                )
-            digest.update(
-                np.ascontiguousarray(columns.label_codes).tobytes()
-            )
-            digest.update(repr(columns.label_vocab).encode())
-        return digest.hexdigest()[:16]
+                _hash_array(digest, columns.neighbors)
+            _hash_array(digest, columns.label_codes)
+            digest.update(json.dumps(columns.label_vocab).encode())
+        slots = self.carrier_slots()
+        pairs = np.array(
+            [(slots[a], slots[b]) for a, b in network.x2.carrier_pairs()],
+            dtype=np.int32,
+        ).reshape(-1, 2)
+        pairs.sort(axis=1)
+        _hash_array(digest, pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))])
+        return digest.hexdigest()
+
+    def take_carrier_ids(self, other: "ColumnarSnapshot") -> None:
+        """Key this snapshot by ``other``'s carrier id objects, which
+        must equal its own in slot order (equal fingerprints prove it):
+        slot lookups by those objects then hit by identity."""
+        self.carrier_ids = other.carrier_ids
+        self._carrier_slots = other.carrier_slots()
 
     # -- access -----------------------------------------------------------
 

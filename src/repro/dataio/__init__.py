@@ -9,6 +9,9 @@ This is the adoption path for real data: operators export their own
 carrier inventory and configuration into this schema and run the Auric
 engine on it unchanged — the synthetic generator is only one producer of
 the format.
+
+Artifacts and the journal name a snapshot by the digest of its encoding
+(:meth:`repro.core.columnar.ColumnarSnapshot.fingerprint`), not this.
 """
 
 from repro.dataio.export import (
@@ -16,7 +19,6 @@ from repro.dataio.export import (
     export_attributes_csv,
     export_dataset_json,
     export_parameter_csv,
-    snapshot_fingerprint,
 )
 from repro.dataio.load import load_dataset_json, snapshot_from_dict
 
@@ -25,7 +27,6 @@ __all__ = [
     "export_attributes_csv",
     "export_dataset_json",
     "export_parameter_csv",
-    "snapshot_fingerprint",
     "load_dataset_json",
     "snapshot_from_dict",
 ]

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 from typing import Dict, Optional, Tuple, Union
 
@@ -99,18 +98,6 @@ def _config_section(store: ConfigurationStore) -> Dict[str, Dict]:
             section = pairwise if spec.is_pairwise else singular
             section[spec.name] = by_name[spec.name]
     return {"singular": singular, "pairwise": pairwise}
-
-
-def snapshot_fingerprint(network: Network, store: ConfigurationStore) -> str:
-    """A stable content hash of a network + configuration snapshot.
-
-    Engine artifacts (``repro.serve.artifacts``) embed this so a loaded
-    model can be checked against the snapshot it is served with: same
-    carriers, same topology, same configured values → same fingerprint.
-    """
-    payload = dataset_to_dict(network, store)
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def export_dataset_json(

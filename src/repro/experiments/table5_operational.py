@@ -16,11 +16,10 @@ between premature unlocks and EMS timeouts.
 
 from __future__ import annotations
 
-from collections import Counter
+import copy
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
-from repro.config.rulebook import Rule, RuleBook
 from repro.config.managed_objects import build_vendor_schema
 from repro.config.templates import ConfigTemplate
 from repro.core.auric import AuricEngine
@@ -35,40 +34,6 @@ from repro.ops.smartlaunch import LaunchStats, SmartLaunch, SmartLaunchConfig
 from repro.reporting.tables import format_table
 from repro.rng import derive
 from repro.types import ParameterValue, Vendor
-
-#: The coarse attribute key an integration vendor's rule-book uses.  The
-#: vendor knows network-wide practice per carrier class but not
-#: market-local or geographically local tuning — that gap is what Auric
-#: corrects at launch time.
-VENDOR_RULEBOOK_KEY = (
-    "carrier_frequency",
-    "carrier_type",
-    "channel_bandwidth",
-    "morphology",
-    "market",
-)
-
-
-def build_vendor_rulebook(dataset: SyntheticDataset) -> RuleBook:
-    """A vendor rule-book: majority value per coarse attribute class."""
-    rulebook = RuleBook(dataset.catalog, name="vendor-integration")
-    for spec in dataset.catalog.singular_parameters():
-        values = dataset.store.singular_values(spec.name)
-        by_class: Dict[Tuple, Counter] = {}
-        for carrier_id, value in values.items():
-            row = dataset.network.carrier(carrier_id).attributes
-            key = tuple((a, row[a]) for a in VENDOR_RULEBOOK_KEY)
-            by_class.setdefault(key, Counter())[value] += 1
-        for key, counter in by_class.items():
-            rulebook.add_rule(
-                Rule(
-                    parameter=spec.name,
-                    value=counter.most_common(1)[0][0],
-                    conditions=key,
-                )
-            )
-    return rulebook
-
 
 @dataclass
 class Table5Result:
@@ -102,7 +67,6 @@ def run(
     dataset: Optional[SyntheticDataset] = None,
     launches: int = 1251,
     parameters: Optional[Sequence[str]] = None,
-    engine: Optional[AuricEngine] = None,
     vendor_error_rate: float = 0.001,
     seed: int = 2021,
 ) -> Table5Result:
@@ -115,19 +79,23 @@ def run(
     Auric's launch-time value-add is therefore exactly what section 5
     describes: catching vendor mistakes, out-of-date rule-books, and
     pending local tuning.
+
+    The campaign pushes into a copy of ``dataset``'s store, which the
+    engine is fitted on too, so the caller's dataset (a cached workload
+    is shared) keeps its values.
     """
     if dataset is None:
         dataset = four_markets_workload()
     singular = [s.name for s in dataset.catalog.singular_parameters()]
     if parameters is None:
         parameters = singular
-    if engine is None:
-        engine = AuricEngine(dataset.network, dataset.store).fit(parameters)
+    store = copy.deepcopy(dataset.store)
+    engine = AuricEngine(dataset.network, store).fit(parameters)
 
     schema = build_vendor_schema(Vendor.VENDOR_A, dataset.catalog)
-    ems = ElementManagementSystem(dataset.network, dataset.store)
+    ems = ElementManagementSystem(dataset.network, store)
     controller = ConfigPushController(ems, ConfigTemplate(schema))
-    monitor = KPIMonitor(dataset.store)
+    monitor = KPIMonitor(store)
     workflow = SmartLaunch(controller, monitor, SmartLaunchConfig(seed=seed))
 
     # Launch candidates: existing carriers replayed as new launches

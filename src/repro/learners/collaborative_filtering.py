@@ -596,7 +596,10 @@ class CollaborativeFilteringRecommender(Learner):
         distribution, holds every training carrier, so a vote always
         stands."""
         self._require_fitted()
-        cell = tuple(row[col] for col in self._dependent)
+        return self._cell_vote(tuple(row[col] for col in self._dependent))
+
+    def _cell_vote(self, cell: Tuple) -> VoteOutcome:
+        """:meth:`vote` for one dependent-attribute cell."""
         for level, table in enumerate(self._tables):
             length = len(cell) - level
             outcome = table.vote(cell[:length])
@@ -614,4 +617,7 @@ class CollaborativeFilteringRecommender(Learner):
         )
 
     def _predict(self, rows: Sequence[Row]) -> List[Label]:
-        return [self.vote(row).value for row in rows]
+        """One vote per distinct dependent-attribute cell."""
+        cells = [tuple(row[col] for col in self._dependent) for row in rows]
+        values = {cell: self._cell_vote(cell).value for cell in set(cells)}
+        return [values[cell] for cell in cells]

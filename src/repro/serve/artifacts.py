@@ -11,10 +11,11 @@ weights)``, so a load rebuilds every model with the fit's own vote phase
 snapshot the artifact binds, and the loaded engine answers exactly as
 the fitted one did.
 
-Artifacts embed the :func:`~repro.dataio.export.snapshot_fingerprint`
-of the snapshot the engine was fitted on; loading against a different
-snapshot raises unless explicitly allowed (the refresh layer serves
-stale-but-available models on purpose).
+Artifacts embed the digest of the snapshot their models were built
+from, :meth:`~repro.core.columnar.ColumnarSnapshot.fingerprint` over
+the fitted parameters.  A verifying load raises unless the live
+snapshot, and an mmap artifact's store, digest the same (the refresh
+layer serves stale-but-available models on purpose, unverified).
 
 The snapshot a load builds from is the mmap snapshot store that an
 artifact saved with ``AuricConfig.store="mmap"`` references (opened
@@ -33,8 +34,7 @@ from typing import Any, Dict, Hashable, List, Optional
 
 from repro.config.store import ConfigurationStore
 from repro.core.auric import AuricConfig, AuricEngine, _ParameterModel
-from repro.core.columnar import ParameterColumns
-from repro.dataio.export import snapshot_fingerprint
+from repro.core.columnar import ColumnarSnapshot
 from repro.dataio.keys import (
     carrier_key_from_str,
     carrier_key_to_str,
@@ -58,13 +58,13 @@ from repro.serve.refresh import _changed_positions
 #: to an mmap snapshot store next to the artifact.  A legacy ``file``
 #: store (a JSON sidecar) loads as ``memory`` and its reference is
 #: ignored.  v5 drops each model's ``samples``: a load rebuilds the
-#: votes from the snapshot.  v1–v4 documents still load; their samples
-#: are not read, which gives the same engine whenever the fingerprint
-#: verifies.
-ARTIFACT_SCHEMA_VERSION = 5
+#: votes from the snapshot.  v6 binds the encoded snapshot's digest,
+#: not the dataset JSON's; v1–v5 documents load only unverified, their
+#: samples unread.
+ARTIFACT_SCHEMA_VERSION = 6
 
 #: Schema versions :func:`engine_from_dict` accepts.
-SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5)
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3, 4, 5, 6)
 
 _ARTIFACT_KIND = "auric-engine-artifact"
 
@@ -143,19 +143,18 @@ def _model_from_dict(payload: Dict, engine: AuricEngine) -> _ParameterModel:
 
 
 def engine_to_dict(
-    engine: AuricEngine,
-    fingerprint: Optional[str] = None,
-    columnar_ref: Optional[Dict] = None,
+    engine: AuricEngine, columnar_ref: Optional[Dict] = None
 ) -> Dict:
-    """The JSON-serializable form of a fitted engine.
+    """The JSON-serializable form of a fitted engine, bound to the
+    digest of its own snapshot (what its models were built from).
 
     ``columnar_ref`` is written as the ``columnar_store`` reference to
-    the mmap store the caller has already persisted the snapshot to
+    the mmap store the caller persists the snapshot to
     (:func:`save_engine` does this for ``config.store == "mmap"``).
     Without one the document carries no snapshot.
     """
-    if fingerprint is None:
-        fingerprint = snapshot_fingerprint(engine.network, engine.store)
+    models = engine.fitted_models()
+    fingerprint = engine.ensure_columnar().fingerprint(engine.network, models)
     config = engine.config
     payload = {
         "schema_version": ARTIFACT_SCHEMA_VERSION,
@@ -173,8 +172,7 @@ def engine_to_dict(
             "store": config.store,
         },
         "models": [
-            _model_to_dict(model)
-            for _, model in sorted(engine.fitted_models().items())
+            _model_to_dict(model) for _, model in sorted(models.items())
         ],
     }
     # Only the (kind, path) reference is embedded: the arrays live in
@@ -229,11 +227,11 @@ def engine_from_dict(
     ``network`` and ``store`` are the snapshot to serve against (loaded
     separately, e.g. via :mod:`repro.dataio`).  With
     ``verify_fingerprint`` the snapshot must be the one the engine was
-    fitted on; pass ``False`` to serve a stale model deliberately.
-    ``base_dir`` anchors relative ``columnar_store`` references (v4);
-    :func:`load_engine` passes the artifact's directory.  Only an
-    ``mmap`` reference is opened; legacy inline ``columnar`` sections
-    and ``file`` references are ignored.
+    fitted on, and so must an mmap artifact's store; pass ``False`` to
+    serve a stale model deliberately.  ``base_dir`` anchors relative
+    ``columnar_store`` references (v4); :func:`load_engine` passes the
+    artifact's directory.  Only an ``mmap`` reference is opened; legacy
+    inline ``columnar`` sections and ``file`` references are ignored.
 
     Every model is rebuilt from its selection and weights by the fit's
     vote phase, over the referenced mmap store or, without one, over
@@ -244,45 +242,68 @@ def engine_from_dict(
     version = payload.get("schema_version")
     if version not in SUPPORTED_SCHEMA_VERSIONS:
         raise ArtifactError(f"unsupported artifact schema version {version!r}")
-    if verify_fingerprint:
-        actual = snapshot_fingerprint(network, store)
-        expected = payload.get("snapshot_fingerprint")
-        if expected != actual:
-            raise ArtifactError(
-                "artifact was fitted on a different snapshot "
-                f"(artifact {str(expected)[:12]}…, snapshot {actual[:12]}…); "
-                "pass verify_fingerprint=False to serve it anyway"
-            )
+    if verify_fingerprint and version < 6:
+        raise ArtifactError(
+            f"a schema v{version} artifact binds a digest of the dataset's "
+            "JSON export, which is no longer computed; load it with "
+            "verify_fingerprint=False (--no-verify-artifact), then save it "
+            "again to bind it to its snapshot"
+        )
     config_fields = dict(_required(payload, "config", "the artifact"))
     config_fields.pop("columnar", None)  # v2-v4 engine option, removed
     if config_fields.get("store") == "file":  # v4 JSON backend, removed
         config_fields["store"] = "memory"
     config = AuricConfig(**config_fields)
     engine = AuricEngine(network, store, config)
+    model_payloads = _required(payload, "models", "the artifact")
+    specs = [
+        engine.catalog.spec(_required(model, "parameter", "a model"))
+        for model in model_payloads
+    ]
     snapshot_store = None
     if "columnar_store" in payload:
         snapshot_store = resolve_store_ref(payload["columnar_store"], base_dir)
+    mapped = None
     if snapshot_store is not None:
         from repro.store import SnapshotStoreError
 
         try:
-            snapshot = snapshot_store.load()
+            mapped = snapshot_store.load()
         except (OSError, SnapshotStoreError) as exc:
             raise ArtifactError(
                 f"cannot open the artifact's columnar store "
                 f"({payload['columnar_store']}): {exc}"
             ) from exc
-        if snapshot is None:
+        if mapped is None:
             raise ArtifactError(
                 "the artifact references an external columnar store that "
                 f"is missing: {payload['columnar_store']}"
             )
-        engine.attach_columnar(snapshot)
+    live = None
+    if mapped is None or verify_fingerprint:
+        live = ColumnarSnapshot.encode(network, store, specs)
+    if verify_fingerprint:
+        expected = payload.get("snapshot_fingerprint")
+        names = [spec.name for spec in specs]
+        bound = {"live snapshot": live, "columnar store": mapped}
+        for what, snapshot in bound.items():
+            if snapshot is None:
+                continue
+            actual = snapshot.fingerprint(network, names)
+            if actual != expected:
+                raise ArtifactError(
+                    "artifact was fitted on a different snapshot (artifact "
+                    f"{str(expected)[:12]}…, {what} {actual[:12]}…); "
+                    "pass verify_fingerprint=False to serve it anyway"
+                )
+        if mapped is not None:
+            mapped.take_carrier_ids(live)
+    engine.attach_columnar(live if mapped is None else mapped)
     if "drift_baseline" in payload:
         engine.drift_baseline = DriftBaseline.from_dict(
             payload["drift_baseline"]
         )
-    for model_payload in _required(payload, "models", "the artifact"):
+    for model_payload in model_payloads:
         model = _model_from_dict(model_payload, engine)
         engine.install_model(model.spec.name, model)
     return engine
@@ -306,23 +327,33 @@ def default_store_path(artifact_path: str) -> str:
     return f"{artifact_path}.columnar"
 
 
-def _moved_parameters(engine: AuricEngine) -> List[str]:
-    """The fitted parameters whose configured values in the engine's
-    store no longer match the columns their models were built from."""
-    snapshot = engine.columnar_snapshot()
+def _refuse_moved(engine: AuricEngine, fingerprint: str) -> None:
+    """Raise :class:`ArtifactError` unless the live network and store
+    encode to ``fingerprint``, the digest of the snapshot the engine's
+    models were built from, naming what moved: the carrier attributes,
+    or the fitted parameters whose values differ."""
+    models = engine.fitted_models()
+    specs = [model.spec for model in models.values()]
+    live = ColumnarSnapshot.encode(engine.network, engine.store, specs)
+    if live.fingerprint(engine.network, models) == fingerprint:
+        return
+    own = engine.columnar_snapshot()
+    reasons = []
+    if own.fingerprint(engine.network, ()) != live.fingerprint(
+        engine.network, ()
+    ):
+        reasons.append("the carrier attributes moved after the fit")
     moved = []
-    for name, model in sorted(engine.fitted_models().items()):
-        try:
-            live = ParameterColumns.encode(
-                engine.store, model.spec, snapshot.carrier_slots()
-            )
-        except KeyError:  # a configured carrier the snapshot lacks
-            moved.append(name)
-            continue
-        changed = _changed_positions(model.encoded.columns, live)
+    for name in sorted(models):
+        changed = _changed_positions(own.parameter(name), live.parameter(name))
         if changed is None or len(changed):
             moved.append(name)
-    return moved
+    if moved:
+        reasons.append(f"the store moved after the fit of {', '.join(moved)}")
+    raise ArtifactError(
+        f"{'; '.join(reasons)}; refit before saving, or the artifact "
+        "loads as another engine"
+    )
 
 
 def save_engine(
@@ -338,37 +369,22 @@ def save_engine(
     path, so it opens zero-copy on load.  A memory artifact carries no
     snapshot.
 
-    The artifact binds the store as it is at the save, and a load
-    rebuilds the models over it, so an engine whose store moved after
-    its fit is refused with :class:`ArtifactError`: its artifact would
+    The artifact binds the digest of the snapshot the engine's models
+    were built from, and a load rebuilds the models over the snapshot
+    it is handed, so an engine whose network or store moved after its
+    fit is refused with :class:`ArtifactError`: its artifact would
     load as another engine.  Refit it first
     (:meth:`repro.serve.refresh.EngineRefresher.refit` with the
     changelog).
     """
-    moved = _moved_parameters(engine)
-    if moved:
-        raise ArtifactError(
-            f"the store moved after the fit of {', '.join(moved)}; "
-            "refit before saving, or the artifact loads as another engine"
-        )
-    snapshot = engine.columnar_snapshot()
-    if (
-        snapshot_store is None
-        and snapshot is not None
-        and engine.config.store != "memory"
-    ):
+    if snapshot_store is None and engine.config.store != "memory":
         from repro.store import open_store
 
         snapshot_store = open_store(
             engine.config.store, default_store_path(path)
         )
     columnar_ref: Optional[Dict] = None
-    if (
-        snapshot is not None
-        and snapshot_store is not None
-        and snapshot_store.kind != "memory"
-    ):
-        snapshot_store.persist(snapshot)
+    if snapshot_store is not None and snapshot_store.kind != "memory":
         store_path = snapshot_store.path
         if os.path.dirname(os.path.abspath(store_path)) == os.path.dirname(
             os.path.abspath(path)
@@ -376,6 +392,9 @@ def save_engine(
             store_path = os.path.basename(store_path)
         columnar_ref = {"kind": snapshot_store.kind, "path": store_path}
     payload = engine_to_dict(engine, columnar_ref=columnar_ref)
+    _refuse_moved(engine, payload["snapshot_fingerprint"])
+    if columnar_ref is not None:
+        snapshot_store.persist(engine.columnar_snapshot())
     with open(path, "w") as handle:
         json.dump(payload, handle)
     if obs_journal.active():

@@ -154,15 +154,8 @@ def _snapshot_arrays(
     snapshot: ColumnarSnapshot,
 ) -> List[Tuple[str, Optional[str], np.ndarray]]:
     """Every buffer in the file's canonical (deterministic) order."""
-    carriers = np.array(
-        [
-            (c.enodeb.market.index, c.enodeb.index, c.face, c.slot)
-            for c in snapshot.carrier_ids
-        ],
-        dtype=np.int32,
-    ).reshape(-1, 4)
     arrays: List[Tuple[str, Optional[str], np.ndarray]] = [
-        ("carrier_ids", None, carriers),
+        ("carrier_ids", None, snapshot.carrier_rows()),
         ("codes", None, snapshot.codes),
     ]
     for name in sorted(snapshot.parameters):

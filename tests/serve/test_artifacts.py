@@ -2,6 +2,7 @@
 
 import copy
 import json
+import shutil
 
 import pytest
 
@@ -9,6 +10,7 @@ from repro.config.store import PairKey
 from repro.core import AuricEngine, NewCarrierRequest
 from repro.core.auric import AuricConfig
 from repro.core.recommendation import RecommendRequest
+from repro.dataio import dataset_to_dict, snapshot_from_dict
 from repro.dataio.keys import carrier_key_to_str
 from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import (
@@ -270,7 +272,12 @@ class TestColumnarPersistence:
     ):
         snapshot = reloaded.columnar_snapshot()
         assert snapshot is not None and snapshot._backing is None
-        assert snapshot.fingerprint() == fitted_engine.columnar_snapshot().fingerprint()
+        network = fitted_engine.network
+        assert snapshot.fingerprint(
+            network, SERVE_PARAMETERS
+        ) == fitted_engine.columnar_snapshot().fingerprint(
+            network, SERVE_PARAMETERS
+        )
 
     def test_loaded_engine_serves_like_the_fitted_engine(
         self, fitted_engine, dataset, rulebook, tmp_path
@@ -391,7 +398,9 @@ class TestColumnarPersistence:
         payload["schema_version"] = 1
         payload.pop("columnar", None)
         assert "columnar" not in payload["config"]
-        engine = engine_from_dict(payload, dataset.network, dataset.store)
+        engine = engine_from_dict(
+            payload, dataset.network, dataset.store, verify_fingerprint=False
+        )
         assert engine.columnar_snapshot()._backing is None
         assert engine.config == fitted_engine.config
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
@@ -409,7 +418,12 @@ class TestColumnarPersistence:
             payload["schema_version"] = version
             payload["config"]["columnar"] = False
             payload.pop("columnar", None)
-            loaded = engine_from_dict(payload, dataset.network, dataset.store)
+            loaded = engine_from_dict(
+                payload,
+                dataset.network,
+                dataset.store,
+                verify_fingerprint=False,
+            )
             assert loaded.config == fitted_engine.config
             assert loaded.columnar_snapshot()._backing is None
             for carrier in carriers:
@@ -476,7 +490,9 @@ class TestDriftBaselinePersistence:
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         payload["schema_version"] = 2
         payload.pop("drift_baseline")
-        engine = engine_from_dict(payload, dataset.network, dataset.store)
+        engine = engine_from_dict(
+            payload, dataset.network, dataset.store, verify_fingerprint=False
+        )
         assert engine.drift_baseline is None
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
 
@@ -581,7 +597,9 @@ class TestExternalStorePersistence:
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         payload["schema_version"] = 3
         payload["config"].pop("store")
-        engine = engine_from_dict(payload, dataset.network, dataset.store)
+        engine = engine_from_dict(
+            payload, dataset.network, dataset.store, verify_fingerprint=False
+        )
         assert engine.config.store == "memory"
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
 
@@ -618,7 +636,7 @@ class TestSchemaV5:
 
     def test_v5_artifact_carries_no_samples(self, fitted_engine):
         payload = engine_to_dict(fitted_engine)
-        assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION == 5
+        assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION == 6
         for model in payload["models"]:
             assert sorted(model) == sorted([
                 "parameter",
@@ -637,7 +655,9 @@ class TestSchemaV5:
             engine_to_dict(fitted_engine), fitted_engine, version
         )
         assert all(model["samples"] for model in document["models"])
-        loaded = engine_from_dict(document, dataset.network, dataset.store)
+        loaded = engine_from_dict(
+            document, dataset.network, dataset.store, verify_fingerprint=False
+        )
         fresh = AuricEngine(dataset.network, dataset.store).fit(
             list(SERVE_PARAMETERS)
         )
@@ -662,11 +682,78 @@ class TestSchemaV5:
         )
         for model in document["models"]:
             model["samples"] = [["not-a-key", [], None]]
-        loaded = engine_from_dict(document, dataset.network, dataset.store)
+        loaded = engine_from_dict(
+            document, dataset.network, dataset.store, verify_fingerprint=False
+        )
         for name in SERVE_PARAMETERS:
             assert model_state(loaded.fitted_models()[name]) == model_state(
                 fitted_engine.fitted_models()[name]
             ), name
+
+
+class TestSchemaV6:
+    """v6 binds the digest of the encoded snapshot: a verifying load
+    checks the live snapshot and the mmap store it builds from against
+    it, and refuses the dataset-JSON digest of v1–v5 documents."""
+
+    PARAMETERS = ["pMax", "inactivityTimer"]
+
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    def test_verifying_load_refuses_an_old_document(
+        self, fitted_engine, dataset, version
+    ):
+        payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
+        payload["schema_version"] = version
+        with pytest.raises(
+            ArtifactError,
+            match=rf"schema v{version} .*--no-verify-artifact\), then save",
+        ):
+            engine_from_dict(payload, dataset.network, dataset.store)
+
+    def _save_mmap(self, network, store, path):
+        engine = AuricEngine(network, store, AuricConfig(store="mmap")).fit(
+            self.PARAMETERS
+        )
+        path.parent.mkdir()
+        save_engine(engine, str(path))
+        return engine
+
+    def test_verifying_load_refuses_a_foreign_store(self, dataset, tmp_path):
+        """An mmap artifact whose store file holds another snapshot's
+        columns would build its models over that snapshot."""
+        path = tmp_path / "a" / "engine.json"
+        engine = self._save_mmap(dataset.network, dataset.store, path)
+        store = copy.deepcopy(dataset.store)
+        values = store.singular_values("pMax")
+        vocab = sorted(set(values.values()), key=repr)
+        for key in sorted(values)[::3]:
+            store.set_singular(
+                key, "pMax", next(v for v in vocab if v != values[key])
+            )
+        foreign = tmp_path / "b" / "engine.json"
+        self._save_mmap(dataset.network, store, foreign)
+        shutil.copyfile(f"{foreign}.columnar", f"{path}.columnar")
+        with pytest.raises(ArtifactError, match="columnar store"):
+            load_engine(str(path), dataset.network, dataset.store)
+        loaded = load_engine(
+            str(path), dataset.network, dataset.store, verify_fingerprint=False
+        )
+        assert model_state(loaded.fitted_models()["pMax"]) != model_state(
+            engine.fitted_models()["pMax"]
+        )
+
+    def test_verified_mmap_load_keys_slots_by_the_networks_ids(
+        self, dataset, tmp_path
+    ):
+        path = tmp_path / "a" / "engine.json"
+        self._save_mmap(dataset.network, dataset.store, path)
+        loaded = load_engine(str(path), dataset.network, dataset.store)
+        assert loaded.columnar_snapshot()._backing is not None
+        slots = loaded.carrier_slots()
+        assert len(slots) == dataset.network.carrier_count()
+        assert all(
+            dataset.network.carrier(key).carrier_id is key for key in slots
+        )
 
 
 class TestUnverifiedLoad:
@@ -758,6 +845,30 @@ class TestSaveAfterTheStoreMoved:
         with pytest.raises(ArtifactError, match="pMax") as raised:
             save_engine(engine, str(path))
         assert "inactivityTimer" not in str(raised.value)
+        assert not path.exists()
+
+    def test_save_refuses_moved_attributes(self, dataset, tmp_path):
+        """Carrier attributes the models were not built from make the
+        artifact load as another engine, like moved values do."""
+        snapshot = snapshot_from_dict(
+            dataset_to_dict(dataset.network, dataset.store)
+        )
+        engine = AuricEngine(snapshot.network, snapshot.store).fit(
+            ["pMax", "inactivityTimer"]
+        )
+        carriers = list(snapshot.network.carriers())
+        frequencies = sorted(
+            {c.attributes["carrier_frequency"] for c in carriers}
+        )
+        for carrier in carriers[::3]:
+            old = carrier.attributes["carrier_frequency"]
+            carrier.attributes = carrier.attributes.replace(
+                carrier_frequency=next(f for f in frequencies if f != old)
+            )
+        path = tmp_path / "engine.json"
+        with pytest.raises(ArtifactError, match="carrier attributes") as err:
+            save_engine(engine, str(path))
+        assert "pMax" not in str(err.value)
         assert not path.exists()
 
     def test_changelog_refit_saves_and_reloads_like_the_refit(

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.core import AuricEngine
+from repro.core import AuricConfig, AuricEngine
 from repro.core.recommendation import CarrierRecommendation, ParameterRecommendation
 from repro.obs import journal as obs_journal
 from repro.obs.journal import assemble_timeline, read_journal
@@ -207,6 +207,23 @@ class TestArtifactReplay:
             == loads[0]["fingerprints"]["artifact"]
         )
 
+    @pytest.mark.parametrize("store", ["memory", "mmap"])
+    def test_fit_save_and_load_share_one_snapshot_fingerprint(
+        self, dataset, tmp_path, journal, store
+    ):
+        engine = AuricEngine(
+            dataset.network, dataset.store, AuricConfig(store=store)
+        ).fit(["pMax", "hysA3Offset"])
+        path = tmp_path / "engine.json"
+        save_engine(engine, str(path))
+        load_engine(str(path), dataset.network, dataset.store)
+        snapshots = [
+            entry["fingerprints"]["snapshot"] for entry in journal.tail()
+        ]
+        assert events(journal) == ["fit", "artifact-save", "artifact-load"]
+        assert len(set(snapshots)) == 1
+        assert len(snapshots[0]) == 64
+
     def test_v1_through_v4_loads_replay(
         self, fitted_engine, dataset, tmp_path, journal
     ):
@@ -228,15 +245,26 @@ class TestArtifactReplay:
         v4 = json.loads(json.dumps(base))
         v4["schema_version"] = 4
 
-        for version, payload in ((1, v1), (2, v2), (3, v3), (4, v4), (5, base)):
+        v5 = json.loads(json.dumps(base))
+        v5["schema_version"] = 5
+
+        documents = ((1, v1), (2, v2), (3, v3), (4, v4), (5, v5), (6, base))
+        for version, payload in documents:
             path = tmp_path / f"engine-v{version}.json"
             path.write_text(json.dumps(payload))
-            engine = load_engine(str(path), dataset.network, dataset.store)
+            engine = load_engine(
+                str(path),
+                dataset.network,
+                dataset.store,
+                verify_fingerprint=False,
+            )
             assert engine.fitted_parameters() == (
                 fitted_engine.fitted_parameters()
             )
         loads = [e for e in journal.tail() if e["event"] == "artifact-load"]
-        assert [e["attrs"]["schema_version"] for e in loads] == [1, 2, 3, 4, 5]
+        assert [e["attrs"]["schema_version"] for e in loads] == [
+            1, 2, 3, 4, 5, 6
+        ]
         timeline = assemble_timeline(journal.tail())
         assert timeline.complete
 

@@ -8,6 +8,7 @@ import pytest
 
 from repro.config.store import PairKey
 from repro.core import AuricEngine
+from repro.core.columnar import ColumnarSnapshot
 from repro.datagen import four_markets_workload
 from repro.dataio import (
     dataset_to_dict,
@@ -15,7 +16,6 @@ from repro.dataio import (
     export_dataset_json,
     export_parameter_csv,
     load_dataset_json,
-    snapshot_fingerprint,
     snapshot_from_dict,
 )
 from repro.dataio.keys import (
@@ -27,6 +27,7 @@ from repro.dataio.keys import (
 from repro.exceptions import GenerationError
 from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
 from repro.netmodel.identifiers import CarrierId, ENodeBId, MarketId
+from repro.store import MmapSnapshotStore
 
 
 class TestKeys:
@@ -126,17 +127,28 @@ class TestCsvExports:
             assert header == ["carrier_id", "neighbor_id", "hysA3Offset"]
 
 
-#: ``four_markets_workload(scale=0.005)``'s snapshot fingerprint and the
+#: The snapshot digest (``ColumnarSnapshot.fingerprint``) of
+#: ``four_markets_workload(scale=0.005)`` over :data:`FITTED`, and the
 #: sha256 of ``json.dumps(dataset_to_dict(...))``, frozen from the
-#: earlier one-scan-per-parameter config code.  Saved artifacts embed the fingerprint,
-#: and the export's key order is the import's insertion order, which
-#: sets vote tie-breaks: both must stay byte-identical.
+#: earlier one-scan-per-parameter config code.  Saved artifacts embed
+#: the digest, and the export's key order is the import's insertion
+#: order, which sets vote tie-breaks: both must stay byte-identical.
 PINNED_FINGERPRINT = (
-    "1c0c85456bde236acd3345aa5f32642d241455cc66367e0b10ab6ec1051f7823"
+    "fbe3c07c12ea030f6cc2df3005a02a5d3a502c05cea251ae8d7946f0339313aa"
 )
 PINNED_EXPORT_SHA256 = (
     "94d0f9523f3413b37091467343d47f836650ef0fe5616c50c1552be84fa04c6c"
 )
+
+#: The fitted parameters the digest binds: two singular, one pair-wise.
+FITTED = ("pMax", "inactivityTimer", "hysA3Offset")
+
+
+def _digest(snapshot):
+    specs = [snapshot.store.catalog.spec(name) for name in FITTED]
+    return ColumnarSnapshot.encode(
+        snapshot.network, snapshot.store, specs
+    ).fingerprint(snapshot.network, FITTED)
 
 
 def _change_singular(snapshot):
@@ -147,12 +159,23 @@ def _change_singular(snapshot):
     store.set_singular(carrier, "pMax", new)
 
 
-def _change_pairwise(snapshot):
+def _change_pairwise(snapshot, name="hysA3Offset"):
     store = snapshot.store
-    pair = sorted(store.pairs())[0]
-    name, old = next(iter(store.pair_config(pair).items()))
-    new = next(v for v in store.pairwise_values(name).values() if v != old)
+    values = store.pairwise_values(name)
+    pair = min(values)
+    new = next(v for v in values.values() if v != values[pair])
     store.set_pairwise(pair, name, new)
+
+
+def _change_unfitted(snapshot):
+    name = next(
+        spec.name
+        for spec in snapshot.store.catalog.range_parameters()
+        if spec.is_pairwise
+        and spec.name not in FITTED
+        and len(set(snapshot.store.pairwise_values(spec.name).values())) > 1
+    )
+    _change_pairwise(snapshot, name)
 
 
 def _change_attribute(snapshot):
@@ -187,8 +210,7 @@ class TestSnapshotFingerprint:
         return snapshot_from_dict(dataset_to_dict(pinned.network, pinned.store))
 
     def test_digest_is_pinned(self, pinned):
-        digest = snapshot_fingerprint(pinned.network, pinned.store)
-        assert digest == PINNED_FINGERPRINT
+        assert _digest(pinned) == PINNED_FINGERPRINT
 
     def test_export_bytes_are_pinned(self, pinned, tmp_path):
         text = json.dumps(dataset_to_dict(pinned.network, pinned.store))
@@ -199,8 +221,16 @@ class TestSnapshotFingerprint:
         assert path.read_text() == text
 
     def test_round_trip_keeps_the_digest(self, private_copy):
-        digest = snapshot_fingerprint(private_copy.network, private_copy.store)
-        assert digest == PINNED_FINGERPRINT
+        assert _digest(private_copy) == PINNED_FINGERPRINT
+
+    def test_mapped_store_keeps_the_digest(self, pinned, tmp_path):
+        specs = [pinned.store.catalog.spec(name) for name in FITTED]
+        snapshot = ColumnarSnapshot.encode(pinned.network, pinned.store, specs)
+        store = MmapSnapshotStore(str(tmp_path / "snapshot.columnar"))
+        store.persist(snapshot)
+        mapped = store.load()
+        assert mapped._backing is not None
+        assert mapped.fingerprint(pinned.network, FITTED) == PINNED_FINGERPRINT
 
     @pytest.mark.parametrize(
         "mutate",
@@ -209,5 +239,11 @@ class TestSnapshotFingerprint:
     )
     def test_one_change_moves_the_digest(self, private_copy, mutate):
         mutate(private_copy)
-        digest = snapshot_fingerprint(private_copy.network, private_copy.store)
-        assert digest != PINNED_FINGERPRINT
+        assert _digest(private_copy) != PINNED_FINGERPRINT
+
+    @pytest.mark.parametrize(
+        "mutate", [_change_unfitted], ids=["unfitted-value"]
+    )
+    def test_unbound_change_keeps_the_digest(self, private_copy, mutate):
+        mutate(private_copy)
+        assert _digest(private_copy) == PINNED_FINGERPRINT

@@ -174,6 +174,17 @@ class TestLearnerExperiments:
         assert stats.changes_implemented <= stats.changes_recommended
         assert "Table 5" in result.render()
 
+    def test_table5_leaves_the_callers_store_unchanged(self, dataset):
+        def values():
+            return {
+                spec.name: dict(dataset.store.singular_values(spec.name))
+                for spec in dataset.catalog.singular_parameters()
+            }
+
+        before = values()
+        run_experiment("table5", dataset=dataset, launches=80)
+        assert values() == before
+
 
 class TestParameterSelection:
     def test_default_count(self, dataset, monkeypatch):
