@@ -128,7 +128,7 @@ class TestCsvExports:
 
 
 #: The snapshot digest (``ColumnarSnapshot.fingerprint``) of
-#: ``four_markets_workload(scale=0.005)`` over :data:`FITTED`, and the
+#: ``four_markets_workload(scale=0.005)`` over :data:`FITTED`; and the
 #: sha256 of ``json.dumps(dataset_to_dict(...))``, frozen from the
 #: earlier one-scan-per-parameter config code.  Saved artifacts embed
 #: the digest, and the export's key order is the import's insertion
