@@ -92,10 +92,10 @@ def _common_options() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--store", choices=("memory", "mmap"), default=None,
-        help="columnar snapshot store backend (default memory; mmap "
-        "persists the encoded snapshot next to saved artifacts so a "
-        "loaded engine's first refit opens it instead of re-encoding — "
-        "see docs/performance.md)",
+        help="where saved artifacts keep the encoded snapshot (default "
+        "memory: nowhere, a load encodes the live one; mmap: a store file "
+        "next to the artifact, opened zero-copy at load — see "
+        "docs/performance.md)",
     )
     common.add_argument(
         "--format", choices=("table", "json"), default="table",
@@ -493,6 +493,21 @@ def _run_experiment(args) -> int:
     return 0
 
 
+_NO_VERIFY_HINT = (
+    "hint: --no-verify-artifact rebuilds an artifact fitted on another "
+    "snapshot over this one (over its mmap store when it has one)"
+)
+
+
+def _refuse(error: object, hint: Optional[str] = None) -> int:
+    """Print an ``error:`` line (and a hint) for a refused input; the
+    exit code is 2."""
+    print(f"error: {error}", file=sys.stderr)
+    if hint is not None:
+        print(hint, file=sys.stderr)
+    return 2
+
+
 def _run_serve_batch(args) -> int:
     # Imported lazily so `repro list` stays fast.
     from repro.config.rulebook import RuleBook
@@ -514,15 +529,12 @@ def _run_serve_batch(args) -> int:
     if parameters:
         for name in parameters:
             if name not in snapshot.store.catalog:
-                print(f"error: unknown parameter {name!r}", file=sys.stderr)
-                return 2
+                return _refuse(f"unknown parameter {name!r}")
             if snapshot.store.catalog.spec(name).is_pairwise:
-                print(
-                    f"error: {name} is pair-wise and needs a neighbor "
-                    "carrier; serve-batch answers singular parameters only",
-                    file=sys.stderr,
+                return _refuse(
+                    f"{name} is pair-wise and needs a neighbor carrier; "
+                    "serve-batch answers singular parameters only"
                 )
-                return 2
 
     if args.artifact is not None:
         try:
@@ -533,14 +545,7 @@ def _run_serve_batch(args) -> int:
                 verify_fingerprint=not args.no_verify_artifact,
             )
         except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            print(
-                "hint: --no-verify-artifact rebuilds an artifact fitted on "
-                "another snapshot over this one (over its mmap store when it "
-                "has one)",
-                file=sys.stderr,
-            )
-            return 2
+            return _refuse(exc, _NO_VERIFY_HINT)
     else:
         engine = AuricEngine(
             snapshot.network, snapshot.store, _engine_config(args)
@@ -549,8 +554,7 @@ def _run_serve_batch(args) -> int:
         try:
             save_engine(engine, args.save_artifact)
         except ReproError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _refuse(exc)
 
     service = RecommendationService(
         engine,
@@ -991,7 +995,9 @@ def _collect_health(args):
     through a drift-tracking service under the sampling profiler, runs
     the shadow accuracy audit, scores drift (against ``--live`` or the
     served stream) and evaluates the stock SLOs.  Returns
-    ``(HealthReport, MetricsRegistry)``.
+    ``(HealthReport, MetricsRegistry)``, or the exit code 2 after an
+    ``error:`` line when an input is refused: an unknown parameter, an
+    artifact that does not load, or an engine that does not save.
     """
     from repro.config.rulebook import RuleBook
     from repro.core.auric import AuricEngine
@@ -1004,6 +1010,7 @@ def _collect_health(args):
     from repro.obs.slo import SLOEngine, default_service_slos
     from repro.serve import RecommendationService, load_engine, save_engine
     from repro.obs.metrics import ServiceMetrics
+    from repro.exceptions import ReproError
 
     if args.snapshot is not None:
         dataset = load_dataset_json(args.snapshot)
@@ -1012,7 +1019,7 @@ def _collect_health(args):
     parameters = [p for p in args.parameters.split(",") if p]
     for name in parameters:
         if name not in dataset.store.catalog:
-            raise SystemExit(f"error: unknown parameter {name!r}")
+            return _refuse(f"unknown parameter {name!r}")
 
     # A fresh registry, installed globally for the duration so the
     # drift/shadow-audit gauges and the service instruments land in one
@@ -1022,18 +1029,24 @@ def _collect_health(args):
     obs_metrics.set_registry(registry)
     try:
         if args.artifact is not None:
-            engine = load_engine(
-                args.artifact,
-                dataset.network,
-                dataset.store,
-                verify_fingerprint=not args.no_verify_artifact,
-            )
+            try:
+                engine = load_engine(
+                    args.artifact,
+                    dataset.network,
+                    dataset.store,
+                    verify_fingerprint=not args.no_verify_artifact,
+                )
+            except ReproError as exc:
+                return _refuse(exc, _NO_VERIFY_HINT)
         else:
             engine = AuricEngine(
                 dataset.network, dataset.store, _engine_config(args)
             ).fit(parameters, jobs=args.jobs)
         if args.save_artifact is not None:
-            save_engine(engine, args.save_artifact)
+            try:
+                save_engine(engine, args.save_artifact)
+            except ReproError as exc:
+                return _refuse(exc)
 
         service = RecommendationService(
             engine, rulebook=RuleBook(dataset.store.catalog)
@@ -1117,7 +1130,10 @@ def _collect_health(args):
 
 
 def _run_health(args) -> int:
-    report, registry = _collect_health(args)
+    collected = _collect_health(args)
+    if isinstance(collected, int):
+        return collected
+    report, registry = collected
     if args.format == "json":
         document = {
             "command": "health",
@@ -1135,7 +1151,10 @@ def _run_dashboard(args) -> int:
 
     from repro.obs import journal as obs_journal
 
-    report, registry = _collect_health(args)
+    collected = _collect_health(args)
+    if isinstance(collected, int):
+        return collected
+    report, registry = collected
     active_journal = obs_journal.get_journal()
     journal_records = (
         active_journal.tail() if active_journal is not None else None

@@ -135,10 +135,11 @@ class AuricConfig:
     #: index always uses every sample).  None = no cap.
     max_fit_samples: Optional[int] = 30000
     seed: int = 7
-    #: Columnar snapshot persistence backend: "memory" (default, nothing
-    #: leaves the process; artifacts carry no snapshot) or "mmap" (a
-    #: binary store next to saved artifacts, opened zero-copy on load so
-    #: the first refit skips the encoding pass).  See :mod:`repro.store`.
+    #: Where a saved artifact's snapshot lives: "memory" (default; the
+    #: artifact carries none, and a load builds its models over the
+    #: live snapshot, encoded at load) or "mmap" (a binary store file
+    #: next to the artifact, opened zero-copy at load to build the
+    #: models over).  See :mod:`repro.store`.
     store: str = "memory"
 
     def __post_init__(self) -> None:
@@ -151,6 +152,10 @@ class AuricConfig:
         if self.min_local_votes < 1:
             raise ValueError(
                 f"min_local_votes must be >= 1, got {self.min_local_votes!r}"
+            )
+        if self.store not in ("memory", "mmap"):
+            raise ValueError(
+                f"store must be 'memory' or 'mmap', got {self.store!r}"
             )
 
 

@@ -25,11 +25,8 @@ columns and nothing else, builds its plurality tables from them and
 derives keys, cells and labels when asked.
 
 ``--jobs N`` pool workers inherit the snapshot through fork, or under
-the *spawn* start method unpickle it once from the pool payload.  The
-pickle carries the arrays inline, except for a snapshot opened from the
-mmap store (:mod:`repro.store.mmapfile`): while its arrays are still the
-file's mapped views, it carries only ``(path, layouts)`` and the
-receiver re-maps the file.
+the *spawn* start method unpickle it once from the pool payload, arrays
+inline (a snapshot opened from the mmap store ships its arrays too).
 """
 
 from __future__ import annotations
@@ -424,9 +421,6 @@ class ColumnarSnapshot:
         self.vocabs = vocabs
         self.parameters: Dict[str, ParameterColumns] = parameters or {}
         self._carrier_slots: Optional[Dict[CarrierId, int]] = None
-        # A repro.store.mmapfile.FileBacking when the arrays are
-        # zero-copy views over a persisted store file.
-        self._backing = None
 
     # -- construction -----------------------------------------------------
 
@@ -489,7 +483,6 @@ class ColumnarSnapshot:
             self.carrier_ids, self.codes, self.vocabs, dict(self.parameters)
         )
         copy._carrier_slots = self._carrier_slots
-        copy._backing = self._backing
         return copy
 
     def carrier_rows(self) -> np.ndarray:
@@ -585,85 +578,9 @@ class ColumnarSnapshot:
             return sizes + sizes
         return sizes
 
-    # -- pool transport ---------------------------------------------------
-
-    def _arrays(self) -> List[Tuple[str, Optional[str], np.ndarray]]:
-        """Every numpy buffer with its (attribute, parameter) address."""
-        arrays: List[Tuple[str, Optional[str], np.ndarray]] = [
-            ("codes", None, self.codes)
-        ]
-        for name, columns in self.parameters.items():
-            arrays.append(("sources", name, columns.sources))
-            if columns.neighbors is not None:
-                arrays.append(("neighbors", name, columns.neighbors))
-            arrays.append(("label_codes", name, columns.label_codes))
-        return arrays
-
     def __getstate__(self) -> Dict:
-        state = {
-            "carrier_ids": self.carrier_ids,
-            "vocabs": self.vocabs,
-            "parameters": {
-                name: {
-                    "parameter": columns.parameter,
-                    "pairwise": columns.pairwise,
-                    "label_vocab": columns.label_vocab,
-                }
-                for name, columns in self.parameters.items()
-            },
-        }
-        arrays = self._arrays()
-        backing = self._backing
-        if backing is not None and all(
-            backing.arrays.get((field, name)) is array
-            for field, name, array in arrays
-        ):
-            # Every buffer is still the store file's mapped view: ship a
-            # (path, layouts) reference and let the consumer re-map the
-            # file — no copy on either side, pages shared host-wide.
-            state["mmap_path"] = backing.path
-            state["mmap_layouts"] = [
-                (field, name, backing.layouts[(field, name)])
-                for field, name, _ in arrays
-            ]
-        else:
-            state["arrays"] = arrays
+        # The slot map is a cache over ``carrier_ids``: rebuilt on first
+        # use instead of pickled.
+        state = dict(self.__dict__)
+        state["_carrier_slots"] = None
         return state
-
-    def __setstate__(self, state: Dict) -> None:
-        self.carrier_ids = state["carrier_ids"]
-        self.vocabs = state["vocabs"]
-        self._carrier_slots = None
-        self._backing = None
-        meta = state["parameters"]
-        buffers: Dict[Tuple[str, Optional[str]], np.ndarray] = {}
-        if "mmap_path" in state:
-            from repro.store.mmapfile import FileBacking, map_file
-
-            mapped = map_file(state["mmap_path"])
-            layouts = {}
-            for field, name, layout in state["mmap_layouts"]:
-                layouts[(field, name)] = layout
-                buffers[(field, name)] = mapped.read(layout)
-            # Re-attach the backing so onward pickles (nested pools)
-            # stay (path, layouts) references too.
-            self._backing = FileBacking(
-                path=state["mmap_path"],
-                mapped=mapped,
-                layouts=layouts,
-                arrays=dict(buffers),
-            )
-        else:
-            for field, name, array in state["arrays"]:
-                buffers[(field, name)] = array
-        self.codes = buffers[("codes", None)]
-        self.parameters = {}
-        for name, columns_meta in meta.items():
-            self.parameters[name] = ParameterColumns(
-                parameter=columns_meta["parameter"],
-                pairwise=columns_meta["pairwise"],
-                sources=buffers[("sources", name)],
-                neighbors=buffers.get(("neighbors", name)),
-                label_codes=buffers[("label_codes", name)],
-                label_vocab=columns_meta["label_vocab"],
-            )

@@ -13,17 +13,13 @@ what else that worker ran before.
 When the master has already encoded the snapshot into a
 :class:`~repro.core.columnar.ColumnarSnapshot`, it rides along in the
 payload — inherited for free under *fork*, unpickled once per worker
-under *spawn* — so no worker re-encodes.  A snapshot opened from an
-mmap :class:`repro.store.SnapshotStore` pickles to just the store
-*path* plus blob layouts, and every worker re-maps the same file
-read-only (page cache shared across the pool).
+under *spawn* — so no worker re-encodes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
 from repro.parallel.pool import get_payload, run_tasks
 
@@ -78,11 +74,6 @@ def select_parameters(
     processes run with metrics disabled and cannot observe it
     themselves.
     """
-    if columnar is not None and getattr(columnar, "_backing", None) is not None:
-        obs_metrics.counter(
-            "repro_store_pool_reference_total",
-            "Pool fits whose snapshot shipped as an mmap store reference",
-        ).inc(1.0)
     payload = (network, store, config, columnar)
     results = run_tasks(payload, _fit_task, list(parameters), jobs=jobs)
     selected = {}

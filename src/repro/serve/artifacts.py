@@ -47,6 +47,7 @@ from repro.obs import journal as obs_journal
 from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
 from repro.serve.refresh import _changed_positions
+from repro.store import MmapSnapshotStore, SnapshotStoreError
 
 #: Version of the artifact document schema (bump on layout changes).
 #: v2 adds an optional inline ``columnar`` snapshot section (and a
@@ -189,13 +190,11 @@ def engine_to_dict(
 
 def resolve_store_ref(
     ref: Any, base_dir: Optional[str] = None
-) -> Optional["SnapshotStore"]:
+) -> Optional[MmapSnapshotStore]:
     """The mmap store named by an artifact's ``columnar_store``
     reference (relative paths resolve against the artifact's
     directory), or ``None`` for a legacy ``file`` reference, which is
     ignored.  A malformed reference raises :class:`ArtifactError`."""
-    from repro.store import MmapSnapshotStore
-
     if not isinstance(ref, dict):
         raise ArtifactError(
             f"malformed columnar_store reference {ref!r}: not an object"
@@ -265,8 +264,6 @@ def engine_from_dict(
         snapshot_store = resolve_store_ref(payload["columnar_store"], base_dir)
     mapped = None
     if snapshot_store is not None:
-        from repro.store import SnapshotStoreError
-
         try:
             mapped = snapshot_store.load()
         except (OSError, SnapshotStoreError) as exc:
@@ -285,19 +282,19 @@ def engine_from_dict(
     if verify_fingerprint:
         expected = payload.get("snapshot_fingerprint")
         names = [spec.name for spec in specs]
-        bound = {"live snapshot": live, "columnar store": mapped}
-        for what, snapshot in bound.items():
-            if snapshot is None:
-                continue
-            actual = snapshot.fingerprint(network, names)
-            if actual != expected:
-                raise ArtifactError(
-                    "artifact was fitted on a different snapshot (artifact "
-                    f"{str(expected)[:12]}…, {what} {actual[:12]}…); "
-                    "pass verify_fingerprint=False to serve it anyway"
-                )
+        _check_digest(live, network, names, expected, "live snapshot")
         if mapped is not None:
+            # The mapped store is keyed by the network's own ids before
+            # its digest maps the X2 relations to slots, so every lookup
+            # hits by identity; the ids themselves are compared here.
+            if mapped.carrier_ids != live.carrier_ids:
+                raise ArtifactError(
+                    "the artifact's columnar store holds another snapshot's "
+                    "carriers; pass verify_fingerprint=False to serve it "
+                    "anyway"
+                )
             mapped.take_carrier_ids(live)
+            _check_digest(mapped, network, names, expected, "columnar store")
     engine.attach_columnar(live if mapped is None else mapped)
     if "drift_baseline" in payload:
         engine.drift_baseline = DriftBaseline.from_dict(
@@ -307,6 +304,24 @@ def engine_from_dict(
         model = _model_from_dict(model_payload, engine)
         engine.install_model(model.spec.name, model)
     return engine
+
+
+def _check_digest(
+    snapshot: ColumnarSnapshot,
+    network: Network,
+    parameters: List[str],
+    expected: Any,
+    what: str,
+) -> None:
+    """Raise :class:`ArtifactError` unless ``snapshot`` digests to the
+    artifact's ``expected`` fingerprint."""
+    actual = snapshot.fingerprint(network, parameters)
+    if actual != expected:
+        raise ArtifactError(
+            "artifact was fitted on a different snapshot (artifact "
+            f"{str(expected)[:12]}…, {what} {actual[:12]}…); "
+            "pass verify_fingerprint=False to serve it anyway"
+        )
 
 
 def artifact_fingerprint(payload: Dict) -> str:
@@ -356,18 +371,13 @@ def _refuse_moved(engine: AuricEngine, fingerprint: str) -> None:
     )
 
 
-def save_engine(
-    engine: AuricEngine,
-    path: str,
-    snapshot_store: Optional["SnapshotStore"] = None,
-) -> Dict:
+def save_engine(engine: AuricEngine, path: str) -> Dict:
     """Persist a fitted engine; returns the written payload.
 
-    With ``AuricConfig.store`` set to ``"mmap"`` (or an explicit
-    ``snapshot_store``), the encoded columnar snapshot is persisted
-    through that store next to the artifact and referenced by relative
-    path, so it opens zero-copy on load.  A memory artifact carries no
-    snapshot.
+    With ``AuricConfig.store`` set to ``"mmap"``, the encoded columnar
+    snapshot is persisted to an mmap store next to the artifact
+    (:func:`default_store_path`) and referenced by relative path, so it
+    opens zero-copy on load.  A memory artifact carries no snapshot.
 
     The artifact binds the digest of the snapshot the engine's models
     were built from, and a load rebuilds the models over the snapshot
@@ -377,24 +387,14 @@ def save_engine(
     (:meth:`repro.serve.refresh.EngineRefresher.refit` with the
     changelog).
     """
-    if snapshot_store is None and engine.config.store != "memory":
-        from repro.store import open_store
-
-        snapshot_store = open_store(
-            engine.config.store, default_store_path(path)
-        )
     columnar_ref: Optional[Dict] = None
-    if snapshot_store is not None and snapshot_store.kind != "memory":
-        store_path = snapshot_store.path
-        if os.path.dirname(os.path.abspath(store_path)) == os.path.dirname(
-            os.path.abspath(path)
-        ):
-            store_path = os.path.basename(store_path)
-        columnar_ref = {"kind": snapshot_store.kind, "path": store_path}
+    if engine.config.store == "mmap":
+        store_path = default_store_path(path)
+        columnar_ref = {"kind": "mmap", "path": os.path.basename(store_path)}
     payload = engine_to_dict(engine, columnar_ref=columnar_ref)
     _refuse_moved(engine, payload["snapshot_fingerprint"])
     if columnar_ref is not None:
-        snapshot_store.persist(engine.columnar_snapshot())
+        MmapSnapshotStore(store_path).persist(engine.columnar_snapshot())
     with open(path, "w") as handle:
         json.dump(payload, handle)
     if obs_journal.active():

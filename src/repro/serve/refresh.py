@@ -27,9 +27,9 @@ Untouched parameters share the old engine's models, which a full refit
 would reproduce bit-for-bit anyway.  The equivalence suite asserts the
 whole engine matches a full refit on the same changelog.
 
-A refresher constructed with a :class:`repro.store.SnapshotStore`
-persists each refit's re-encoded snapshot, so a replica cold-started
-from it skips the encoding pass of its first refit.
+A refit persists nothing: :func:`repro.serve.save_engine` on the
+swapped-in engine writes its artifact (and, for an mmap engine, its
+snapshot store).
 """
 
 from __future__ import annotations
@@ -306,17 +306,9 @@ class EngineRefresher:
     paper's §6 posture: automation proposes, humans approve).
     """
 
-    def __init__(
-        self,
-        service: RecommendationService,
-        auto_refit: bool = False,
-        snapshot_store: Optional["SnapshotStore"] = None,
-    ):
+    def __init__(self, service: RecommendationService, auto_refit: bool = False):
         self.service = service
         self.auto_refit = auto_refit
-        #: Optional :class:`repro.store.SnapshotStore` kept in step with
-        #: the engine's columnar snapshot (re-persisted after refits).
-        self.snapshot_store = snapshot_store
 
     def check_drift(self, live=None, jobs: int = 1) -> DriftCheck:
         """Score drift and (optionally) act on a stale verdict.
@@ -389,9 +381,6 @@ class EngineRefresher:
             generation = self.service.generation
             if swapped:
                 generation = self.service.refresh_snapshot(engine)
-                snapshot = engine.columnar_snapshot()
-                if self.snapshot_store is not None and snapshot is not None:
-                    self.snapshot_store.persist(snapshot)
             duration = time.perf_counter() - started
             self.service.metrics.record_refresh(duration)
             sp.set("swapped", swapped)

@@ -1,4 +1,4 @@
-"""Memory-mapped binary :class:`SnapshotStore`.
+"""The memory-mapped snapshot store file.
 
 One file holds the whole columnar snapshot:
 
@@ -22,9 +22,8 @@ the header can be rendered before the blob positions are final.
 :meth:`MmapSnapshotStore.load` maps the file with ``mmap.ACCESS_READ``
 and returns a snapshot whose arrays are **read-only zero-copy views**
 over the page cache: opening is one header parse plus an ``mmap``, and
-the kernel shares the pages across every process that maps the same
-file.  The snapshot keeps a :class:`FileBacking` record so pool payloads
-ship as ``(path, layouts)`` references instead of array copies.
+the views keep the map alive.  A file shorter than its header or its
+layouts says is refused with :class:`SnapshotStoreError`.
 
 Writes are deterministic — parameters sorted by name, canonical JSON —
 so persisting an unchanged snapshot reproduces the file byte for byte
@@ -38,7 +37,6 @@ import mmap as _mmap
 import os
 import struct
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -46,25 +44,14 @@ import numpy as np
 from repro.core.columnar import ColumnarSnapshot, ParameterColumns
 from repro.netmodel.identifiers import CarrierId, ENodeBId, MarketId
 from repro.obs import metrics as obs_metrics
-from repro.store.base import (
-    SnapshotStore,
-    SnapshotStoreError,
-    record_open,
-    record_persist,
-)
 
 MAGIC = b"AURSTOR1"
 FORMAT_VERSION = 2
 _PREFIX = len(MAGIC) + 8  # magic + header-length word
 
 
-@dataclass(frozen=True)
-class SegmentLayout:
-    """Where one array lives inside a store file."""
-
-    dtype: str
-    shape: Tuple[int, ...]
-    offset: int
+class SnapshotStoreError(Exception):
+    """A snapshot store could not persist or open."""
 
 
 def aligned(offset: int, alignment: int = 16) -> int:
@@ -72,82 +59,32 @@ def aligned(offset: int, alignment: int = 16) -> int:
     return (offset + alignment - 1) // alignment * alignment
 
 
-class MappedFile:
-    """A read-only memory map of a snapshot-store file.
-
-    Arrays read from it are zero-copy views over the page cache; keep
-    the object referenced for as long as any view is alive (the owning
-    snapshot holds it through its backing record).
-    """
-
-    __slots__ = ("path", "_file", "_map")
-
-    def __init__(self, path: str) -> None:
-        self.path = str(path)
-        self._file = open(self.path, "rb")
-        try:
-            self._map = _mmap.mmap(
-                self._file.fileno(), 0, access=_mmap.ACCESS_READ
-            )
-        except (ValueError, OSError):
-            self._file.close()
-            raise
-
-    def size(self) -> int:
-        return self._map.size()
-
-    def read(self, layout: SegmentLayout) -> np.ndarray:
-        """A read-only zero-copy view over the mapped file."""
-        count = 1
-        for dim in layout.shape:
-            count *= int(dim)
-        array = np.frombuffer(
-            self._map,
-            dtype=np.dtype(layout.dtype),
-            count=count,
-            offset=layout.offset,
-        )
-        return array.reshape(layout.shape)
-
-    def close(self) -> None:
-        try:
-            self._map.close()
-        finally:
-            self._file.close()
-
-
-def map_file(path: str) -> MappedFile:
-    """Map a store file read-only (store open, pool worker attach)."""
-    mapped = MappedFile(path)
+def record_persist(seconds: float, nbytes: int) -> None:
     obs_metrics.counter(
-        "repro_store_mmap_attach_total",
-        "Read-only mmap attachments of snapshot-store files",
+        "repro_store_persist_total", "Snapshot-store persist operations"
     ).inc(1.0)
     obs_metrics.counter(
-        "repro_store_mmap_bytes_total",
-        "Bytes mapped zero-copy from snapshot-store files",
-    ).inc(float(mapped.size()))
-    return mapped
+        "repro_store_persist_seconds_total",
+        "Wall-clock seconds spent persisting snapshots",
+    ).inc(float(seconds))
+    obs_metrics.counter(
+        "repro_store_persist_bytes_total",
+        "Bytes written by snapshot-store persists",
+    ).inc(float(nbytes))
 
 
-@dataclass
-class FileBacking:
-    """Ties a snapshot's arrays to the store file they are mapped from.
-
-    ``ColumnarSnapshot.__getstate__`` consults this record: while every
-    buffer is still the mapped view created at open time, pickles carry
-    only ``(path, layouts)`` and the receiver re-maps the file instead
-    of copying the arrays.
-    """
-
-    path: str
-    mapped: MappedFile
-    layouts: Dict[Tuple[str, Optional[str]], SegmentLayout] = field(
-        default_factory=dict
-    )
-    arrays: Dict[Tuple[str, Optional[str]], np.ndarray] = field(
-        default_factory=dict
-    )
+def record_open(seconds: float, nbytes: int) -> None:
+    obs_metrics.counter(
+        "repro_store_open_total", "Snapshot-store load/open operations"
+    ).inc(1.0)
+    obs_metrics.counter(
+        "repro_store_open_seconds_total",
+        "Wall-clock seconds spent opening persisted snapshots",
+    ).inc(float(seconds))
+    obs_metrics.counter(
+        "repro_store_open_bytes_total",
+        "Bytes made available by snapshot-store opens",
+    ).inc(float(nbytes))
 
 
 def _snapshot_arrays(
@@ -184,8 +121,8 @@ def _carrier_ids(rows: np.ndarray) -> List[CarrierId]:
     return carrier_ids
 
 
-class MmapSnapshotStore(SnapshotStore):
-    kind = "mmap"
+class MmapSnapshotStore:
+    """A columnar snapshot persisted to, and mapped from, one file."""
 
     def __init__(self, path: str) -> None:
         self.path = str(path)
@@ -193,6 +130,7 @@ class MmapSnapshotStore(SnapshotStore):
     # -- write ------------------------------------------------------------
 
     def persist(self, snapshot: ColumnarSnapshot) -> Dict:
+        """Write ``snapshot`` out; returns a summary dict (path, sizes)."""
         started = time.perf_counter()
         arrays = _snapshot_arrays(snapshot)
         layouts = []
@@ -232,9 +170,9 @@ class MmapSnapshotStore(SnapshotStore):
                 fh.write(np.ascontiguousarray(array).tobytes())
         os.replace(tmp, self.path)
         nbytes = os.path.getsize(self.path)
-        record_persist(self.kind, time.perf_counter() - started, nbytes)
+        record_persist(time.perf_counter() - started, nbytes)
         return {
-            "kind": self.kind,
+            "kind": "mmap",
             "path": self.path,
             "carriers": len(snapshot.carrier_ids),
             "parameters": sorted(snapshot.parameters),
@@ -243,14 +181,27 @@ class MmapSnapshotStore(SnapshotStore):
 
     # -- read -------------------------------------------------------------
 
+    def _truncated(
+        self, size: int, needed: int, what: str
+    ) -> SnapshotStoreError:
+        return SnapshotStoreError(
+            f"{self.path} is truncated: {what} ends at byte {needed}, "
+            f"the file at byte {size}"
+        )
+
     def _read_header(self) -> Tuple[Dict, int]:
         with open(self.path, "rb") as fh:
-            magic = fh.read(len(MAGIC))
-            if magic != MAGIC:
+            size = os.fstat(fh.fileno()).st_size
+            prefix = fh.read(_PREFIX)
+            if prefix[: len(MAGIC)] != MAGIC:
                 raise SnapshotStoreError(
                     f"{self.path} is not an auric mmap store (bad magic)"
                 )
-            (header_len,) = struct.unpack("<Q", fh.read(8))
+            if len(prefix) < _PREFIX:
+                raise self._truncated(size, _PREFIX, "the header length")
+            (header_len,) = struct.unpack("<Q", prefix[len(MAGIC) :])
+            if _PREFIX + header_len > size:
+                raise self._truncated(size, _PREFIX + header_len, "the header")
             try:
                 header = json.loads(fh.read(header_len).decode("utf-8"))
             except ValueError as exc:
@@ -265,19 +216,28 @@ class MmapSnapshotStore(SnapshotStore):
         return header, aligned(_PREFIX + header_len)
 
     def load(self) -> Optional[ColumnarSnapshot]:
-        if not self.exists():
+        """The persisted snapshot, its arrays read-only zero-copy views
+        over the mapped file, or ``None`` when there is no file."""
+        if not os.path.exists(self.path):
             return None
         started = time.perf_counter()
         header, data_start = self._read_header()
-        mapped = map_file(self.path)
-        layouts: Dict[Tuple[str, Optional[str]], SegmentLayout] = {}
+        with open(self.path, "rb") as fh:
+            mapped = _mmap.mmap(fh.fileno(), 0, access=_mmap.ACCESS_READ)
+        size = len(mapped)
         buffers: Dict[Tuple[str, Optional[str]], np.ndarray] = {}
         for field, name, dtype, shape, rel_offset in header["layouts"]:
-            layout = SegmentLayout(
-                dtype=dtype, shape=tuple(shape), offset=data_start + rel_offset
-            )
-            layouts[(field, name)] = layout
-            buffers[(field, name)] = mapped.read(layout)
+            dtype = np.dtype(dtype)
+            count = 1
+            for dim in shape:
+                count *= int(dim)
+            offset = data_start + rel_offset
+            end = offset + count * dtype.itemsize
+            if end > size:
+                raise self._truncated(size, end, f"the {field} array")
+            buffers[(field, name)] = np.frombuffer(
+                mapped, dtype=dtype, count=count, offset=offset
+            ).reshape(shape)
         parameters: Dict[str, ParameterColumns] = {}
         for meta in header["parameters"]:
             name = meta["parameter"]
@@ -296,26 +256,12 @@ class MmapSnapshotStore(SnapshotStore):
                 carrier_key_from_str(t) for t in header["carrier_ids"]
             ]
         else:
-            carrier_ids = _carrier_ids(buffers.pop(("carrier_ids", None)))
+            carrier_ids = _carrier_ids(buffers[("carrier_ids", None)])
         snapshot = ColumnarSnapshot(
             carrier_ids=carrier_ids,
             codes=buffers[("codes", None)],
             vocabs=[list(vocab) for vocab in header["vocabs"]],
             parameters=parameters,
         )
-        snapshot._backing = FileBacking(
-            path=self.path, mapped=mapped, layouts=layouts, arrays=buffers
-        )
-        record_open(self.kind, time.perf_counter() - started, mapped.size())
+        record_open(time.perf_counter() - started, size)
         return snapshot
-
-    # -- lifecycle --------------------------------------------------------
-
-    def exists(self) -> bool:
-        return os.path.exists(self.path)
-
-    def describe(self) -> Dict:
-        info: Dict = {"kind": self.kind, "path": self.path}
-        if self.exists():
-            info["bytes"] = os.path.getsize(self.path)
-        return info

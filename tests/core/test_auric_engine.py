@@ -153,6 +153,7 @@ class TestConfigValidation:
             ("min_effect_size", -0.1),
             ("min_effect_size", 1.5),
             ("selection", "bogus"),
+            ("store", "carrier-pigeon"),
         ],
     )
     def test_out_of_range_field_rejected_at_construction(self, field, value):

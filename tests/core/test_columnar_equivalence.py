@@ -11,7 +11,9 @@ approximately equal — down to insertion order, float vote sums and
 mismatch lists.
 """
 
+import copy
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -25,7 +27,6 @@ from repro.serve.artifacts import (
     load_engine,
     save_engine,
 )
-from repro.store import MmapSnapshotStore
 
 from tests.conftest import model_state
 
@@ -76,11 +77,11 @@ def _round_trips(engine, dataset, directory):
         dataset.store,
     )
     path = str(directory / "engine.json")
-    save_engine(
-        engine, path, snapshot_store=MmapSnapshotStore(path + ".columnar")
-    )
+    mmap_engine = copy.copy(engine)
+    mmap_engine.config = replace(engine.config, store="mmap")
+    save_engine(mmap_engine, path)
     mapped = load_engine(path, dataset.network, dataset.store)
-    assert mapped.columnar_snapshot()._backing is not None
+    assert not mapped.columnar_snapshot().codes.flags.writeable
     return {"memory": memory, "mmap": mapped}
 
 

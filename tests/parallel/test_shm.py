@@ -1,11 +1,11 @@
 """Pickle transport of the columnar snapshot to pool workers.
 
-A snapshot built in memory pickles its arrays inline; a spawn-start
-pool unpickles that payload once per worker (fork pools inherit it).
-The pickle round trip and the spawn-pool end-to-end identity — of the
-fit and of the leave-one-out sweep, whose payload is a fitted engine —
-are covered here; the mmap store's reference pickle is covered in
-``tests/store/test_snapshot_store.py``.
+A snapshot pickles its arrays inline, whether it was encoded in memory
+or opened from the mmap store; a spawn-start pool unpickles that
+payload once per worker (fork pools inherit it).  The pickle round trip
+and the spawn-pool end-to-end identity — of the fit and of the
+leave-one-out sweep, whose payload is a fitted engine — are covered
+here.
 """
 
 import os
@@ -17,6 +17,7 @@ from repro.core import AuricEngine, RecommendRequest
 from repro.core.columnar import ColumnarSnapshot
 from repro.eval.runner import EvaluationRunner
 from repro.parallel.pool import START_METHOD_ENV
+from repro.store import MmapSnapshotStore
 
 from tests.conftest import model_state
 
@@ -50,17 +51,18 @@ def _assert_same_snapshot(a: ColumnarSnapshot, b: ColumnarSnapshot) -> None:
 
 
 class TestPickleFallback:
-    def test_plain_pickle_outside_export_session(self, dataset):
+    def test_plain_pickle_outside_export_session(self, dataset, tmp_path):
         snapshot = _snapshot(dataset)
-        state = snapshot.__getstate__()
-        assert "arrays" in state and "shm_name" not in state
-        _assert_same_snapshot(snapshot, pickle.loads(pickle.dumps(snapshot)))
+        store = MmapSnapshotStore(str(tmp_path / "snap.columnar"))
+        store.persist(snapshot)
+        for sent in (snapshot, store.load()):
+            _assert_same_snapshot(snapshot, pickle.loads(pickle.dumps(sent)))
 
 
 class TestSpawnPoolIdentity:
     def test_spawn_fit_matches_serial(self, dataset):
-        """A spawn-start pool (shm transport active) fits byte-identical
-        models to the serial path."""
+        """A spawn-start pool fits byte-identical models to the serial
+        path."""
         parameters = ["pMax", "inactivityTimer"]
         serial = AuricEngine(dataset.network, dataset.store).fit(parameters)
         previous = os.environ.get(START_METHOD_ENV)

@@ -9,7 +9,9 @@ import pytest
 from repro.config.store import PairKey
 from repro.core import AuricEngine, NewCarrierRequest
 from repro.core.auric import AuricConfig
+from repro.core.columnar import ColumnarSnapshot
 from repro.core.recommendation import RecommendRequest
+from repro.datagen import tiny_workload
 from repro.dataio import dataset_to_dict, snapshot_from_dict
 from repro.dataio.keys import carrier_key_to_str
 from repro.ops.history import ChangeLog, ChangeSource
@@ -271,7 +273,7 @@ class TestColumnarPersistence:
         self, fitted_engine, reloaded
     ):
         snapshot = reloaded.columnar_snapshot()
-        assert snapshot is not None and snapshot._backing is None
+        assert snapshot is not None and snapshot.codes.flags.writeable
         network = fitted_engine.network
         assert snapshot.fingerprint(
             network, SERVE_PARAMETERS
@@ -377,7 +379,7 @@ class TestColumnarPersistence:
             payload, dataset.network, dataset.store, base_dir=str(tmp_path)
         )
         assert loaded.config == fitted_engine.config
-        assert loaded.columnar_snapshot()._backing is None
+        assert loaded.columnar_snapshot().codes.flags.writeable
         for carrier in list(dataset.network.carriers())[:40]:
             for local in (True, False):
                 for name in SINGULAR:
@@ -401,7 +403,7 @@ class TestColumnarPersistence:
         engine = engine_from_dict(
             payload, dataset.network, dataset.store, verify_fingerprint=False
         )
-        assert engine.columnar_snapshot()._backing is None
+        assert engine.columnar_snapshot().codes.flags.writeable
         assert engine.config == fitted_engine.config
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
 
@@ -425,7 +427,7 @@ class TestColumnarPersistence:
                 verify_fingerprint=False,
             )
             assert loaded.config == fitted_engine.config
-            assert loaded.columnar_snapshot()._backing is None
+            assert loaded.columnar_snapshot().codes.flags.writeable
             for carrier in carriers:
                 for local in (True, False):
                     for name in ("pMax", "inactivityTimer"):
@@ -453,6 +455,7 @@ class TestColumnarPersistence:
             ("min_effect_size", -0.1),
             ("min_effect_size", 1.5),
             ("selection", "bogus"),
+            ("store", "carrier-pigeon"),
         ],
     )
     def test_out_of_range_config_rejected_on_load(
@@ -742,13 +745,31 @@ class TestSchemaV6:
             engine.fitted_models()["pMax"]
         )
 
+    def test_verifying_load_refuses_a_store_of_other_carriers(
+        self, dataset, tmp_path
+    ):
+        """A store file holding another network's carriers is refused
+        before its digest maps this network's X2 relations to slots."""
+        path = tmp_path / "a" / "engine.json"
+        self._save_mmap(dataset.network, dataset.store, path)
+        other = tiny_workload()
+        specs = [other.catalog.spec(name) for name in self.PARAMETERS]
+        MmapSnapshotStore(f"{path}.columnar").persist(
+            ColumnarSnapshot.encode(other.network, other.store, specs)
+        )
+        with pytest.raises(
+            ArtifactError,
+            match="columnar store holds another snapshot's carriers",
+        ):
+            load_engine(str(path), dataset.network, dataset.store)
+
     def test_verified_mmap_load_keys_slots_by_the_networks_ids(
         self, dataset, tmp_path
     ):
         path = tmp_path / "a" / "engine.json"
         self._save_mmap(dataset.network, dataset.store, path)
         loaded = load_engine(str(path), dataset.network, dataset.store)
-        assert loaded.columnar_snapshot()._backing is not None
+        assert not loaded.columnar_snapshot().codes.flags.writeable
         slots = loaded.carrier_slots()
         assert len(slots) == dataset.network.carrier_count()
         assert all(
@@ -769,9 +790,10 @@ class TestUnverifiedLoad:
         mapped = tmp_path / "mapped.json"
         save_engine(engine, str(memory))
         save_engine(
-            engine,
+            AuricEngine(
+                dataset.network, store, AuricConfig(store="mmap")
+            ).fit(["pMax"]),
             str(mapped),
-            snapshot_store=MmapSnapshotStore(str(mapped) + ".columnar"),
         )
         values = store.singular_values("pMax")
         vocab = sorted(set(values.values()), key=repr)
@@ -807,7 +829,7 @@ class TestUnverifiedLoad:
         loaded = load_engine(
             str(mapped), dataset.network, store, verify_fingerprint=False
         )
-        assert loaded.columnar_snapshot()._backing is not None
+        assert not loaded.columnar_snapshot().codes.flags.writeable
         assert model_state(loaded.fitted_models()["pMax"]) == model_state(
             engine.fitted_models()["pMax"]
         )

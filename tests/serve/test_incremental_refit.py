@@ -32,7 +32,6 @@ from repro.obs import metrics as obs_metrics
 from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
-from repro.store import MmapSnapshotStore
 
 from tests.conftest import model_state
 
@@ -365,22 +364,6 @@ class TestServiceIntegration:
         assert (
             service.engine.drift_baseline.parameters["pMax"]
             == fresh.drift_baseline.parameters["pMax"]
-        )
-
-    def test_snapshot_store_persisted_after_refit(self, dataset, tmp_path):
-        config = AuricConfig()
-        store, engine, service, _ = build(dataset, config)
-        snapshot_store = MmapSnapshotStore(str(tmp_path / "snap.columnar"))
-        refresher = EngineRefresher(service, snapshot_store=snapshot_store)
-        log = ChangeLog()
-        flip_values(store, "pMax", 2, log)
-        refresher.refit(log)
-        persisted = snapshot_store.load()
-        assert persisted is not None
-        live = service.engine.columnar_snapshot()
-        np.testing.assert_array_equal(
-            persisted.parameters["pMax"].label_codes,
-            live.parameters["pMax"].label_codes,
         )
 
     def test_unfitted_touched_parameter_is_ignored(self, dataset):

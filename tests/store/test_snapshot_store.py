@@ -1,21 +1,15 @@
-"""SnapshotStore backends: round-trips, determinism, zero-copy mmap
-semantics and the pool reference transport."""
+"""The mmap snapshot store: round-trips, determinism, zero-copy
+semantics, store formats and truncated files."""
 
 import json
-import pickle
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from repro.core.columnar import ColumnarSnapshot
-from repro.store import (
-    STORE_KINDS,
-    MemorySnapshotStore,
-    MmapSnapshotStore,
-    SnapshotStoreError,
-    open_store,
-)
+from repro.store import MmapSnapshotStore, SnapshotStoreError
 
 PARAMETERS = ("pMax", "hysA3Offset")
 
@@ -33,9 +27,7 @@ def snapshot(dataset):
     return ColumnarSnapshot.encode(dataset.network, dataset.store, specs)
 
 
-def make_store(kind, tmp_path):
-    if kind == "memory":
-        return MemorySnapshotStore()
+def make_store(tmp_path):
     return MmapSnapshotStore(str(tmp_path / "snap.columnar"))
 
 
@@ -59,9 +51,9 @@ def assert_snapshots_equal(a, b):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("kind", ["memory", "mmap"])
+    @pytest.mark.parametrize("kind", ["mmap"])
     def test_persist_load_round_trips(self, snapshot, tmp_path, kind):
-        store = make_store(kind, tmp_path)
+        store = make_store(tmp_path)
         info = store.persist(snapshot)
         assert info["kind"] == kind
         loaded = store.load()
@@ -79,25 +71,13 @@ class TestRoundTrip:
         b = (tmp_path / "b.columnar").read_bytes()
         assert a == b
 
-    def test_memory_load_shares_arrays(self, snapshot):
-        store = MemorySnapshotStore()
-        store.persist(snapshot)
-        loaded = store.load()
-        assert loaded.codes is snapshot.codes
-        for name in PARAMETERS:
-            assert (
-                loaded.parameters[name].sources
-                is snapshot.parameters[name].sources
-            )
-
     def test_load_before_persist_returns_none(self, tmp_path):
-        for kind in ("memory", "mmap"):
-            assert make_store(kind, tmp_path).load() is None
+        assert make_store(tmp_path).load() is None
 
 
 class TestMmapSemantics:
     def test_loaded_arrays_are_read_only_views(self, snapshot, tmp_path):
-        store = make_store("mmap", tmp_path)
+        store = make_store(tmp_path)
         store.persist(snapshot)
         loaded = store.load()
         assert not loaded.codes.flags.writeable
@@ -105,24 +85,29 @@ class TestMmapSemantics:
             loaded.codes[0, 0] = 99
         assert not loaded.parameters["pMax"].label_codes.flags.writeable
 
-    def test_pickle_ships_a_reference_not_the_arrays(self, snapshot, tmp_path):
-        """The pool transport: a mapped snapshot pickles to the store
-        path + layouts, and the receiver re-maps the same file."""
-        store = make_store("mmap", tmp_path)
-        store.persist(snapshot)
-        loaded = store.load()
-        blob = pickle.dumps(loaded)
-        inline = pickle.dumps(snapshot)
-        assert len(blob) < len(inline) / 2
-        revived = pickle.loads(blob)
-        assert_snapshots_equal(snapshot, revived)
-        assert not revived.codes.flags.writeable
-
     def test_bad_magic_raises(self, tmp_path):
         path = tmp_path / "snap.columnar"
         path.write_bytes(b"NOTASTORE-------" * 4)
         with pytest.raises(SnapshotStoreError, match="bad magic"):
             MmapSnapshotStore(str(path)).load()
+
+    def test_cut_inside_the_prefix_raises(self, snapshot, tmp_path):
+        store = make_store(tmp_path)
+        store.persist(snapshot)
+        os.truncate(store.path, 12)
+        with pytest.raises(SnapshotStoreError, match="truncated: the header"):
+            store.load()
+
+    def test_cut_inside_a_blob_raises(self, snapshot, tmp_path):
+        store = make_store(tmp_path)
+        store.persist(snapshot)
+        header, data_start = store._read_header()
+        last_offset = header["layouts"][-1][4]
+        os.truncate(store.path, data_start + last_offset + 1)
+        with pytest.raises(
+            SnapshotStoreError, match="truncated: the label_codes array"
+        ):
+            store.load()
 
 
 def _write_format_1(snapshot, path):
@@ -163,7 +148,7 @@ class TestCarrierIds:
     def test_format_2_stores_ids_as_integers(self, snapshot, tmp_path):
         """Format 2 keeps no id strings in the header, and the ids it
         builds back share one market and one eNodeB object per value."""
-        store = make_store("mmap", tmp_path)
+        store = make_store(tmp_path)
         store.persist(snapshot)
         header, _ = store._read_header()
         assert header["format"] == 2
@@ -185,24 +170,3 @@ class TestCarrierIds:
         loaded = MmapSnapshotStore(str(path)).load()
         assert loaded.carrier_ids == snapshot.carrier_ids
         assert_snapshots_equal(snapshot, loaded)
-
-
-class TestFactory:
-    def test_memory_needs_no_path(self):
-        assert open_store("memory").kind == "memory"
-
-    @pytest.mark.parametrize("kind", ["mmap"])
-    def test_file_kinds_require_a_path(self, kind, tmp_path):
-        with pytest.raises(SnapshotStoreError, match="requires a path"):
-            open_store(kind)
-        store = open_store(kind, str(tmp_path / "s"))
-        assert store.kind == kind
-
-    def test_kinds_are_memory_and_mmap(self):
-        assert STORE_KINDS == ("memory", "mmap")
-        with pytest.raises(SnapshotStoreError, match="unknown"):
-            open_store("file", "snap.columnar.json")
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(SnapshotStoreError, match="unknown"):
-            open_store("carrier-pigeon", "somewhere")

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -250,6 +251,24 @@ class TestServeBatch:
         assert code == 2
         assert err.startswith("error: ")
         assert expected in err
+
+    @pytest.mark.parametrize("cut", ["prefix", "blob"])
+    def test_truncated_store_is_a_clean_error(
+        self, snapshot, requests_file, tmp_path, capsys, cut
+    ):
+        artifact = tmp_path / "engine.json"
+        base = [str(snapshot), str(requests_file), "--parameters", "pMax"]
+        assert main(["serve-batch", *base, "--store", "mmap",
+                     "--save-artifact", str(artifact)]) == 0
+        store = tmp_path / "engine.json.columnar"
+        size = 12 if cut == "prefix" else store.stat().st_size - 1
+        os.truncate(store, size)
+        capsys.readouterr()
+        code = main(["serve-batch", *base, "--artifact", str(artifact)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: cannot open the artifact's columnar store")
+        assert "is truncated" in err
 
 
 class TestObservabilityCommands:

@@ -1,7 +1,8 @@
 """End-to-end tests for ``repro health`` / ``repro dashboard``.
 
 Exit-code semantics are the contract: 0 healthy, 1 degraded (drift),
-2 failing (a user-facing SLO breached beyond tolerance).
+2 failing (a user-facing SLO breached beyond tolerance) or a refused
+input (an ``error:`` line on stderr).
 """
 
 import json
@@ -66,9 +67,61 @@ class TestExitCodes:
         assert "health: failing" in out
         assert "latency-p99" in out
 
-    def test_unknown_parameter_rejected(self, paths):
-        with pytest.raises(SystemExit, match="unknown parameter"):
-            health(paths, "--parameters", "bogusKnob")
+    def test_unknown_parameter_rejected(self, paths, capsys):
+        assert health(paths, "--parameters", "bogusKnob") == 2
+        assert "error: unknown parameter 'bogusKnob'" in capsys.readouterr().err
+
+
+class TestRefusedInputs:
+    """An input the command refuses exits 2 with an ``error:`` line, as
+    ``serve-batch`` does, never 1 (degraded) with a traceback."""
+
+    def test_refused_load(self, paths, capsys):
+        code = main([
+            "health", "--snapshot", str(paths["four"]),
+            "--artifact", str(paths["artifact"]), "--no-profile",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: artifact was fitted on a different")
+        assert "hint: --no-verify-artifact" in err
+
+    def test_refused_save(self, paths, capsys, tmp_path):
+        """An mmap artifact loaded unverified over moved values votes
+        from its store, so saving it over the moved snapshot is
+        refused."""
+        artifact = tmp_path / "engine.json"
+        base = ["health", "--no-profile", "--shadow-targets", "0",
+                "--requests", "0"]
+        assert main([*base, "--snapshot", str(paths["tiny"]),
+                     "--store", "mmap", "--save-artifact", str(artifact)]) == 0
+        document = json.loads(paths["tiny"].read_text())
+        values = document["config"]["singular"]["pMax"]
+        vocab = sorted(set(values.values()))
+        for key in sorted(values)[:40]:
+            values[key] = next(v for v in vocab if v != values[key])
+        moved = tmp_path / "moved.json"
+        moved.write_text(json.dumps(document))
+        capsys.readouterr()
+        code = main([*base, "--snapshot", str(moved),
+                     "--artifact", str(artifact), "--no-verify-artifact",
+                     "--save-artifact", str(tmp_path / "again.json")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the store moved after the fit of pMax"
+        )
+        assert not (tmp_path / "again.json").exists()
+
+    def test_dashboard_refused_load(self, paths, capsys, tmp_path):
+        page = tmp_path / "dash.html"
+        code = main([
+            "dashboard", "--snapshot", str(paths["four"]),
+            "--artifact", str(paths["artifact"]), "--no-profile",
+            "-o", str(page),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: artifact was fitted")
+        assert not page.exists()
 
 
 class TestDocuments:

@@ -229,7 +229,7 @@ class TestSnapshotFingerprint:
         store = MmapSnapshotStore(str(tmp_path / "snapshot.columnar"))
         store.persist(snapshot)
         mapped = store.load()
-        assert mapped._backing is not None
+        assert not mapped.codes.flags.writeable
         assert mapped.fingerprint(pinned.network, FITTED) == PINNED_FINGERPRINT
 
     @pytest.mark.parametrize(
