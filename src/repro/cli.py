@@ -802,6 +802,7 @@ def _verify_storm_trace(host: str, port: int) -> dict:
 def _run_trace(args) -> int:
     """Render one trace's span tree (the ``repro trace <id>`` command)."""
     from repro.obs import tracing
+    from repro.obs.records import read_records
 
     trace_id = args.trace_id.strip().lower()
     if args.input is None and args.url is None:
@@ -809,17 +810,16 @@ def _run_trace(args) -> int:
         return 2
 
     spans: List[dict] = []
+    skipped = 0
     if args.input is not None:
-        with open(args.input) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                # Flight dumps interleave meta/digest records; keep
-                # only span-shaped lines.
-                if "span_id" in record and "name" in record:
-                    spans.append(record)
+        try:
+            scan = read_records(args.input)
+        except OSError as exc:
+            return _refuse(f"cannot read spans: {exc}")
+        # Flight dumps interleave meta/digest records; keep only
+        # span-shaped lines.
+        spans = [r for r in scan.records if "span_id" in r and "name" in r]
+        skipped = scan.skipped
     else:
         import http.client
         from urllib.parse import urlsplit
@@ -858,9 +858,14 @@ def _run_trace(args) -> int:
         print(f"error: no spans for trace {trace_id}", file=sys.stderr)
         return 1
     if args.format == "json":
-        _emit(json.dumps(tree.to_dict(), indent=2), args)
+        payload = tree.to_dict()
+        payload["skipped_lines"] = skipped
+        _emit(json.dumps(payload, indent=2), args)
     else:
-        _emit(tree.render(), args)
+        text = tree.render()
+        if skipped:
+            text += f"\n({skipped} corrupt line(s) skipped)"
+        _emit(text, args)
     return 0
 
 
@@ -900,8 +905,13 @@ def _run_timeline(args) -> int:
     return 0
 
 
-def _build_service(args, parameters: List[str]):
-    """Fit a service over the chosen workload (explain / metrics)."""
+def _build_service(args, parameters: List[str], carrier_id=None):
+    """Fit a service over the chosen workload (explain / metrics).
+
+    Returns ``(dataset, service)``, or the exit code 2 after an
+    ``error:`` line, before the fit, for an unknown parameter or
+    ``carrier_id``.
+    """
     from repro.config.rulebook import RuleBook
     from repro.core.auric import AuricEngine
     from repro.serve import RecommendationService
@@ -909,7 +919,9 @@ def _build_service(args, parameters: List[str]):
     dataset = _build_workload(args.workload, args.scale, args.seed)
     for name in parameters:
         if name not in dataset.store.catalog:
-            raise SystemExit(f"error: unknown parameter {name!r}")
+            return _refuse(f"unknown parameter {name!r}")
+    if carrier_id is not None and not dataset.network.has_carrier(carrier_id):
+        return _refuse(f"unknown carrier {args.carrier!r}")
     engine = AuricEngine(dataset.network, dataset.store, _engine_config(args)).fit(
         parameters, jobs=args.jobs
     )
@@ -924,10 +936,17 @@ def _run_explain(args) -> int:
     from repro.dataio.keys import carrier_key_from_str
 
     parameters = [p for p in args.parameters.split(",") if p]
-    dataset, service = _build_service(args, parameters)
+    carrier_id = None
     if args.carrier is not None:
-        carrier_id = carrier_key_from_str(args.carrier)
-    else:
+        try:
+            carrier_id = carrier_key_from_str(args.carrier)
+        except ValueError as exc:
+            return _refuse(exc)
+    built = _build_service(args, parameters, carrier_id)
+    if isinstance(built, int):
+        return built
+    dataset, service = built
+    if carrier_id is None:
         carrier_id = sorted(dataset.store.carriers())[0]
     request = RecommendRequest(
         carrier_id=carrier_id,
@@ -963,7 +982,10 @@ def _run_metrics(args) -> int:
     obs_metrics.set_registry(registry)
     try:
         parameters = [p for p in args.parameters.split(",") if p]
-        dataset, service = _build_service(args, parameters)
+        built = _build_service(args, parameters)
+        if isinstance(built, int):
+            return built
+        dataset, service = built
         # Route the service's own instruments into the same registry so
         # one exposition covers the whole run.
         service.metrics = ServiceMetrics(registry=registry)
@@ -1172,6 +1194,7 @@ def _run_dashboard(args) -> int:
 def _configure_observability(args):
     """Wire --trace / --log-level / -v; returns a cleanup callable."""
     from repro.obs import logs, tracing
+    from repro.obs.records import RecordSink
 
     level = getattr(args, "log_level", None)
     verbose = getattr(args, "verbose", 0)
@@ -1190,20 +1213,17 @@ def _configure_observability(args):
         journal_handle = obs_journal.configure(journal_path)
 
     trace_path = getattr(args, "trace", None)
-    exporter = None
+    sink = None
     if trace_path is not None:
-        exporter = tracing.JsonlExporter(trace_path)
-        tracing.configure([exporter])
-        # Flush the JSONL file even when the run exits abnormally
-        # (atexit, SIGTERM/SIGINT) — a killed serve-batch keeps its
-        # spans.
-        tracing.install_exit_flush(exporter)
+        # Each span is one unbuffered write, so a killed run keeps every
+        # span it finished with no exit hook.
+        sink = RecordSink(path=trace_path)
+        tracing.configure([sink])
 
     def cleanup() -> None:
-        if exporter is not None:
+        if sink is not None:
             tracing.disable()
-            tracing.uninstall_exit_flush(exporter)
-            exporter.close()
+            sink.close()
         if journal_handle is not None:
             from repro.obs import journal as obs_journal
 

@@ -11,8 +11,11 @@ Three pillars, all zero-cost when disabled:
   attached to recommendation results and audit history.
 
 Plus :mod:`repro.obs.logs`, a ``key=value`` structured-logging setup
-shared by the CLI and the serving/ops layers, and the health layer that
-turns the raw instruments into operational signal:
+shared by the CLI and the serving/ops layers; :mod:`repro.obs.records`,
+the one record sink (a lock-free bounded ring plus an optional
+append-only JSONL file) and its tolerant reader, which spans, flight
+digests and journal records share; and the health layer that turns the
+raw instruments into operational signal:
 
 * :mod:`repro.obs.health` — fit-time distribution baselines scored
   against live snapshots (PSI + chi-square drift detection) and the
@@ -24,8 +27,8 @@ turns the raw instruments into operational signal:
 * :mod:`repro.obs.dashboard` — a static-HTML health snapshot,
 * :mod:`repro.obs.flight` — an always-on black-box flight recorder of
   recent request digests, dumped on SLO breach / shed burst / SIGTERM,
-* :mod:`repro.obs.journal` — an append-only, fsync-safe JSONL
-  engine-lifecycle journal: every generation transition (fit, refresh,
+* :mod:`repro.obs.journal` — the engine-lifecycle journal, an
+  fsync'd record-sink file: every generation transition (fit, refresh,
   incremental refit, hot swap, push, rollback) records its trigger,
   drift scores, refit kind, fingerprints and parent generation, and
   ``repro timeline`` replays the generation DAG.
@@ -40,7 +43,6 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
-    LatencyHistogram,
     MetricsRegistry,
     NULL_REGISTRY,
     NullInstrument,
@@ -61,9 +63,8 @@ from repro.obs.provenance import (
     ResultExplanation,
     VoteShare,
 )
+from repro.obs.records import RecordScan, RecordSink, read_records
 from repro.obs.tracing import (
-    JsonlExporter,
-    RingBufferExporter,
     Span,
     TraceTree,
     Tracer,
@@ -73,16 +74,13 @@ from repro.obs.tracing import (
     configure as configure_tracing,
     current_context,
     disable as disable_tracing,
-    flush_exit_exporters,
     format_traceparent,
     get_tracer,
     ingest,
-    install_exit_flush,
     parse_traceparent,
     record_span,
     span,
     span_from_context,
-    uninstall_exit_flush,
     use_context,
     active as tracing_active,
 )
@@ -96,7 +94,6 @@ from repro.obs.flight import (
 )
 from repro.obs.journal import (
     EngineJournal,
-    JournalScan,
     Timeline,
     TimelineNode,
     active as journal_active,
@@ -152,7 +149,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "HealthReport",
-    "LatencyHistogram",
     "RequestDigest",
     "SLOEngine",
     "SLOReport",
@@ -161,16 +157,15 @@ __all__ = [
     "SamplingProfiler",
     "ServiceMetrics",
     "Histogram",
-    "JournalScan",
-    "JsonlExporter",
     "KeyValueFormatter",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullInstrument",
     "NullRegistry",
     "ParameterExplanation",
+    "RecordScan",
+    "RecordSink",
     "ResultExplanation",
-    "RingBufferExporter",
     "Span",
     "Timeline",
     "TimelineNode",
@@ -194,7 +189,6 @@ __all__ = [
     "disable_metrics",
     "disable_tracing",
     "enable_metrics",
-    "flush_exit_exporters",
     "format_traceparent",
     "gauge",
     "get_flight_recorder",
@@ -204,13 +198,13 @@ __all__ = [
     "get_tracer",
     "histogram",
     "ingest",
-    "install_exit_flush",
     "journal_active",
     "metrics_enabled",
     "mint_stream",
     "parse_traceparent",
     "population_stability_index",
     "read_journal",
+    "read_records",
     "record_flight",
     "record_journal",
     "record_span",
@@ -219,6 +213,5 @@ __all__ = [
     "span",
     "span_from_context",
     "tracing_active",
-    "uninstall_exit_flush",
     "use_context",
 ]

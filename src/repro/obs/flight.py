@@ -4,9 +4,10 @@ An aircraft flight recorder is cheap to write and only read after
 something goes wrong.  This is the serving-path equivalent: every
 request that crosses the front end appends one small
 :class:`RequestDigest` (trace id, market, shard, generation, status,
-latency, shed reason) to a bounded ring — a single GIL-atomic deque
-append, no lock on the hot path — and when something breaks, the
-recorder **dumps** a snapshot to disk:
+latency, shed reason) to the ring of a
+:class:`repro.obs.records.RecordSink` — no lock, no I/O on the hot
+path — and when something breaks, the recorder **dumps** a snapshot to
+disk:
 
 * every digest still in the ring (JSONL, newest last),
 * the spans currently in flight (:func:`repro.obs.tracing.active_spans`),
@@ -14,10 +15,10 @@ recorder **dumps** a snapshot to disk:
 
 Dumps are triggered by the SLO engine on a rule breach
 (:mod:`repro.obs.slo`), by the admission controller on a shed burst
-(:mod:`repro.serve.front.admission`), and on SIGTERM/atexit via the
-tracing exit-flush hook — so a post-mortem always has the last N
-requests that led up to the event, even though per-request logging was
-never enabled.
+(:mod:`repro.serve.front.admission`), and at interpreter exit or on
+SIGTERM/SIGINT once :meth:`FlightRecorder.arm_exit_dump` has run — so a
+post-mortem always has the last N requests that led up to the event,
+even though per-request logging was never enabled.
 
 Like tracing and metrics, the recorder is process-global and disabled
 by default: :func:`record` is a no-op until :func:`configure` installs
@@ -26,15 +27,16 @@ one.
 
 from __future__ import annotations
 
-import json
+import atexit
 import os
+import signal
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, List, Optional
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
+from repro.obs.records import RecordSink, encode_record
 
 __all__ = [
     "FlightRecorder",
@@ -52,6 +54,8 @@ DEFAULT_CAPACITY = 4096
 #: Minimum spacing between dumps with the same reason, so a breach that
 #: persists across SLO evaluations does not fill the disk.
 DEFAULT_COOLDOWN_S = 5.0
+
+_EXIT_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 
 class RequestDigest:
@@ -102,12 +106,11 @@ class RequestDigest:
 
 
 class FlightRecorder:
-    """Lock-cheap ring buffer of digests with triggered black-box dumps.
+    """Lock-free ring of digests with triggered black-box dumps.
 
-    ``record`` is the hot path: build a digest and ``deque.append`` it
-    (atomic under the GIL, bounded by ``maxlen``) — no lock, no I/O.
-    ``dump`` is the cold path and takes the lock only to snapshot the
-    ring, rate-limit per reason, and write the file.
+    ``record`` is the hot path: one append to the sink's ring — no
+    lock, no I/O.  ``dump`` is the cold path and takes the lock only to
+    snapshot the ring, rate-limit per reason, and write the file.
     """
 
     def __init__(
@@ -121,13 +124,15 @@ class FlightRecorder:
         self.capacity = int(capacity)
         self.dump_dir = dump_dir or os.path.join(".", "flight-dumps")
         self.cooldown_s = float(cooldown_s)
-        self._ring: "deque[RequestDigest]" = deque(maxlen=self.capacity)
+        self._ring = RecordSink(self.capacity)
         self._lock = threading.Lock()
         self._dump_seq = 0
         self._last_dump_ts: Dict[str, float] = {}
         self._dumps: List[str] = []
         self.dump_on_exit = False
         self._exit_dumped = False
+        #: signum -> the handler installed before ours (run after the dump).
+        self._previous_handlers: Dict[int, Any] = {}
         self._records = obs_metrics.counter(
             "repro_flight_records_total", "Request digests recorded"
         )
@@ -146,15 +151,11 @@ class FlightRecorder:
     # -- introspection ------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self._ring.records())
 
     def digests(self, limit: Optional[int] = None) -> List[RequestDigest]:
         """Newest-last snapshot of the ring (optionally the last N)."""
-        with self._lock:
-            out = list(self._ring)
-        if limit is not None and limit >= 0:
-            out = out[-limit:]
-        return out
+        return self._ring.records(limit)
 
     def stats(self) -> Dict[str, Any]:
         with self._lock:
@@ -163,7 +164,7 @@ class FlightRecorder:
                 "recorded_total": int(self._records.value)
                 if hasattr(self._records, "value")
                 else None,
-                "in_ring": len(self._ring),
+                "in_ring": len(self._ring.records()),
                 "dumps_written": self._dump_seq,
                 "dump_files": list(self._dumps),
                 "dump_dir": self.dump_dir,
@@ -181,13 +182,13 @@ class FlightRecorder:
         """
         now = time.time()
         with self._lock:
-            if not self._ring:
+            digests = self._ring.records()
+            if not digests:
                 return None
             last = self._last_dump_ts.get(reason, 0.0)
             if not force and now - last < self.cooldown_s:
                 return None
             self._last_dump_ts[reason] = now
-            digests = list(self._ring)
             self._dump_seq += 1
             seq = self._dump_seq
         active = [s.to_dict() for s in tracing.active_spans()]
@@ -213,10 +214,9 @@ class FlightRecorder:
         os.makedirs(self.dump_dir, exist_ok=True)
         path = os.path.join(self.dump_dir, f"flight-{seq:04d}-{reason}.jsonl")
         try:
-            with open(path, "w") as handle:
-                handle.write(json.dumps(meta, default=str) + "\n")
-                for digest in digests:
-                    handle.write(json.dumps(digest.to_dict(), default=str) + "\n")
+            # A dump is a snapshot: it replaces a file of the same name.
+            with open(path, "wb") as handle:
+                handle.writelines(map(encode_record, [meta, *digests]))
         except OSError:  # pragma: no cover - disk trouble at dump time
             return None
         with self._lock:
@@ -227,26 +227,56 @@ class FlightRecorder:
     # -- exit-path integration ----------------------------------------------
 
     def arm_exit_dump(self) -> None:
-        """Dump once when the process exits (atexit or SIGTERM/SIGINT).
-
-        Piggybacks on the tracing exit-flush chain: the recorder exposes
-        ``flush()``, so :func:`repro.obs.tracing.install_exit_flush`
-        treats it like an exporter.
-        """
+        """Dump once when the process exits: at interpreter exit, or on
+        SIGTERM/SIGINT, after which the handler that was installed
+        before runs (from the main thread; elsewhere only at exit)."""
         self.dump_on_exit = True
         self._exit_dumped = False
-        tracing.install_exit_flush(self)
+        atexit.unregister(self.flush)
+        atexit.register(self.flush)
+        if self._previous_handlers:
+            return
+        try:
+            for signum in _EXIT_SIGNALS:
+                self._previous_handlers[signum] = signal.signal(
+                    signum, self._on_exit_signal
+                )
+        except ValueError:  # pragma: no cover - not the main thread
+            self._previous_handlers.clear()
 
     def disarm_exit_dump(self) -> None:
+        """Undo :meth:`arm_exit_dump`, restoring the previous handlers."""
         self.dump_on_exit = False
-        tracing.uninstall_exit_flush(self)
+        atexit.unregister(self.flush)
+        try:
+            for signum, previous in self._previous_handlers.items():
+                signal.signal(signum, previous)
+        except ValueError:  # pragma: no cover - not the main thread
+            pass
+        self._previous_handlers.clear()
 
     def flush(self) -> None:
-        """The exit-flush hook: one forced dump, idempotent."""
+        """The exit hook: one forced dump, idempotent."""
         if not self.dump_on_exit or self._exit_dumped:
             return
         self._exit_dumped = True
         self.dump("exit", force=True)
+
+    def _on_exit_signal(self, signum, frame) -> None:
+        """Dump, then hand the signal to whoever had it before."""
+        self.flush()
+        previous = self._previous_handlers.get(signum)
+        if callable(previous) and previous not in (
+            signal.SIG_DFL, signal.SIG_IGN, signal.default_int_handler
+        ):
+            previous(signum, frame)
+            return
+        if previous is signal.SIG_IGN:
+            return
+        # Default disposition: restore it and re-raise, so the process
+        # dies with the signal's exit status.
+        signal.signal(signum, signal.SIG_DFL)
+        signal.raise_signal(signum)
 
 
 #: The process-global recorder; ``None`` means recording is disabled.

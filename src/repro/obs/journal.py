@@ -28,17 +28,10 @@ as a generation DAG: :func:`assemble_timeline` reconstructs it,
 ``GET /debug/generations`` resolves any response's generation id back
 to its journal record.
 
-Durability contract:
-
-* every :meth:`EngineJournal.record` is one ``os.write`` of a full
-  line to an ``O_APPEND`` descriptor followed by ``os.fsync`` (unless
-  ``fsync=False``), so concurrent writers interleave whole records and
-  a crash loses at most the record being written;
-* opening a journal **recovers torn tails**: a trailing partial line
-  (a crash mid-write) is truncated away and appending resumes after
-  the last intact record;
-* :func:`read_journal` is tolerant — corrupt or torn lines are counted
-  and skipped, never fatal.
+Records land in a :class:`repro.obs.records.RecordSink`, fsync'd by
+default, whose module gives the durability contract: one write per
+record, torn tails cut at open, a tolerant reader.  On reopen, ``seq``
+resumes after the highest intact record.
 
 Like metrics, tracing and the flight recorder, the journal is
 process-global and disabled by default: :func:`record` costs one
@@ -50,19 +43,17 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import os
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
+from repro.obs.records import RecordScan, RecordSink, read_records
 
 __all__ = [
     "EngineJournal",
-    "JournalScan",
     "Timeline",
     "TimelineNode",
     "active",
@@ -111,68 +102,18 @@ class EngineJournal:
         tail: int = DEFAULT_TAIL,
     ) -> None:
         self.path = path
-        self.fsync = bool(fsync)
         self._lock = threading.RLock()
-        self._tail: "deque[Dict[str, Any]]" = deque(maxlen=max(int(tail), 1))
-        self._closed = False
-        directory = os.path.dirname(os.path.abspath(path))
-        os.makedirs(directory, exist_ok=True)
-        self._seq = self._recover() + 1
-        # O_APPEND makes each os.write land atomically at the current
-        # end of file even with concurrent writers (the durability
-        # tests open several journals onto one path).
-        self._fd = os.open(
-            path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644
+        # The sink's ring is the in-memory tail; its file is the journal.
+        self._sink = RecordSink(max(int(tail), 1), path, fsync=fsync)
+        self._seq = 1 + max(
+            (int(r.get("seq", 0) or 0) for r in read_records(path).records),
+            default=0,
         )
         self._records_counter = obs_metrics.counter(
             "repro_journal_records_total",
             "Engine-lifecycle journal records written, by event",
             labelnames=("event",),
         )
-
-    # -- open-time recovery --------------------------------------------------
-
-    def _recover(self) -> int:
-        """Truncate a torn trailing record; return the last intact seq.
-
-        A crash mid-``write`` can leave a final line without its
-        newline (or with broken JSON).  Appending after it would weld
-        two records into one unparseable line, so the torn tail is cut
-        off before the journal reopens for writing.
-        """
-        try:
-            size = os.path.getsize(self.path)
-        except OSError:
-            return 0
-        if size == 0:
-            return 0
-        last_seq = 0
-        keep = 0
-        with open(self.path, "rb") as handle:
-            offset = 0
-            for raw in handle:
-                end = offset + len(raw)
-                if not raw.endswith(b"\n"):
-                    break  # torn tail: everything from `offset` goes
-                try:
-                    parsed = json.loads(raw)
-                except (UnicodeDecodeError, ValueError):
-                    # A corrupt *interior* line is preserved as-is (the
-                    # reader skips it); only an unparseable tail is
-                    # dangerous to append after, and a complete line is
-                    # safe to follow regardless of its contents.
-                    keep = end
-                    offset = end
-                    continue
-                if isinstance(parsed, dict):
-                    last_seq = max(last_seq, int(parsed.get("seq", 0) or 0))
-                keep = end
-                offset = end
-        if keep < size:
-            with open(self.path, "r+b") as handle:
-                handle.truncate(keep)
-            self._tail.clear()
-        return last_seq
 
     # -- writing -------------------------------------------------------------
 
@@ -230,18 +171,11 @@ class EngineJournal:
         if attrs:
             entry["attrs"] = attrs
         with self._lock:
-            if self._closed:
+            if self._sink.closed:
                 return None
             entry["seq"] = self._seq
             self._seq += 1
-            line = json.dumps(entry, default=str, sort_keys=False) + "\n"
-            try:
-                os.write(self._fd, line.encode("utf-8"))
-                if self.fsync:
-                    os.fsync(self._fd)
-            except OSError:  # pragma: no cover - disk trouble
-                pass
-            self._tail.append(entry)
+            self._sink.append(entry)
         self._records_counter.labels(event=event).inc()
         return entry
 
@@ -250,19 +184,16 @@ class EngineJournal:
     def tail(self, limit: Optional[int] = None) -> List[Dict[str, Any]]:
         """The most recent records written by this process, oldest
         first (bounded by the tail capacity, not the file)."""
-        with self._lock:
-            out = list(self._tail)
-        if limit is not None and limit >= 0:
-            out = out[-limit:]
-        return out
+        return self._sink.records(limit)
 
     def digest(self) -> Dict[str, Any]:
         """A small fingerprint of the journal's current head — embedded
         in flight-recorder dumps so a post-mortem names the exact
         generation lineage that was serving."""
         with self._lock:
-            last = self._tail[-1] if self._tail else None
+            head = self._sink.records(1)
             seq = self._seq - 1
+        last = head[0] if head else None
         head_hash = None
         if last is not None:
             head_hash = hashlib.sha256(
@@ -279,13 +210,7 @@ class EngineJournal:
 
     def close(self) -> None:
         with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            try:
-                os.close(self._fd)
-            except OSError:  # pragma: no cover
-                pass
+            self._sink.close()
 
     def __enter__(self) -> "EngineJournal":
         return self
@@ -297,38 +222,13 @@ class EngineJournal:
 # -- tolerant reading ----------------------------------------------------------
 
 
-@dataclass
-class JournalScan:
-    """What :func:`read_journal` found."""
-
-    path: str
-    records: List[Dict[str, Any]] = field(default_factory=list)
-    #: Corrupt or torn lines skipped (a non-zero count after a crash is
-    #: expected and harmless; mid-file corruption is worth alarming on).
-    skipped: int = 0
-
-
-def read_journal(path: str) -> JournalScan:
-    """Read a journal file, skipping torn or corrupt lines."""
-    scan = JournalScan(path=path)
-    with open(path, "rb") as handle:
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                scan.skipped += 1  # torn tail
-                continue
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                parsed = json.loads(line)
-            except (UnicodeDecodeError, ValueError):
-                scan.skipped += 1
-                continue
-            if isinstance(parsed, dict) and "event" in parsed:
-                scan.records.append(parsed)
-            else:
-                scan.skipped += 1
-    return scan
+def read_journal(path: str) -> RecordScan:
+    """Read a journal file: the records of :func:`read_records` that
+    carry an ``event``; any other line counts as skipped."""
+    scan = read_records(path)
+    records = [r for r in scan.records if "event" in r]
+    skipped = scan.skipped + len(scan.records) - len(records)
+    return RecordScan(path, records, skipped)
 
 
 # -- timeline assembly ---------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "DROPPED_SERIES_METRIC",
     "Gauge",
     "Histogram",
-    "LatencyHistogram",
     "MetricsRegistry",
     "NULL_REGISTRY",
     "NullInstrument",
@@ -104,11 +103,9 @@ def _validate_buckets(buckets: Sequence[float]) -> Tuple[float, ...]:
 class BucketHistogram:
     """A fixed-bucket cumulative histogram (Prometheus-style ``le``).
 
-    The standalone data core, shared by the registry's
-    :class:`Histogram` instrument and by :class:`LatencyHistogram` (an
-    alias kept for compatibility).  ``counts[i]`` is the number of
-    observations that landed in bucket ``i`` (non-cumulative); the last
-    slot is the ``+Inf`` tail.
+    The standalone data core of the registry's :class:`Histogram`
+    instrument.  ``counts[i]`` is the number of observations that landed
+    in bucket ``i`` (non-cumulative); the last slot is the ``+Inf`` tail.
     """
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS):
@@ -776,19 +773,11 @@ def histogram(
 
 # -- service-facing facade -----------------------------------------------------
 #
-# ServiceMetrics/LatencyHistogram: the serving layer's view of the
-# registry, the single source of truth for service metrics.
+# ServiceMetrics: the serving layer's view of the registry, the single
+# source of truth for service metrics.
 
 #: Default refresh-duration buckets (seconds) — refits are much slower.
 DEFAULT_REFRESH_BUCKETS = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
-
-
-class LatencyHistogram(BucketHistogram):
-    """A :class:`BucketHistogram` with the service-tuned default bucket
-    layout — kept as a compatibility alias for historical callers."""
-
-    def __init__(self, buckets=DEFAULT_LATENCY_BUCKETS):
-        super().__init__(buckets)
 
 
 class ServiceMetrics:

@@ -5,12 +5,11 @@ A span records one timed operation — ``span("engine.fit")``,
 in the trace tree (``trace_id`` / ``span_id`` / ``parent_id``).  The
 current span is tracked in a :mod:`contextvars` variable, so nesting
 works across threads and ``async`` alike, and finished spans flow to
-exporters:
-
-* :class:`RingBufferExporter` — the last N spans in memory (tests,
-  the CLI, embedded debugging),
-* :class:`JsonlExporter` — one JSON object per line, append-only
-  (the CLI's ``--trace <path>``).
+exporters: anything with an ``append(span)`` method.  That is a
+:class:`repro.obs.records.RecordSink` — its ring keeps the last N spans
+in memory (tests, the front end's ``/debug/trace`` store), its file
+takes one JSONL line per span (the CLI's ``--trace <path>``) — or a
+plain list (:func:`collect`).
 
 **Process-pool propagation.**  The master captures its current context
 with :func:`current_context` and ships it to workers alongside the
@@ -28,19 +27,13 @@ nothing.
 
 from __future__ import annotations
 
-import atexit
 import contextvars
-import json
 import os
-import signal
 import threading
 import time
-from collections import deque
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "JsonlExporter",
-    "RingBufferExporter",
     "Span",
     "TraceTree",
     "Tracer",
@@ -51,18 +44,15 @@ __all__ = [
     "configure",
     "current_context",
     "disable",
-    "flush_exit_exporters",
     "format_traceparent",
     "get_tracer",
     "ingest",
-    "install_exit_flush",
     "parse_traceparent",
     "record_span",
     "span",
     "span_from_context",
     "thread_span_stack",
     "track_thread_spans",
-    "uninstall_exit_flush",
     "use_context",
 ]
 
@@ -212,77 +202,6 @@ class Span:
         )
 
 
-class RingBufferExporter:
-    """Keeps the most recent ``capacity`` finished spans in memory."""
-
-    def __init__(self, capacity: int = 2048):
-        if capacity < 1:
-            raise ValueError("ring buffer capacity must be positive")
-        self._lock = threading.Lock()
-        self._spans: "deque[Span]" = deque(maxlen=capacity)
-
-    def export(self, span_obj: Span) -> None:
-        with self._lock:
-            self._spans.append(span_obj)
-
-    def spans(self) -> List[Span]:
-        with self._lock:
-            return list(self._spans)
-
-    def drain(self) -> List[Span]:
-        with self._lock:
-            out = list(self._spans)
-            self._spans.clear()
-            return out
-
-
-class JsonlExporter:
-    """Appends one JSON object per finished span to a file.
-
-    Thread-safe, and safe against the atexit + signal double-flush: the
-    lock is reentrant so a SIGTERM handler firing while the same thread
-    is mid-``export`` can still :meth:`close` instead of deadlocking,
-    ``close`` is idempotent behind a ``_closed`` flag, and a write
-    racing a signal-path close degrades to a dropped span, never an
-    exception.
-    """
-
-    def __init__(self, path: str):
-        self.path = path
-        self._lock = threading.RLock()
-        self._closed = False
-        self._handle = open(path, "a")
-
-    def export(self, span_obj: Span) -> None:
-        line = json.dumps(span_obj.to_dict(), default=str)
-        with self._lock:
-            if self._closed or self._handle.closed:
-                return
-            try:
-                self._handle.write(line + "\n")
-                self._handle.flush()
-            except ValueError:  # pragma: no cover - closed under our feet
-                pass
-
-    def close(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            if not self._handle.closed:
-                self._handle.close()
-
-
-class _ListExporter:
-    """Collects spans into a plain list (the worker-side collector)."""
-
-    def __init__(self):
-        self.spans: List[Span] = []
-
-    def export(self, span_obj: Span) -> None:
-        self.spans.append(span_obj)
-
-
 class Tracer:
     """Creates spans and fans finished ones out to exporters."""
 
@@ -306,7 +225,7 @@ class Tracer:
 
     def finish(self, span_obj: Span) -> None:
         for exporter in self.exporters:
-            exporter.export(span_obj)
+            exporter.append(span_obj)
 
 
 class _SpanHandle:
@@ -486,14 +405,14 @@ class collect:
     """
 
     def __init__(self):
-        self._exporter = _ListExporter()
+        self._spans: List[Span] = []
         self._previous: Optional[Tracer] = None
 
     def __enter__(self) -> List[Span]:
         global _TRACER
         self._previous = _TRACER
-        _TRACER = Tracer([self._exporter])
-        return self._exporter.spans
+        _TRACER = Tracer([self._spans])
+        return self._spans
 
     def __exit__(self, exc_type, exc, tb) -> None:
         global _TRACER
@@ -596,7 +515,7 @@ def assemble_trace(spans: Iterable, trace_id: str) -> TraceTree:
     """Rebuild the span tree for one trace id from a span soup.
 
     Accepts :class:`Span` objects or their dicts (e.g. read back from a
-    :class:`JsonlExporter` file).  Spans whose ``parent_id`` is missing
+    ``--trace`` file with :func:`repro.obs.records.read_records`).  Spans whose ``parent_id`` is missing
     from the trace are split into *roots* (no parent, or the parent is
     explicitly remote via a truthy ``remote_parent`` attribute) and
     *orphans* (a local parent that never arrived — a propagation bug).
@@ -653,103 +572,6 @@ def thread_span_stack(thread_id: int) -> Tuple[str, ...]:
     """The open span names of one thread, outermost first (snapshot)."""
     stack = _THREAD_SPANS.get(thread_id)
     return tuple(stack) if stack else ()
-
-
-# -- exit-path flushing -------------------------------------------------------
-
-#: Exporters to flush/close when the interpreter exits (normally or on
-#: SIGTERM/SIGINT), so ``--trace`` JSONL files are not truncated when a
-#: CLI run dies mid-flight.
-_EXIT_EXPORTERS: List = []
-_ATEXIT_REGISTERED = False
-#: signum -> handler that was installed before ours (chained after flush).
-_PREVIOUS_SIGNAL_HANDLERS: Dict[int, Any] = {}
-
-_EXIT_SIGNALS = (signal.SIGTERM, signal.SIGINT)
-
-
-def flush_exit_exporters() -> int:
-    """Flush/close every registered exit exporter (idempotent).
-
-    Returns the number of exporters flushed.  Called from the
-    :mod:`atexit` hook and the signal path; safe to invoke directly.
-    """
-    flushed = 0
-    for exporter in list(_EXIT_EXPORTERS):
-        close = getattr(exporter, "close", None) or getattr(
-            exporter, "flush", None
-        )
-        if close is None:
-            continue
-        try:
-            close()
-            flushed += 1
-        except Exception:  # pragma: no cover - best-effort on teardown
-            pass
-    return flushed
-
-
-def _handle_exit_signal(signum, frame) -> None:
-    """Flush exporters, then hand the signal to whoever had it before."""
-    flush_exit_exporters()
-    previous = _PREVIOUS_SIGNAL_HANDLERS.get(signum)
-    if callable(previous) and previous not in (
-        signal.SIG_DFL, signal.SIG_IGN, signal.default_int_handler
-    ):
-        previous(signum, frame)
-        return
-    if previous is signal.SIG_IGN:
-        return
-    # Default disposition: restore it and re-raise so the process dies
-    # with the correct signal exit status.
-    signal.signal(signum, signal.SIG_DFL)
-    try:
-        signal.raise_signal(signum)
-    except AttributeError:  # pragma: no cover - python < 3.8
-        os.kill(os.getpid(), signum)
-
-
-def install_exit_flush(exporter) -> None:
-    """Close ``exporter`` when the process exits — normally or by signal.
-
-    Registers one :mod:`atexit` hook (first call only) and, when running
-    in the main thread, wraps the SIGTERM/SIGINT handlers with a
-    flush-then-chain shim.  The CLI installs its ``--trace``
-    :class:`JsonlExporter` here so spans survive abnormal exits.
-    """
-    global _ATEXIT_REGISTERED
-    if exporter not in _EXIT_EXPORTERS:
-        _EXIT_EXPORTERS.append(exporter)
-    if not _ATEXIT_REGISTERED:
-        atexit.register(flush_exit_exporters)
-        _ATEXIT_REGISTERED = True
-    if not _PREVIOUS_SIGNAL_HANDLERS:
-        try:
-            for signum in _EXIT_SIGNALS:
-                _PREVIOUS_SIGNAL_HANDLERS[signum] = signal.signal(
-                    signum, _handle_exit_signal
-                )
-        except ValueError:  # pragma: no cover - not the main thread
-            _PREVIOUS_SIGNAL_HANDLERS.clear()
-
-
-def uninstall_exit_flush(exporter) -> None:
-    """Drop an exporter from the exit path (clean CLI shutdown).
-
-    When the last exporter is removed, the original signal handlers are
-    restored (the atexit hook stays registered but becomes a no-op).
-    """
-    try:
-        _EXIT_EXPORTERS.remove(exporter)
-    except ValueError:
-        pass
-    if not _EXIT_EXPORTERS and _PREVIOUS_SIGNAL_HANDLERS:
-        try:
-            for signum, previous in _PREVIOUS_SIGNAL_HANDLERS.items():
-                signal.signal(signum, previous)
-        except ValueError:  # pragma: no cover - not the main thread
-            pass
-        _PREVIOUS_SIGNAL_HANDLERS.clear()
 
 
 def ingest(spans: Iterable) -> int:

@@ -28,7 +28,6 @@ from repro.serve.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactError,
     artifact_fingerprint,
-    artifact_summary,
     engine_from_dict,
     engine_to_dict,
     load_engine,
@@ -37,7 +36,6 @@ from repro.serve.artifacts import (
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_REFRESH_BUCKETS,
-    LatencyHistogram,
     ServiceMetrics,
 )
 from repro.serve.refresh import (
@@ -59,14 +57,12 @@ __all__ = [
     "ARTIFACT_SCHEMA_VERSION",
     "ArtifactError",
     "artifact_fingerprint",
-    "artifact_summary",
     "engine_from_dict",
     "engine_to_dict",
     "load_engine",
     "save_engine",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_REFRESH_BUCKETS",
-    "LatencyHistogram",
     "ServiceMetrics",
     "DriftCheck",
     "EngineRefresher",

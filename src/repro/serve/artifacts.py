@@ -445,20 +445,3 @@ def load_engine(
             models=len(payload.get("models", [])),
         )
     return engine
-
-
-def artifact_summary(payload: Dict) -> str:
-    """One line describing an artifact (CLI output)."""
-    models: List[Dict] = payload.get("models", [])
-    dependent = sum(len(m.get("dependent_columns", [])) for m in models)
-    weighted = sum(len(m.get("weights", {})) for m in models)
-    line = (
-        f"engine artifact v{payload.get('schema_version')}: "
-        f"{len(models)} parameter models, {dependent} dependent attributes, "
-        f"{weighted} weighted targets, "
-        f"snapshot {str(payload.get('snapshot_fingerprint'))[:12]}…"
-    )
-    ref = payload.get("columnar_store")
-    if ref:
-        line += f", columnar in {ref.get('kind')} store {ref.get('path')}"
-    return line

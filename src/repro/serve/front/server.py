@@ -50,6 +50,7 @@ from repro.core.recommendation import RecommendResult
 from repro.obs import flight
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
+from repro.obs.records import RecordSink
 from repro.serve.front.admission import AdmissionController, OverloadError
 from repro.serve.front.coalesce import Coalescer
 from repro.serve.front.routing import shard_key
@@ -113,7 +114,7 @@ class FrontServer:
         #: Span store backing ``/debug/trace/<id>``; attached to the
         #: global tracer while the server runs (only when tracing is
         #: enabled at start).
-        self._trace_buffer: Optional[tracing.RingBufferExporter] = None
+        self._trace_buffer: Optional[RecordSink] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -122,7 +123,7 @@ class FrontServer:
         self._loop = asyncio.get_event_loop()
         tracer = tracing.get_tracer()
         if tracer is not None:
-            self._trace_buffer = tracing.RingBufferExporter(capacity=8192)
+            self._trace_buffer = RecordSink(capacity=8192)
             tracer.exporters.append(self._trace_buffer)
         for shard in self.shard_set.shards:
             self._coalescers[shard.shard_id] = Coalescer(
@@ -651,6 +652,9 @@ class FrontServer:
         timings: RequestTimings,
     ) -> None:
         """One flight-recorder digest per recommendation request."""
+        recorder = flight.get_recorder()
+        if recorder is None:
+            return
         market = shard_id = generation = shed_reason = None
         if isinstance(payload, dict):
             market = payload.get("market")
@@ -660,7 +664,7 @@ class FrontServer:
                 shed_reason = payload.get("reason")
         if generation is None:
             generation = self.shard_set.generation
-        flight.record(
+        recorder.record(
             flight.RequestDigest(
                 trace_id=trace_id,
                 market=market,
@@ -682,7 +686,7 @@ class FrontServer:
                 "error": "tracing_disabled",
                 "detail": "start the server with tracing enabled",
             }
-        tree = tracing.assemble_trace(self._trace_buffer.spans(), trace_id)
+        tree = tracing.assemble_trace(self._trace_buffer.records(), trace_id)
         if not tree.spans:
             return 404, {"error": "trace_not_found", "trace_id": trace_id}
         return 200, tree.to_dict()

@@ -1,6 +1,11 @@
 """Tests for the black-box flight recorder (:mod:`repro.obs.flight`)."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -112,14 +117,53 @@ class TestExitDump:
         recorder.flush()
         assert recorder.stats()["dumps_written"] == 0
 
-    def test_exit_flush_chain_triggers_dump(self, recorder):
-        recorder.record(digest())
-        recorder.arm_exit_dump()
+    def test_exit_flush_chain_triggers_dump(self, tmp_path):
+        """An armed recorder dumps at interpreter exit, on its own hook."""
+        script = textwrap.dedent(
+            f"""
+            from repro.obs import flight
+
+            recorder = flight.configure(dump_dir={str(tmp_path)!r})
+            recorder.record(flight.RequestDigest("t1", None, 0, 1, 200, 1.5))
+            recorder.arm_exit_dump()
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run(
+            [sys.executable, "-c", script], env=env, timeout=60, check=True
+        )
+        (path,) = tmp_path.glob("flight-*-exit.jsonl")
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert lines[0]["reason"] == "exit"
+        assert [line["trace_id"] for line in lines[1:]] == ["t1"]
+
+    def test_signal_flushes_then_chains_to_previous_handler(self, recorder):
+        seen = []
+        previous = signal.signal(
+            signal.SIGTERM, lambda signum, frame: seen.append(signum)
+        )
         try:
-            assert tracing.flush_exit_exporters() >= 1
+            recorder.record(digest())
+            recorder.arm_exit_dump()
+            signal.raise_signal(signal.SIGTERM)
+            # The recorder dumped, then chained to the recording handler
+            # installed above (the process stays alive).
+            assert seen == [signal.SIGTERM]
+            assert recorder.stats()["dumps_written"] == 1
         finally:
             recorder.disarm_exit_dump()
-        assert recorder.stats()["dumps_written"] == 1
+            signal.signal(signal.SIGTERM, previous)
+
+    def test_disarm_restores_previous_signal_handler(self, recorder):
+        marker = lambda signum, frame: None  # noqa: E731
+        previous = signal.signal(signal.SIGTERM, marker)
+        try:
+            recorder.arm_exit_dump()
+            assert signal.getsignal(signal.SIGTERM) is not marker
+            recorder.disarm_exit_dump()
+            assert signal.getsignal(signal.SIGTERM) is marker
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 class TestSloTrigger:

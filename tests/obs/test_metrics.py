@@ -10,7 +10,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullInstrument,
 )
-from repro.obs.metrics import LatencyHistogram, ServiceMetrics
+from repro.obs.metrics import ServiceMetrics
 
 _SAMPLE = re.compile(r"^(\w+)(\{[^}]*\})? (.+)$")
 
@@ -83,6 +83,12 @@ class TestInstruments:
             BucketHistogram(buckets=(0.1, 0.5, 0.5, 1.0))
         assert "strictly increasing" in str(excinfo.value)
         assert "[0.1, 0.5, 0.5, 1.0]" in str(excinfo.value)
+        histogram = BucketHistogram(obs_metrics.DEFAULT_LATENCY_BUCKETS)
+        histogram.observe(0.0002)
+        histogram.observe(0.002)
+        assert histogram.count == 2
+        assert histogram.quantile(1.0) >= 0.002
+        assert histogram.mean == pytest.approx(0.0011)
 
 
 class TestPrometheusText:
@@ -194,15 +200,6 @@ class TestServiceMetricsFacade:
         samples, _, _ = parse_prometheus(metrics.to_prometheus_text())
         assert samples[("repro_service_requests_total", "")] == 1.0
         assert samples[("repro_service_parameters_served_total", "")] == 2.0
-
-    def test_latency_histogram_alias(self):
-        histogram = LatencyHistogram()
-        assert isinstance(histogram, BucketHistogram)
-        histogram.observe(0.0002)
-        histogram.observe(0.002)
-        assert histogram.count == 2
-        assert histogram.quantile(1.0) >= 0.002
-        assert histogram.mean == pytest.approx(0.0011)
 
 
 class TestExpositionEdgeCases:

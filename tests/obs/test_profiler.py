@@ -7,13 +7,13 @@ import pytest
 
 from repro.obs import metrics as obs_metrics, tracing
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.tracing import RingBufferExporter
+from repro.obs.records import RecordSink
 
 
 @pytest.fixture()
 def tracer():
     """Span frames need an active tracer — null spans never register."""
-    tracing.configure([RingBufferExporter()])
+    tracing.configure([RecordSink(capacity=2048)])
     yield
     tracing.disable()
 

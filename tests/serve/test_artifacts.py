@@ -19,7 +19,6 @@ from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactError,
     RecommendationService,
-    artifact_summary,
     engine_from_dict,
     engine_to_dict,
     load_engine,
@@ -226,10 +225,6 @@ class TestArtifactValidation:
         assert all(
             dataset.network.carrier(key).carrier_id is key for key in shared
         )
-
-    def test_summary_renders(self, fitted_engine):
-        text = artifact_summary(engine_to_dict(fitted_engine))
-        assert "3 parameter models" in text
 
 
 def _legacy_columnar_section(snapshot):

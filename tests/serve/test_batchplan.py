@@ -368,10 +368,10 @@ class TestTracedBatch:
         self, fitted_engine, rulebook, dataset
     ):
         from repro.obs import tracing
-        from repro.obs.tracing import RingBufferExporter
+        from repro.obs.records import RecordSink
 
-        exporter = RingBufferExporter(capacity=256)
-        tracing.configure([exporter])
+        sink = RecordSink(capacity=256)
+        tracing.configure([sink])
         try:
             service = RecommendationService(fitted_engine, rulebook)
             requests = self._batch(dataset)
@@ -383,7 +383,7 @@ class TestTracedBatch:
                 requests, traces=traces, shard=7
             )
             assert len(results) == len(requests)
-            spans = exporter.spans()
+            spans = sink.records()
             by_name = {}
             for span in spans:
                 by_name.setdefault(span.name, []).append(span)

@@ -129,6 +129,22 @@ class TestEndpoints:
         assert status == 200
         assert "text/plain" in headers.get("content-type", "")
 
+    def test_no_digest_without_a_flight_recorder(
+        self, client, carrier_keys, monkeypatch
+    ):
+        from repro.obs import flight
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a digest with no recorder")
+
+        assert flight.get_recorder() is None
+        monkeypatch.setattr(flight, "RequestDigest", refuse)
+        status, body, _ = call(
+            client, "POST", "/recommend", {"carrier": carrier_keys[0]}
+        )
+        assert status == 200
+        assert set(body["values"]) == set(SINGULAR)
+
     def test_unknown_path_404(self, client):
         status, body, _ = call(client, "GET", "/nope")
         assert status == 404

@@ -328,3 +328,123 @@ class TestObservabilityCommands:
             assert by_id[child["parent_id"]]["name"] in (
                 "engine.fit", "pool.task:_fit_task"
             )
+
+
+class TestInputErrors:
+    """explain and metrics refuse bad input with an error line, exit 2."""
+
+    @pytest.mark.parametrize("command", ["explain", "metrics"])
+    def test_unknown_parameter_is_a_clean_error(self, command, capsys):
+        assert main([command, "--parameters", "bogusKnob"]) == 2
+        assert "error: unknown parameter 'bogusKnob'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "carrier, reason",
+        [
+            ("nope", "malformed carrier key 'nope'"),
+            ("99.99.0.0", "unknown carrier '99.99.0.0'"),
+        ],
+    )
+    def test_bad_carrier_is_a_clean_error(self, carrier, reason, capsys):
+        code = main(["explain", "--parameters", "pMax", "--carrier", carrier])
+        assert code == 2
+        assert f"error: {reason}" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def explain_trace(tmp_path_factory):
+    """An explain run's --trace file and the trace id of its fit."""
+    path = tmp_path_factory.mktemp("trace") / "explain.jsonl"
+    assert main(["explain", "--parameters", "pMax",
+                 "--trace", str(path)]) == 0
+    spans = [json.loads(line) for line in path.read_text().splitlines()]
+    fit = next(span for span in spans if span["name"] == "engine.fit")
+    return path, fit["trace_id"]
+
+
+class TestTraceCommand:
+    def test_trace_file_reopened_after_a_torn_tail(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_bytes(b'{"name": "engine.fit", "trace_id": "ab')
+        assert main(["explain", "--parameters", "pMax",
+                     "--trace", str(path)]) == 0
+        spans = [json.loads(line) for line in path.read_text().splitlines()]
+        assert spans[0]["name"] == "columnar.encode"
+
+    def test_renders_an_explain_trace(self, explain_trace, capsys):
+        path, trace_id = explain_trace
+        assert main(["trace", trace_id, "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"trace {trace_id}")
+        assert "engine.fit" in out and "engine.fit_parameter" in out
+        assert "skipped" not in out
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_torn_and_corrupt_lines_are_skipped_and_counted(
+        self, explain_trace, tmp_path, capsys, fmt
+    ):
+        path, trace_id = explain_trace
+        damaged = tmp_path / "damaged.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        damaged.write_text(
+            lines[0] + "not json\n" + "".join(lines[1:]) + '{"name": "to'
+        )
+        code = main(["trace", trace_id, "--input", str(damaged),
+                     "--format", fmt])
+        assert code == 0
+        out = capsys.readouterr().out
+        if fmt == "json":
+            document = json.loads(out)
+            assert document["skipped_lines"] == 2
+            assert document["span_count"] > 0
+        else:
+            assert out.rstrip().endswith("(2 corrupt line(s) skipped)")
+
+    def test_missing_file_exits_2(self, tmp_path, capsys):
+        code = main(["trace", "ab" * 16, "--input",
+                     str(tmp_path / "missing.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read spans")
+
+    def test_unknown_trace_id_exits_1(self, explain_trace, capsys):
+        path, _ = explain_trace
+        assert main(["trace", "cd" * 16, "--input", str(path)]) == 1
+        assert "error: no spans for trace" in capsys.readouterr().err
+
+
+def _journal_lines(*records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+class TestTimelineCommand:
+    CHAIN = (
+        {"seq": 1, "event": "fit", "scope": "engine"},
+        {"seq": 2, "event": "refresh", "scope": "service",
+         "stream": "svc-1", "generation": 1, "parent_generation": 0},
+    )
+
+    def test_torn_journal_reports_skipped_lines(self, tmp_path, capsys):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(_journal_lines(*self.CHAIN) + '{"seq": 3, "ev')
+        code = main(["timeline", "--journal", str(path), "--check",
+                     "--format", "json"])
+        assert code == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["skipped_lines"] == 1
+        assert document["total_records"] == 2
+
+    def test_check_fails_on_a_gap(self, tmp_path, capsys):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(_journal_lines(
+            {"seq": 1, "event": "hot-swap", "scope": "front",
+             "stream": "front-1", "generation": 5, "parent_generation": 4},
+        ))
+        assert main(["timeline", "--journal", str(path), "--check"]) == 1
+        captured = capsys.readouterr()
+        assert "MISSING PARENTS" in captured.out
+        assert "error: 1 transition(s)" in captured.err
+
+    def test_missing_journal_exits_2(self, tmp_path, capsys):
+        code = main(["timeline", "--journal", str(tmp_path / "missing.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot read journal")
