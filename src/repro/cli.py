@@ -508,6 +508,21 @@ def _refuse(error: object, hint: Optional[str] = None) -> int:
     return 2
 
 
+def _refuse_parameters(catalog, parameters: List[str], command: str):
+    """Refuse, before any fit, a ``--parameters`` name that is unknown
+    or pair-wise (every request loop answers singular parameters only);
+    None when each name is a singular parameter."""
+    for name in parameters:
+        if name not in catalog:
+            return _refuse(f"unknown parameter {name!r}")
+        if catalog.spec(name).is_pairwise:
+            return _refuse(
+                f"{name} is pair-wise and needs a neighbor carrier; "
+                f"{command} answers singular parameters only"
+            )
+    return None
+
+
 def _run_serve_batch(args) -> int:
     # Imported lazily so `repro list` stays fast.
     from repro.config.rulebook import RuleBook
@@ -526,15 +541,11 @@ def _run_serve_batch(args) -> int:
         if args.parameters is not None
         else None
     )
-    if parameters:
-        for name in parameters:
-            if name not in snapshot.store.catalog:
-                return _refuse(f"unknown parameter {name!r}")
-            if snapshot.store.catalog.spec(name).is_pairwise:
-                return _refuse(
-                    f"{name} is pair-wise and needs a neighbor carrier; "
-                    "serve-batch answers singular parameters only"
-                )
+    refused = _refuse_parameters(
+        snapshot.store.catalog, parameters or [], args.command
+    )
+    if refused is not None:
+        return refused
 
     if args.artifact is not None:
         try:
@@ -629,17 +640,9 @@ def _run_serve(args) -> int:
     else:
         dataset = _build_workload(args.workload, args.scale, args.seed)
     parameters = [p for p in args.parameters.split(",") if p]
-    for name in parameters:
-        if name not in dataset.store.catalog:
-            print(f"error: unknown parameter {name!r}", file=sys.stderr)
-            return 2
-        if dataset.store.catalog.spec(name).is_pairwise:
-            print(
-                f"error: {name} is pair-wise; the front end serves "
-                "singular parameters",
-                file=sys.stderr,
-            )
-            return 2
+    refused = _refuse_parameters(dataset.store.catalog, parameters, args.command)
+    if refused is not None:
+        return refused
 
     obs_metrics.enable()
     if args.tracing and not tracing.active():
@@ -668,8 +671,6 @@ def _run_serve(args) -> int:
         shards=args.shards,
         max_inflight=args.max_inflight,
         max_batch=args.max_batch,
-        max_queue=args.max_queue,
-        cache_size=args.cache_size or DEFAULT_CACHE_SIZE,
         parameters=tuple(parameters),
     )
     handle = serve_in_thread(shard_set, config)
@@ -816,9 +817,12 @@ def _run_trace(args) -> int:
             scan = read_records(args.input)
         except OSError as exc:
             return _refuse(f"cannot read spans: {exc}")
-        # Flight dumps interleave meta/digest records; keep only
-        # span-shaped lines.
-        spans = [r for r in scan.records if "span_id" in r and "name" in r]
+        for record in scan.records:
+            if "span_id" in record and "name" in record:
+                spans.append(record)
+            # A flight dump's meta record nests the spans in flight at
+            # dump time; its digest records hold none.
+            spans.extend(record.get("active_spans", ()))
         skipped = scan.skipped
     else:
         import http.client
@@ -909,17 +913,17 @@ def _build_service(args, parameters: List[str], carrier_id=None):
     """Fit a service over the chosen workload (explain / metrics).
 
     Returns ``(dataset, service)``, or the exit code 2 after an
-    ``error:`` line, before the fit, for an unknown parameter or
-    ``carrier_id``.
+    ``error:`` line, before the fit, for an unknown or pair-wise
+    parameter or an unknown ``carrier_id``.
     """
     from repro.config.rulebook import RuleBook
     from repro.core.auric import AuricEngine
     from repro.serve import RecommendationService
 
     dataset = _build_workload(args.workload, args.scale, args.seed)
-    for name in parameters:
-        if name not in dataset.store.catalog:
-            return _refuse(f"unknown parameter {name!r}")
+    refused = _refuse_parameters(dataset.store.catalog, parameters, args.command)
+    if refused is not None:
+        return refused
     if carrier_id is not None and not dataset.network.has_carrier(carrier_id):
         return _refuse(f"unknown carrier {args.carrier!r}")
     engine = AuricEngine(dataset.network, dataset.store, _engine_config(args)).fit(
@@ -1018,8 +1022,9 @@ def _collect_health(args):
     the shadow accuracy audit, scores drift (against ``--live`` or the
     served stream) and evaluates the stock SLOs.  Returns
     ``(HealthReport, MetricsRegistry)``, or the exit code 2 after an
-    ``error:`` line when an input is refused: an unknown parameter, an
-    artifact that does not load, or an engine that does not save.
+    ``error:`` line when an input is refused: an unknown or pair-wise
+    parameter, an artifact that does not load, or an engine that does
+    not save.
     """
     from repro.config.rulebook import RuleBook
     from repro.core.auric import AuricEngine
@@ -1039,9 +1044,9 @@ def _collect_health(args):
     else:
         dataset = _build_workload(args.workload, args.scale, args.seed)
     parameters = [p for p in args.parameters.split(",") if p]
-    for name in parameters:
-        if name not in dataset.store.catalog:
-            return _refuse(f"unknown parameter {name!r}")
+    refused = _refuse_parameters(dataset.store.catalog, parameters, args.command)
+    if refused is not None:
+        return refused
 
     # A fresh registry, installed globally for the duration so the
     # drift/shadow-audit gauges and the service instruments land in one
@@ -1124,10 +1129,6 @@ def _collect_health(args):
             notes.append(
                 f"drift scored over the served stream "
                 f"({service.drift_window.sampled} sampled requests)"
-            )
-        if drift is None:
-            notes.append(
-                "no drift baseline (pre-v3 artifact?) — drift not scored"
             )
 
         slo = SLOEngine(

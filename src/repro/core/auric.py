@@ -48,7 +48,6 @@ from repro.learners.collaborative_filtering import (
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.obs.health import DriftBaseline
 from repro.obs.provenance import (
     AttributeDependence,
     ParameterExplanation,
@@ -225,11 +224,6 @@ class AuricEngine:
         #: Reset by :meth:`fit`; pool workers drain it per task via
         #: :meth:`_take_fit_phases` so the master can aggregate.
         self._fit_phases: Dict[Tuple[str, str], float] = {}
-        #: Fit-time attribute/parameter distributions — the population
-        #: the models saw.  Captured by :meth:`fit`, persisted in serve
-        #: artifacts and scored against live snapshots by
-        #: :class:`repro.obs.health.DriftDetector`.
-        self.drift_baseline: Optional[DriftBaseline] = None
 
     # -- data access --------------------------------------------------------
 
@@ -348,12 +342,6 @@ class AuricEngine:
                     self._models[spec.name] = self._fit_parameter(
                         spec, vote_weights
                     )
-            # Baseline must be captured here, at fit time — a snapshot
-            # mutated after fit has, by definition, drifted from what
-            # the models learned.
-            self.drift_baseline = DriftBaseline.capture(
-                self.network, self.store, parameters=sorted(self._models)
-            )
             self._observe_fit_phases()
             self._journal_fit(len(specs), jobs, time.perf_counter() - fit_started)
             return self

@@ -175,7 +175,9 @@ class RecommendResult:
     ``generation`` is the serving snapshot generation that answered
     (service layer only; None elsewhere) — under concurrent snapshot
     refresh it always matches the engine that actually voted, because
-    the service reads both from one immutable state object.
+    the service reads both from one immutable state object.  A
+    front-end shard restamps it with the tier generation of the engine
+    it answered from.
     """
 
     request: RecommendRequest

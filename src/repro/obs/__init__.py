@@ -17,8 +17,9 @@ append-only JSONL file) and its tolerant reader, which spans, flight
 digests and journal records share; and the health layer that turns the
 raw instruments into operational signal:
 
-* :mod:`repro.obs.health` — fit-time distribution baselines scored
-  against live snapshots (PSI + chi-square drift detection) and the
+* :mod:`repro.obs.health` — drift baselines counted off the snapshot
+  an engine votes from, scored against live snapshots (PSI +
+  chi-square drift detection), and the
   aggregated :class:`HealthReport` behind ``repro health``,
 * :mod:`repro.obs.slo` — declarative service-level objectives over
   existing registry instruments with error-budget accounting,
@@ -112,12 +113,12 @@ from repro.obs.journal import (
 from repro.obs.dashboard import render_dashboard
 from repro.obs.health import (
     AttributeDrift,
-    DriftBaseline,
     DriftDetector,
     DriftReport,
     DriftThresholds,
     DriftWindow,
     HealthReport,
+    baseline_distributions,
     chi_square_drift,
     population_stability_index,
 )
@@ -139,7 +140,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_REFRESH_BUCKETS",
-    "DriftBaseline",
     "DriftDetector",
     "DriftReport",
     "DriftThresholds",
@@ -175,6 +175,7 @@ __all__ = [
     "active_spans",
     "assemble_timeline",
     "assemble_trace",
+    "baseline_distributions",
     "chi_square_drift",
     "collect",
     "configure_flight",

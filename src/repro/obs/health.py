@@ -2,10 +2,10 @@
 
 Auric's accuracy rests on a population assumption: the carriers the
 dependency models were fitted on still look like the carriers being
-served.  This module makes that assumption observable.  At fit time the
-engine captures a :class:`DriftBaseline` — per-attribute and
-per-parameter categorical value distributions — which is persisted into
-the serve artifact (schema v3, additive).  At serve time a
+served.  This module makes that assumption observable.  The baseline is
+the population an engine votes from: :func:`baseline_distributions`
+counts per-attribute and per-parameter categorical value distributions
+off the engine's columnar snapshot.  At serve time a
 :class:`DriftDetector` scores live distributions against that baseline
 with two complementary statistics:
 
@@ -33,19 +33,21 @@ import threading
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 from scipy.stats import chi2
 
+from repro.netmodel.attributes import ATTRIBUTE_SCHEMA
 from repro.obs import metrics
 from repro.obs.logs import get_logger
 
 __all__ = [
     "AttributeDrift",
-    "DriftBaseline",
     "DriftDetector",
     "DriftReport",
     "DriftThresholds",
     "DriftWindow",
     "HealthReport",
+    "baseline_distributions",
     "chi_square_drift",
     "population_stability_index",
 ]
@@ -170,68 +172,40 @@ def parameter_distribution(store, name: str) -> Dict[str, float]:
     return counts
 
 
-@dataclass
-class DriftBaseline:
-    """Fit-time value distributions: the population the models saw.
+def _code_counts(codes, vocab: Sequence) -> Dict[str, float]:
+    """Counts of one code column, keyed by ``str`` of its vocab entry."""
+    counts: Dict[str, float] = {}
+    for value, count in zip(
+        vocab, np.bincount(codes, minlength=len(vocab)).tolist()
+    ):
+        key = str(value)
+        counts[key] = counts.get(key, 0.0) + float(count)
+    return counts
 
-    ``attributes`` maps attribute name -> {category: count} over the
-    carriers in the fitted network; ``parameters`` maps parameter name
-    -> {value: count} over its configured (singular + pairwise) values.
-    Captured by :meth:`capture` at the end of
-    :meth:`repro.core.auric.AuricEngine.fit` and persisted in serve
-    artifacts (schema v3).
+
+def baseline_distributions(
+    snapshot, parameters: Sequence[str]
+) -> Dict[str, Dict[str, float]]:
+    """The drift baseline: the population of the snapshot an engine
+    votes from (:meth:`repro.core.auric.AuricEngine.ensure_columnar`).
+
+    Each attribute's code column is counted through its vocab, and each
+    named parameter's label codes through its label vocab, keyed
+    ``parameter:<name>``: the same counts as
+    :func:`attribute_distributions` over the snapshot's network plus
+    :func:`parameter_distribution` over its store.
     """
-
-    attributes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    parameters: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    carrier_count: int = 0
-
-    @classmethod
-    def capture(
-        cls, network, store=None, parameters: Sequence[str] = ()
-    ) -> "DriftBaseline":
-        """Snapshot the attribute/parameter distributions of a network."""
-        attributes = attribute_distributions(network)
-        carrier_count = sum(1 for _ in network.carriers())
-        params: Dict[str, Dict[str, float]] = {}
-        if store is not None:
-            for name in parameters:
-                counts = parameter_distribution(store, name)
-                if counts:
-                    params[name] = counts
-        return cls(
-            attributes=attributes,
-            parameters=params,
-            carrier_count=carrier_count,
-        )
-
-    def distributions(self) -> Dict[str, Dict[str, float]]:
-        """Attribute and ``parameter:<name>`` distributions, one map."""
-        merged: Dict[str, Dict[str, float]] = dict(self.attributes)
-        for name, dist in self.parameters.items():
-            merged[PARAMETER_PREFIX + name] = dist
-        return merged
-
-    def to_dict(self) -> Dict:
-        return {
-            "attributes": {k: dict(v) for k, v in self.attributes.items()},
-            "parameters": {k: dict(v) for k, v in self.parameters.items()},
-            "carrier_count": self.carrier_count,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping) -> "DriftBaseline":
-        return cls(
-            attributes={
-                str(k): {str(c): float(n) for c, n in v.items()}
-                for k, v in dict(payload.get("attributes", {})).items()
-            },
-            parameters={
-                str(k): {str(c): float(n) for c, n in v.items()}
-                for k, v in dict(payload.get("parameters", {})).items()
-            },
-            carrier_count=int(payload.get("carrier_count", 0)),
-        )
+    merged: Dict[str, Dict[str, float]] = {}
+    for column, name in enumerate(ATTRIBUTE_SCHEMA.names):
+        counts = _code_counts(snapshot.codes[:, column], snapshot.vocabs[column])
+        if counts:
+            merged[name] = counts
+    for name in parameters:
+        columns = snapshot.parameter(name)
+        counts = _code_counts(columns.label_codes, columns.label_vocab)
+        if counts:
+            merged[PARAMETER_PREFIX + name] = counts
+    return merged
 
 
 def attribute_distributions(network) -> Dict[str, Dict[str, float]]:
@@ -347,11 +321,12 @@ class DriftReport:
 
 
 class DriftDetector:
-    """Scores live distributions against a fit-time baseline."""
+    """Scores live distributions against a baseline
+    (:func:`baseline_distributions`)."""
 
     def __init__(
         self,
-        baseline: DriftBaseline,
+        baseline: Mapping[str, Distribution],
         thresholds: Optional[DriftThresholds] = None,
     ) -> None:
         self.baseline = baseline
@@ -379,7 +354,7 @@ class DriftDetector:
         upstream schema change, not drift.
         """
         scored: List[AttributeDrift] = []
-        for name, expected in sorted(self.baseline.distributions().items()):
+        for name, expected in sorted(self.baseline.items()):
             actual = live.get(name)
             if actual is None:
                 continue
@@ -401,16 +376,6 @@ class DriftDetector:
             )
         scored.sort(key=lambda d: d.psi, reverse=True)
         return DriftReport(attributes=scored, thresholds=self.thresholds)
-
-    def score_network(self, network, store=None) -> DriftReport:
-        """Score a whole live snapshot (network + optional config store)."""
-        live: Dict[str, Dict[str, float]] = attribute_distributions(network)
-        if store is not None:
-            for name in self.baseline.parameters:
-                counts = parameter_distribution(store, name)
-                if counts:
-                    live[PARAMETER_PREFIX + name] = counts
-        return self.score(live)
 
 
 class DriftWindow:

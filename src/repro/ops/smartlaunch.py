@@ -187,13 +187,6 @@ class SmartLaunch:
         self.service = service
         self._rng = derive(self.config.seed, "smartlaunch")
 
-    def _resolve_recommendation(
-        self,
-        recommendation: Union[CarrierRecommendation, NewCarrierRequest],
-        parameters: Optional[Sequence[str]] = None,
-    ) -> CarrierRecommendation:
-        return self._resolve(recommendation, parameters)[0]
-
     def _resolve(
         self,
         recommendation: Union[CarrierRecommendation, NewCarrierRequest],

@@ -44,7 +44,6 @@ from repro.dataio.keys import (
 from repro.exceptions import RecommendationError
 from repro.netmodel.network import Network
 from repro.obs import journal as obs_journal
-from repro.obs.health import DriftBaseline
 from repro.obs.provenance import AttributeDependence
 from repro.serve.refresh import _changed_positions
 from repro.store import MmapSnapshotStore, SnapshotStoreError
@@ -52,9 +51,9 @@ from repro.store import MmapSnapshotStore, SnapshotStoreError
 #: Version of the artifact document schema (bump on layout changes).
 #: v2 adds an optional inline ``columnar`` snapshot section (and a
 #: ``columnar`` config flag); both are no longer written and are
-#: ignored on load.  v3 adds the optional ``drift_baseline`` section
-#: (fit-time value distributions for
-#: :class:`repro.obs.health.DriftDetector`); v4 adds the
+#: ignored on load.  v3 adds an optional ``drift_baseline`` section,
+#: no longer written and ignored on load: the drift baseline is counted
+#: off the snapshot the engine votes from.  v4 adds the
 #: ``config.store`` field and the optional ``columnar_store`` reference
 #: to an mmap snapshot store next to the artifact.  A legacy ``file``
 #: store (a JSON sidecar) loads as ``memory`` and its reference is
@@ -180,11 +179,6 @@ def engine_to_dict(
     # the store file, opened zero-copy on load.
     if columnar_ref is not None:
         payload["columnar_store"] = dict(columnar_ref)
-    # Fit-time distribution baseline for drift detection (v3, additive):
-    # a loaded engine can score live snapshots against the population
-    # the persisted models were fitted on.
-    if engine.drift_baseline is not None:
-        payload["drift_baseline"] = engine.drift_baseline.to_dict()
     return payload
 
 
@@ -296,10 +290,6 @@ def engine_from_dict(
             mapped.take_carrier_ids(live)
             _check_digest(mapped, network, names, expected, "columnar store")
     engine.attach_columnar(live if mapped is None else mapped)
-    if "drift_baseline" in payload:
-        engine.drift_baseline = DriftBaseline.from_dict(
-            payload["drift_baseline"]
-        )
     for model_payload in model_payloads:
         model = _model_from_dict(model_payload, engine)
         engine.install_model(model.spec.name, model)

@@ -77,8 +77,6 @@ class FrontConfig:
     shards: int = 2
     max_inflight: int = 512
     max_batch: int = 32
-    max_queue: int = 256
-    cache_size: int = 4096
     #: Default parameter restriction applied to requests that do not
     #: name their own (None = the service's default set).
     parameters: Optional[Tuple[str, ...]] = None
@@ -286,7 +284,7 @@ class FrontServer:
             },
             "scopes": result.scope_counts(),
             "shard": shard_id,
-            "generation": self.shard_set.generation,
+            "generation": result.generation,
             "duration_ms": round(result.duration_s * 1000.0, 3),
             "explain": result.explain.to_dict() if result.explain else None,
         }

@@ -25,9 +25,12 @@ sentinel* enqueued on every shard's FIFO queue:
    drain.
 
 Swap duration (sentinel enqueue → last shard swapped) is exported as
-``repro_front_swap_seconds``; the set-wide generation counter rides on
-every response so clients — and the storm benchmark's zero-stale
-assertion — can see exactly which engine answered.
+``repro_front_swap_seconds``.  The sentinel carries the generation the
+tier moves to, and each shard stamps the generation of the engine it
+answers from on every result, so clients — and the storm benchmark's
+zero-stale assertion — see exactly which engine answered, also while
+some shards have swapped and others not.  The set-wide counter bumps
+once the last shard has swapped.
 """
 
 from __future__ import annotations
@@ -71,10 +74,11 @@ class SwapReport:
 
 
 class _SwapSentinel:
-    __slots__ = ("service", "done")
+    __slots__ = ("service", "generation", "done")
 
-    def __init__(self, service: RecommendationService):
+    def __init__(self, service: RecommendationService, generation: int):
         self.service = service
+        self.generation = generation
         self.done = threading.Event()
 
 
@@ -110,6 +114,9 @@ class EngineShard:
     ) -> None:
         self.shard_id = shard_id
         self._service = service
+        #: The tier generation of the engine this shard answers from,
+        #: stamped on every result it serves.
+        self.generation = 0
         self.max_queue = max_queue
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_queue)
         self.served = 0
@@ -149,12 +156,15 @@ class EngineShard:
         self._queue.put_nowait(_BatchItem(requests, on_done, traces, timings))
         self._depth_gauge.set(float(self._queue.qsize()))
 
-    def swap(self, service: RecommendationService) -> threading.Event:
+    def swap(
+        self, service: RecommendationService, generation: int
+    ) -> threading.Event:
         """Enqueue a swap sentinel; the event fires once every batch
         ahead of it has drained through the old service and the shard
-        answers from ``service``.  Sentinels bypass the queue bound —
-        shedding a swap under load would defeat its purpose."""
-        sentinel = _SwapSentinel(service)
+        answers from ``service``, as ``generation``.  Sentinels bypass
+        the queue bound — shedding a swap under load would defeat its
+        purpose."""
+        sentinel = _SwapSentinel(service, generation)
         self._queue.put(sentinel)
         return sentinel.done
 
@@ -166,6 +176,7 @@ class EngineShard:
                 break
             if isinstance(item, _SwapSentinel):
                 self._service = item.service
+                self.generation = item.generation
                 item.done.set()
                 continue
             if item.timings:
@@ -178,6 +189,8 @@ class EngineShard:
             except BaseException as exc:  # noqa: BLE001 - forwarded to caller
                 item.on_done(None, exc)
             else:
+                for result in results:
+                    result.generation = self.generation
                 self.served += len(results)
                 self.batches += 1
                 item.on_done(results, None)
@@ -244,7 +257,8 @@ class ShardSet:
         ]
         self._ring = HashRing(range(shards))
         self._swap_lock = threading.Lock()
-        #: Bumped once per completed hot swap; rides on every response.
+        #: Bumped once per completed hot swap, after the last shard
+        #: swapped (each response carries its shard's own generation).
         self.generation = 0
         #: Lifecycle-journal stream for the tier's generation counter —
         #: the one clients see on responses.
@@ -325,7 +339,7 @@ class ShardSet:
                 ]
                 swap_started = time.perf_counter()
                 events = [
-                    shard.swap(service)
+                    shard.swap(service, self.generation + 1)
                     for shard, service in zip(self._shards, new_services)
                 ]
                 for event in events:

@@ -47,7 +47,7 @@ from repro.core.columnar import ParameterColumns
 from repro.obs import journal as obs_journal
 from repro.obs import metrics as obs_metrics
 from repro.obs import tracing
-from repro.obs.health import DriftReport, parameter_distribution
+from repro.obs.health import DriftReport
 from repro.serve.service import RecommendationService
 
 logger = logging.getLogger(__name__)
@@ -86,7 +86,7 @@ class RefreshResult:
 class DriftCheck:
     """Outcome of one drift check against the serving baseline."""
 
-    #: None when the engine has no baseline or nothing live was scored.
+    #: None when nothing live was scored.
     report: Optional[DriftReport]
     #: The verdict recommends a full refit (moderate or major drift).
     refit_recommended: bool
@@ -160,7 +160,6 @@ def refit_engine(
             skipped.append(name)
             continue
         fork.install_model(name, new_model)
-        _patch_baseline(fork, name)
         refitted[name] = changed_count
         if reuse:
             reused.append(name)
@@ -178,19 +177,14 @@ def refit_engine(
 
 def _fork(engine: AuricEngine) -> AuricEngine:
     """A new engine sharing ``engine``'s models, attribute arrays and
-    lineage, but owning its model dict, parameter-column dict and drift
-    baseline — what a changelog refit edits instead of ``engine``."""
+    lineage, but owning its model dict and parameter-column dict — what
+    a changelog refit edits instead of ``engine``."""
     fork = AuricEngine(engine.network, engine.store, engine.config)
     for name, model in engine.fitted_models().items():
         fork.install_model(name, model)
     snapshot = engine.columnar_snapshot()
     if snapshot is not None:
         fork.attach_columnar(snapshot.shallow_copy())
-    baseline = engine.drift_baseline
-    if baseline is not None:
-        fork.drift_baseline = replace(
-            baseline, parameters=dict(baseline.parameters)
-        )
     fork.lineage = engine.lineage
     return fork
 
@@ -260,21 +254,6 @@ def _changed_positions(
         new_columns.label_codes
     ]
     return np.nonzero(old_labels != new_labels)[0]
-
-
-def _patch_baseline(engine: AuricEngine, name: str) -> None:
-    """Re-capture one parameter's drift-baseline distribution.
-
-    Exactly what :meth:`repro.obs.health.DriftBaseline.capture` records
-    for the parameter — attributes and carrier count are untouched by
-    configuration changes.
-    """
-    baseline = engine.drift_baseline
-    if baseline is None:
-        return
-    counts = parameter_distribution(engine.store, name)
-    if counts:
-        baseline.parameters[name] = counts
 
 
 def _count_changelog_refit(result: RefreshResult) -> None:

@@ -75,6 +75,7 @@ from repro.obs.health import (
     DriftReport,
     DriftThresholds,
     DriftWindow,
+    baseline_distributions,
 )
 from repro.obs.metrics import ServiceMetrics
 
@@ -445,8 +446,8 @@ class RecommendationService(RecommendationPipeline):
 
         Every ``sample_every``-th request's resolved attribute vector is
         folded into a :class:`~repro.obs.health.DriftWindow`;
-        :meth:`drift_report` scores it against the engine's fit-time
-        baseline.  Idempotent — re-enabling keeps the existing window.
+        :meth:`drift_report` scores it against the population the engine
+        votes from.  Idempotent — re-enabling keeps the existing window.
         """
         with self._write_lock:
             if thresholds is not None:
@@ -459,28 +460,26 @@ class RecommendationService(RecommendationPipeline):
     def drift_window(self) -> Optional[DriftWindow]:
         return self._drift_window
 
-    def drift_baseline(self):
-        """The serving engine's fit-time baseline (None when absent —
-        e.g. an engine loaded from a pre-v3 artifact)."""
-        return self._state.engine.drift_baseline
-
     def drift_report(self, live=None) -> Optional[DriftReport]:
-        """Score live distributions against the fit-time baseline.
+        """Score live distributions against the serving engine's
+        baseline: the value counts of the snapshot it votes from
+        (:func:`~repro.obs.health.baseline_distributions`).
 
         ``live`` is a ``{name: {category: count}}`` mapping; when
         omitted, the sampled request window is scored.  Returns None
-        when the engine carries no baseline or there is nothing live to
-        score; otherwise publishes the ``repro_drift_*`` gauges
-        (zero-cost while the global registry is disabled) and returns
-        the report.
+        when there is nothing live to score; otherwise publishes the
+        ``repro_drift_*`` gauges (zero-cost while the global registry is
+        disabled) and returns the report.
         """
-        baseline = self._state.engine.drift_baseline
-        thresholds = self._drift_thresholds
         if live is None and self._drift_window is not None:
             live = self._drift_window.counts()
-        if baseline is None or not live:
+        if not live:
             return None
-        report = DriftDetector(baseline, thresholds).score(live)
+        engine = self._state.engine
+        baseline = baseline_distributions(
+            engine.ensure_columnar(), engine.fitted_parameters()
+        )
+        report = DriftDetector(baseline, self._drift_thresholds).score(live)
         report.record()
         return report
 
@@ -514,8 +513,8 @@ class RecommendationService(RecommendationPipeline):
             state = _EngineState(engine, self._state.generation + 1)
             self._state = state
             self._cache.clear()
-            # The new engine carries a new baseline; the window sampled
-            # against the old one would read as spurious drift.
+            # The new engine votes from a new population; the window
+            # sampled against the old one would read as spurious drift.
             if self._drift_window is not None:
                 self._drift_window.clear()
             obs_journal.record(

@@ -2,18 +2,20 @@
 
 import pytest
 
+from repro.core.columnar import ColumnarSnapshot
 from repro.datagen import tiny_workload
 from repro.obs import metrics as obs_metrics
 from repro.obs.health import (
     AttributeDrift,
-    DriftBaseline,
     DriftDetector,
     DriftReport,
     DriftThresholds,
     DriftWindow,
     HealthReport,
     attribute_distributions,
+    baseline_distributions,
     chi_square_drift,
+    parameter_distribution,
     population_stability_index,
 )
 
@@ -65,54 +67,57 @@ class TestStatistics:
         assert chi_square_drift({}, {"a": 5}) == (0.0, 0, 1.0)
 
 
+def _snapshot_baseline(dataset, parameters=()):
+    specs = [dataset.store.catalog.spec(name) for name in parameters]
+    snapshot = ColumnarSnapshot.encode(dataset.network, dataset.store, specs)
+    return baseline_distributions(snapshot, parameters)
+
+
 class TestBaseline:
     def test_capture_covers_schema_and_parameters(self, dataset):
-        baseline = DriftBaseline.capture(
-            dataset.network, dataset.store, parameters=["pMax", "hysA3Offset"]
-        )
-        assert baseline.carrier_count == sum(
-            1 for _ in dataset.network.carriers()
-        )
-        assert "carrier_frequency" in baseline.attributes
-        assert sum(
-            baseline.attributes["carrier_frequency"].values()
-        ) == baseline.carrier_count
-        # Both singular and pair-wise parameter values are counted.
-        assert baseline.parameters["pMax"]
-        assert baseline.parameters["hysA3Offset"]
-
-    def test_round_trips_through_dict(self, dataset):
-        baseline = DriftBaseline.capture(
-            dataset.network, dataset.store, parameters=["pMax"]
-        )
-        rebuilt = DriftBaseline.from_dict(baseline.to_dict())
-        assert rebuilt.to_dict() == baseline.to_dict()
+        baseline = _snapshot_baseline(dataset, ["pMax", "hysA3Offset"])
+        carriers = sum(1 for _ in dataset.network.carriers())
+        assert sum(baseline["carrier_frequency"].values()) == carriers
+        # Both singular and pair-wise parameter values are counted, as
+        # the live side counts them.
+        assert baseline == {
+            **attribute_distributions(dataset.network),
+            "parameter:pMax": parameter_distribution(dataset.store, "pMax"),
+            "parameter:hysA3Offset": parameter_distribution(
+                dataset.store, "hysA3Offset"
+            ),
+        }
 
     def test_distributions_prefix_parameters(self, dataset):
-        baseline = DriftBaseline.capture(
-            dataset.network, dataset.store, parameters=["pMax"]
-        )
-        merged = baseline.distributions()
+        merged = _snapshot_baseline(dataset, ["pMax"])
         assert "parameter:pMax" in merged
         assert "carrier_frequency" in merged
+        assert "pMax" not in merged
 
     def test_engine_fit_captures_baseline(self, dataset):
+        """An engine's baseline is counted off the snapshot it votes
+        from, over exactly its fitted parameters."""
         from repro.core.auric import AuricEngine
 
-        engine = AuricEngine(dataset.network, dataset.store)
-        assert engine.drift_baseline is None
-        engine.fit(["pMax"])
-        assert engine.drift_baseline is not None
-        assert engine.drift_baseline.parameters.keys() == {"pMax"}
+        engine = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
+        baseline = baseline_distributions(
+            engine.columnar_snapshot(), engine.fitted_parameters()
+        )
+        assert {n for n in baseline if n.startswith("parameter:")} == {
+            "parameter:pMax"
+        }
+        assert baseline == _snapshot_baseline(dataset, ["pMax"])
 
 
 class TestDetector:
     def _baseline(self, dataset):
-        return DriftBaseline.capture(dataset.network, dataset.store)
+        return _snapshot_baseline(dataset)
 
     def test_stationary_population_is_healthy(self, dataset):
         baseline = self._baseline(dataset)
-        report = DriftDetector(baseline).score_network(dataset.network)
+        report = DriftDetector(baseline).score(
+            attribute_distributions(dataset.network)
+        )
         assert report.verdict == "healthy"
         assert not report.stale
         assert report.psi_max == pytest.approx(0.0)
@@ -183,13 +188,17 @@ class TestDetector:
     def test_record_is_free_while_disabled(self, dataset):
         obs_metrics.disable()
         baseline = self._baseline(dataset)
-        report = DriftDetector(baseline).score_network(dataset.network)
+        report = DriftDetector(baseline).score(
+            attribute_distributions(dataset.network)
+        )
         report.record()  # no registry: shared null instruments absorb it
         assert not obs_metrics.enabled()
 
     def test_report_round_trips_to_dict(self, dataset):
         baseline = self._baseline(dataset)
-        report = DriftDetector(baseline).score_network(dataset.network)
+        report = DriftDetector(baseline).score(
+            attribute_distributions(dataset.network)
+        )
         payload = report.to_dict()
         assert payload["verdict"] == "healthy"
         assert payload["thresholds"]["psi_major"] == 0.25

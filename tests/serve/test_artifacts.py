@@ -14,6 +14,12 @@ from repro.core.recommendation import RecommendRequest
 from repro.datagen import tiny_workload
 from repro.dataio import dataset_to_dict, snapshot_from_dict
 from repro.dataio.keys import carrier_key_to_str
+from repro.obs.health import (
+    DriftDetector,
+    attribute_distributions,
+    baseline_distributions,
+    parameter_distribution,
+)
 from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import (
     ARTIFACT_SCHEMA_VERSION,
@@ -464,43 +470,88 @@ class TestColumnarPersistence:
             engine_from_dict(payload, dataset.network, dataset.store)
 
 
-class TestDriftBaselinePersistence:
-    """Schema v3: the fit-time drift baseline travels with the artifact."""
+def _baseline(engine):
+    return baseline_distributions(
+        engine.ensure_columnar(), engine.fitted_parameters()
+    )
 
-    def test_v3_artifact_carries_drift_baseline(self, fitted_engine):
+
+class TestDriftBaselinePersistence:
+    """An artifact carries no drift baseline: a loaded engine's is
+    counted off the snapshot it votes from, and a v3–v6 document's
+    ``drift_baseline`` section is ignored on load."""
+
+    def test_artifact_carries_no_drift_baseline(self, fitted_engine):
         payload = engine_to_dict(fitted_engine)
         assert payload["schema_version"] == ARTIFACT_SCHEMA_VERSION
-        baseline = payload["drift_baseline"]
-        assert baseline["carrier_count"] > 0
-        assert "carrier_frequency" in baseline["attributes"]
-        assert set(baseline["parameters"]) >= set(SERVE_PARAMETERS)
+        assert "drift_baseline" not in payload
 
     def test_loaded_engine_keeps_baseline(self, fitted_engine, reloaded):
-        assert reloaded.drift_baseline is not None
-        assert (
-            reloaded.drift_baseline.to_dict()
-            == fitted_engine.drift_baseline.to_dict()
-        )
+        assert _baseline(reloaded) == _baseline(fitted_engine)
 
     def test_v2_artifact_still_loads(self, fitted_engine, dataset):
-        """Pre-drift documents lack the baseline section; they load and
-        serve (the baseline stays None until the next fit)."""
+        """A pre-drift document loads, serves and, like any engine, has
+        the baseline of the snapshot it votes from."""
         payload = json.loads(json.dumps(engine_to_dict(fitted_engine)))
         payload["schema_version"] = 2
-        payload.pop("drift_baseline")
         engine = engine_from_dict(
             payload, dataset.network, dataset.store, verify_fingerprint=False
         )
-        assert engine.drift_baseline is None
         assert engine.fitted_parameters() == fitted_engine.fitted_parameters()
+        assert _baseline(engine) == _baseline(fitted_engine)
 
-    def test_baseline_json_round_trips(self, fitted_engine, dataset, tmp_path):
+    def test_baseline_json_round_trips(self, dataset, tmp_path):
+        """A verified mmap load votes from its store, whose counts are
+        the fit's."""
+        engine = AuricEngine(
+            dataset.network, dataset.store, AuricConfig(store="mmap")
+        ).fit(list(SERVE_PARAMETERS))
         path = tmp_path / "engine.json"
-        save_engine(fitted_engine, str(path))
+        save_engine(engine, str(path))
         loaded = load_engine(str(path), dataset.network, dataset.store)
-        assert (
-            loaded.drift_baseline.to_dict()
-            == fitted_engine.drift_baseline.to_dict()
+        assert _baseline(loaded) == _baseline(engine)
+
+    def test_v6_drift_baseline_section_is_ignored_on_load(
+        self, fitted_engine, dataset, tmp_path
+    ):
+        """A v6 artifact written with the fit-time section this schema
+        used to carry loads verified, and scores live traffic as that
+        section did."""
+        models = fitted_engine.fitted_parameters()
+        section = {
+            "attributes": attribute_distributions(dataset.network),
+            "parameters": {
+                name: parameter_distribution(dataset.store, name)
+                for name in models
+            },
+            "carrier_count": dataset.network.carrier_count(),
+        }
+        payload = engine_to_dict(fitted_engine)
+        payload["drift_baseline"] = section
+        path = tmp_path / "engine.json"
+        path.write_text(json.dumps(payload))
+        loaded = load_engine(str(path), dataset.network, dataset.store)
+        live = attribute_distributions(dataset.network)
+        live["hardware"] = {"RRH9": sum(live["hardware"].values())}
+        pmax = parameter_distribution(dataset.store, "pMax")
+        live["parameter:pMax"] = {
+            value: count * (3 if i % 2 else 1)
+            for i, (value, count) in enumerate(sorted(pmax.items()))
+        }
+        stored = dict(section["attributes"])
+        for name, counts in section["parameters"].items():
+            stored["parameter:" + name] = counts
+        expected = DriftDetector(stored).score(live)
+        report = RecommendationService(loaded).drift_report(live)
+        assert report.verdict == expected.verdict == "stale"
+        assert [d.attribute for d in report.attributes] == [
+            d.attribute for d in expected.attributes
+        ]
+        for got, want in zip(report.attributes, expected.attributes):
+            assert got.verdict == want.verdict
+            assert got.psi == pytest.approx(want.psi, rel=0, abs=1e-12)
+        assert report.psi_max == pytest.approx(
+            expected.psi_max, rel=0, abs=1e-12
         )
 
 
@@ -615,8 +666,6 @@ def _with_samples(payload, engine, version):
         ]
     if version < 4:
         document["config"].pop("store")
-    if version < 3:
-        document.pop("drift_baseline")
     return document
 
 

@@ -10,6 +10,7 @@ import json
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
@@ -245,6 +246,56 @@ class TestAdminSwap:
         # Same snapshot refit: the answers must not change.
         assert after["values"] == before["values"]
 
+    def test_a_swapped_shard_answers_as_the_new_generation(
+        self, fitted_engine, rulebook, dataset
+    ):
+        """Mid-swap, a shard that took its sentinel answers with the
+        generation it swapped to, while another shard still drains the
+        old engine and the tier's counter has not moved."""
+        shard_set = ShardSet(fitted_engine, rulebook, shards=2, warm=False)
+        handle = serve_in_thread(
+            shard_set,
+            FrontConfig(shards=2, max_inflight=8, parameters=SINGULAR),
+        )
+        carrier = sorted(dataset.store.carriers())[0]
+        serving = shard_set.shard_for(RecommendRequest(carrier_id=carrier))
+        stalled_shard = next(s for s in shard_set.shards if s is not serving)
+        old_service = serving.service
+        gate, stalled = threading.Event(), threading.Event()
+
+        class _Stall:
+            def __iter__(self):
+                stalled.set()
+                gate.wait(10.0)
+                return iter(())
+
+        swapper = threading.Thread(
+            target=shard_set.hot_swap,
+            kwargs={"engine": fitted_engine, "warm": False},
+        )
+        conn = http.client.HTTPConnection("127.0.0.1", handle.port, timeout=30)
+        try:
+            stalled_shard.submit_batch(_Stall(), lambda *_: None)
+            assert stalled.wait(10.0)
+            swapper.start()
+            deadline = time.monotonic() + 10.0
+            while serving.service is old_service:
+                assert time.monotonic() < deadline, "the shard never swapped"
+                time.sleep(0.005)
+            payload = {"carrier": carrier_key_to_str(carrier)}
+            status, body, _ = call(conn, "POST", "/recommend", payload)
+            assert status == 200
+            assert body["shard"] == serving.shard_id
+            assert shard_set.generation == 0
+            assert body["generation"] == 1
+        finally:
+            gate.set()
+            swapper.join(timeout=30)
+            conn.close()
+            handle.stop()
+            shard_set.stop()
+        assert shard_set.generation == 1
+
     def test_swap_rejects_bad_jobs(self, client):
         status, body, _ = call(
             client, "POST", "/admin/swap", {"jobs": "many"}
@@ -332,9 +383,7 @@ class TestLoadShedding:
         )
         handle = serve_in_thread(
             shard_set,
-            FrontConfig(
-                shards=1, max_inflight=8, max_queue=1, parameters=SINGULAR
-            ),
+            FrontConfig(shards=1, max_inflight=8, parameters=SINGULAR),
         )
         shard = shard_set.shards[0]
         gate, stalled, drained = (threading.Event() for _ in range(3))

@@ -29,6 +29,7 @@ from repro.config.store import PairKey
 from repro.core import AuricEngine
 from repro.core.auric import AuricConfig
 from repro.obs import metrics as obs_metrics
+from repro.obs.health import baseline_distributions
 from repro.ops.history import ChangeLog, ChangeSource
 from repro.serve import RecommendationService, load_engine, save_engine
 from repro.serve.refresh import EngineRefresher
@@ -277,7 +278,9 @@ class TestReplacedEngine:
         models = old.fitted_models()
         columns = old.columnar_snapshot().parameters["pMax"]
         label_codes = columns.label_codes.copy()
-        baseline = dict(old.drift_baseline.parameters["pMax"])
+        baseline = baseline_distributions(
+            old.columnar_snapshot(), old.fitted_parameters()
+        )
         log = ChangeLog()
         flip_values(store, "pMax", 5, log)
         result = refresher.refit(log)
@@ -290,7 +293,12 @@ class TestReplacedEngine:
             assert model_state(model) == states[name], name
         assert old.columnar_snapshot().parameters["pMax"] is columns
         np.testing.assert_array_equal(columns.label_codes, label_codes)
-        assert old.drift_baseline.parameters["pMax"] == baseline
+        assert (
+            baseline_distributions(
+                old.columnar_snapshot(), old.fitted_parameters()
+            )
+            == baseline
+        )
         new_models = service.engine.fitted_models()
         assert new_models["pMax"] is not models["pMax"]
         for name in ("inactivityTimer", "hysA3Offset"):
@@ -353,18 +361,23 @@ class TestServiceIntegration:
         assert service.metrics.refresh_duration.count == 1
 
     def test_drift_baseline_tracks_refit(self, dataset):
-        """The fit-time baseline for the touched parameter must reflect
-        the mutated store, exactly as a fresh capture would."""
+        """The refit engine's baseline reflects the mutated store,
+        exactly as a full refit's does."""
         config = AuricConfig()
         store, engine, service, refresher = build(dataset, config)
         log = ChangeLog()
         flip_values(store, "pMax", 5, log)
         refresher.refit(log)
         fresh = full_refit_reference(dataset, store, config)
-        assert (
-            service.engine.drift_baseline.parameters["pMax"]
-            == fresh.drift_baseline.parameters["pMax"]
+        refit = baseline_distributions(
+            service.engine.columnar_snapshot(), PARAMETERS
         )
+        assert refit == baseline_distributions(
+            fresh.columnar_snapshot(), PARAMETERS
+        )
+        assert refit["parameter:pMax"] != baseline_distributions(
+            engine.columnar_snapshot(), PARAMETERS
+        )["parameter:pMax"]
 
     def test_unfitted_touched_parameter_is_ignored(self, dataset):
         config = AuricConfig()

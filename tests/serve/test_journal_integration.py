@@ -233,11 +233,9 @@ class TestArtifactReplay:
         v1["schema_version"] = 1
         v1.pop("columnar", None)
         v1["config"].pop("columnar", None)
-        v1.pop("drift_baseline", None)
 
         v2 = json.loads(json.dumps(base))
         v2["schema_version"] = 2
-        v2.pop("drift_baseline", None)
 
         v3 = json.loads(json.dumps(base))
         v3["schema_version"] = 3

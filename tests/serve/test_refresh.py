@@ -278,19 +278,21 @@ class TestDriftRefreshCycle:
         assert check.refit_triggered
         assert check.refreshed.mode == "full"
         assert service.engine is not stale_engine
-        # The fresh fit carries a fresh baseline, and the swap clears
-        # the sampled window — drift restarts from the new generation.
-        assert service.drift_baseline() is not None
+        # The swap clears the sampled window — drift restarts from the
+        # new generation, against the population the fresh fit votes
+        # from.
         assert service.drift_window.seen == 0
         assert refresher.check_drift().report is None
+        assert refresher.check_drift(live=live).report.stale
 
     def test_drift_report_none_without_window_or_baseline(self, dataset):
         engine = AuricEngine(dataset.network, dataset.store).fit(["pMax"])
         service = RecommendationService(engine)
         # Tracking never enabled and no live override: nothing to score.
         assert service.drift_report() is None
-        engine.drift_baseline = None
         service.enable_drift_tracking(sample_every=1)
-        self._serve_population(service, dataset)
-        # Window populated but the baseline is gone (pre-v3 artifact).
+        # Tracking enabled but nothing served yet: the window is empty.
         assert service.drift_report() is None
+        self._serve_population(service, dataset)
+        # Every engine has the baseline of the snapshot it votes from.
+        assert service.drift_report().verdict == "healthy"

@@ -338,6 +338,16 @@ class TestInputErrors:
         assert main([command, "--parameters", "bogusKnob"]) == 2
         assert "error: unknown parameter 'bogusKnob'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["explain", "metrics"])
+    def test_pairwise_parameter_is_refused_before_the_fit(
+        self, command, capsys
+    ):
+        assert main([command, "--parameters", "pMax,hysA3Offset"]) == 2
+        assert capsys.readouterr().err == (
+            "error: hysA3Offset is pair-wise and needs a neighbor carrier; "
+            f"{command} answers singular parameters only\n"
+        )
+
     @pytest.mark.parametrize(
         "carrier, reason",
         [
@@ -399,6 +409,30 @@ class TestTraceCommand:
             assert document["span_count"] > 0
         else:
             assert out.rstrip().endswith("(2 corrupt line(s) skipped)")
+
+    def test_renders_a_flight_dumps_in_flight_spans(self, tmp_path, capsys):
+        """A flight dump nests the spans in flight at dump time under its
+        meta record; ``trace --input`` renders them."""
+        from repro.obs import flight, tracing
+
+        recorder = flight.configure(dump_dir=str(tmp_path))
+        tracing.configure([])
+        try:
+            with tracing.span("front.request") as root:
+                trace_id = root.span.trace_id
+                recorder.record(
+                    flight.RequestDigest(trace_id, "market:0", 0, 0, 200, 1.5)
+                )
+                with tracing.span("shard.handle", shard=0):
+                    path = recorder.dump("test")
+        finally:
+            tracing.disable()
+            flight.disable()
+        assert main(["trace", trace_id, "--input", path]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"trace {trace_id} (2 spans)")
+        assert "front.request" in out and "shard.handle" in out
+        assert "orphan" not in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = main(["trace", "ab" * 16, "--input",

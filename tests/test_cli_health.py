@@ -112,6 +112,19 @@ class TestRefusedInputs:
         )
         assert not (tmp_path / "again.json").exists()
 
+    @pytest.mark.parametrize("command", ["health", "dashboard"])
+    def test_pairwise_parameter_refused(self, paths, capsys, tmp_path, command):
+        page = tmp_path / "dash.html"
+        code = main([
+            command, "--snapshot", str(paths["tiny"]), "--no-profile",
+            "--parameters", "hysA3Offset", "-o", str(page),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            "error: hysA3Offset is pair-wise and needs a neighbor carrier"
+        )
+        assert not page.exists()
+
     def test_dashboard_refused_load(self, paths, capsys, tmp_path):
         page = tmp_path / "dash.html"
         code = main([
